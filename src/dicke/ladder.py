@@ -11,6 +11,7 @@ downstream).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,8 @@ def build_ladder(n_emitters: int, gamma: float,
         raise ValueError(f"n_emitters must be a positive integer, got {n_emitters!r}")
     if n_emitters > max_emitters:
         raise ValueError(f"n_emitters={n_emitters} exceeds the configured maximum {max_emitters}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     n = int(n_emitters)
     h = tuple(m * (n + 1 - m) for m in range(n + 1))
     return DickeLadder(n_emitters=n, gamma=float(gamma), h=h)

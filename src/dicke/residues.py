@@ -7,38 +7,43 @@ residues of
 
 over the distinct ladder values h_p with p in [m, m0].  A value occurring
 twice in the range is a double pole and contributes the non-exponential
-g*t * exp(-h*g*t) piece.  Coefficients are assembled in exact integer
-arithmetic (pole gaps are integer differences of the h ladder; the
-derivative at a double pole is expanded through the logarithmic derivative
-of the denominator product, never differentiated numerically).  Only the
-final evaluation rounds, at a precision chosen per `PrecisionPolicy`.
+g*t * exp(-h*g*t) piece.  Coefficients are exact rationals in closed form:
+with p' = N+1-p every pole gap factors as h_p - h_k = (p-k)(p'-k), so the
+denominators are signed ratios of factorials and the double-pole
+logarithmic derivative is a difference of harmonic numbers.  Evaluation
+rounds each coefficient once, at the width chosen per `PrecisionPolicy`,
+and sums the rounded values exactly in integer fixed point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 import mpmath
 import numpy as np
 
 from .ladder import DickeLadder, classify_poles
 from .precision import (DOUBLE_BITS, PrecisionPolicy, fraction_to_float,
-                        fraction_to_mpf, resolve_bits, rounding_defect)
+                        resolve_bits, round_to_bits, rounding_defect,
+                        scaled_to_float)
 from .states import EvolutionTable, check_time_grid
 
 _ZERO = Fraction(0)
+GUARD_BITS = 64   # fixed-point fraction bits beyond the widest row width
 
 
 @dataclass(frozen=True)
 class ResidueTerm:
     """One pole's contribution (const + linear*g*t) * exp(-pole*g*t).
 
-    `const`/`linear` are exact rationals; `bits` is the mantissa width the
-    policy resolved for evaluating the full sum (not part of equality:
-    two derivations of the same expansion compare equal regardless of the
-    precision they were requested at).
+    `const`/`linear` are exact rationals; `bits` is the width the policy
+    resolved, to which both are rounded before the sum is evaluated (not
+    part of equality: two derivations of the same expansion compare equal
+    regardless of the precision they were requested at).
     """
 
     pole: int
@@ -48,53 +53,64 @@ class ResidueTerm:
     bits: int = field(default=DOUBLE_BITS, compare=False)
 
 
-def _prefix_suffix_products(values: list[int]) -> list[int]:
-    """For each k, the product of all entries except the k-th."""
-    k = len(values)
-    prefix = [1] * (k + 1)
-    for i, v in enumerate(values):
-        prefix[i + 1] = prefix[i] * v
-    suffix = 1
-    out = [0] * k
-    for i in range(k - 1, -1, -1):
-        out[i] = prefix[i] * suffix
-        suffix *= values[i]
-    return out
+@functools.lru_cache(maxsize=4)
+def _prefix_tables(n_emitters: int) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    """Factorials 0!..(N+1)! and harmonic numbers H_0..H_{N+1}."""
+    fact, harm = [1], [_ZERO]
+    for k in range(1, n_emitters + 2):
+        fact.append(fact[-1] * k)
+        harm.append(harm[-1] + Fraction(1, k))
+    return tuple(fact), tuple(harm)
+
+
+def _gap_product(fact, x: int, m: int, m0: int) -> int:
+    """Product of (x - k) over k in [m, m0] with k != x."""
+    if x > m0:
+        return fact[x - m] // fact[x - m0 - 1]
+    if x < m:
+        sign = -1 if (m0 - m + 1) % 2 else 1
+        return sign * (fact[m0 - x] // fact[m - x - 1])
+    sign = -1 if (m0 - x) % 2 else 1
+    return sign * fact[x - m] * fact[m0 - x]
 
 
 def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
                 ) -> list[tuple[int, int, Fraction, Fraction]]:
     """Exact (pole, multiplicity, const, linear) tuples, poles ascending."""
-    h = ladder.h
+    n = ladder.n_emitters
     m, m0 = target_m, initial_m0
     pole_set = classify_poles(ladder, m, m0)
+    fact, harm = _prefix_tables(n)
     sign = -1 if (m0 - m) % 2 else 1
-    numerator = 1
-    for k in range(m + 1, m0 + 1):
-        numerator *= h[k]
-    signed_num = sign * numerator
+    # h_{m+1} ... h_m0 = (m0!/m!) * ((N-m)!/(N-m0)!)
+    signed_num = sign * (fact[m0] // fact[m]) * (fact[n - m] // fact[n - m0])
 
     out = []
     for pole in pole_set.poles:
-        v = pole.value
-        gaps = [v - h[k] for k in range(m, m0 + 1) if h[k] != v]
-        den = 1
-        for g in gaps:
-            den *= g
-        if pole.multiplicity == 1:
-            out.append((v, 1, Fraction(signed_num, den), _ZERO))
+        # p is the lowest index in [m, m0] with h_p = pole.value; its partner
+        # p' may lie outside the range (a simple pole) or coincide with p
+        # (odd-N middle)
+        p = pole.index
+        q = n + 1 - p
+        run_p = _gap_product(fact, p, m, m0)
+        if q == p:
+            den = run_p * run_p
         else:
-            # double pole: with q(z) = signed_num / prod(z - h_k) over the
-            # non-degenerate factors, the residue is [q'(v) - g*t*q(v)] *
-            # exp(-v*g*t), and q'(v) = -q(v) * sum_k 1/(v - h_k).
-            c = Fraction(signed_num, den)
-            if gaps:
-                except_k = _prefix_suffix_products(gaps)
-                s_num = sum(except_k)
-                s = Fraction(s_num, den)
-            else:
-                s = _ZERO
-            out.append((v, 2, -c * s, -c))
+            # the gaps skip k = p and k = q in both runs
+            if pole.multiplicity == 2:
+                run_p //= p - q
+            den = run_p * (_gap_product(fact, q, m, m0) // (q - p))
+        c = Fraction(signed_num, den)
+        if pole.multiplicity == 1:
+            out.append((pole.value, 1, c, _ZERO))
+            continue
+        # double pole: with c(z) = signed_num / prod(z - h_k) over the
+        # non-degenerate factors, the residue is [c'(v) - g*t*c(v)] *
+        # exp(-v*g*t) and c'(v) = -c(v) * s, s = sum_k 1/((p-k)(q-k)) =
+        # (S_p - S_q)/(q-p) by partial fractions, S_x = sum_k 1/(x-k)
+        s = (harm[p - m] - harm[m0 - p] - harm[q - m] + harm[m0 - q]
+             + Fraction(2, q - p)) / (q - p)
+        out.append((pole.value, 2, -c * s, -c))
     return out
 
 
@@ -150,20 +166,13 @@ def evaluate_population(terms: list[ResidueTerm], gamma: float, t: float) -> flo
         raise ValueError(f"t must be nonnegative, got {t}")
     if not terms:
         return 0.0
-    bits = max(term.bits for term in terms)
-    gt = gamma * t
-    if bits <= DOUBLE_BITS:
+    if max(term.bits for term in terms) <= DOUBLE_BITS:
+        gt = gamma * t
         return math.fsum(
             (fraction_to_float(term.const) + fraction_to_float(term.linear) * gt)
             * math.exp(-term.pole * gt)
             for term in terms)
-    with mpmath.workprec(bits):
-        gt_mp = mpmath.mpf(gamma) * mpmath.mpf(t)
-        total = mpmath.mpf(0)
-        for term in terms:
-            expo = mpmath.exp(-term.pole * gt_mp)
-            total += (fraction_to_mpf(term.const) + fraction_to_mpf(term.linear) * gt_mp) * expo
-        return float(total)
+    return float(_fixed_point_rows([terms], gamma, np.array([float(t)]))[0, 0])
 
 
 def _row_eval_double(terms: list[ResidueTerm], gamma: float, grid: np.ndarray) -> np.ndarray:
@@ -176,53 +185,88 @@ def _row_eval_double(terms: list[ResidueTerm], gamma: float, grid: np.ndarray) -
         return (weights * np.exp(-poles[:, None] * gt[None, :])).sum(axis=0)
 
 
+def _to_fixed(mant: int, exp: int, frac_bits: int) -> int:
+    """mant * 2**exp as an int scaled by 2**frac_bits, rounded to nearest."""
+    shift = exp + frac_bits
+    if shift >= 0:
+        return mant << shift
+    if mant.bit_length() < -shift:
+        # below half a unit; also keeps exp(-h*g*t) at huge g*t from
+        # building a rounding constant of -shift bits
+        return 0
+    return (mant + (1 << (-shift - 1))) >> -shift
+
+
+def _fixed_point_rows(rows: list[list[ResidueTerm]], gamma: float,
+                      grid: np.ndarray) -> np.ndarray:
+    """Evaluate term lists wider than float64 in integer fixed point.
+
+    Each coefficient is rounded once to its row's width b (round-half-even)
+    and stored as an int scaled by 2**F, F = widest width + GUARD_BITS; a
+    coefficient below 2**(b-F) also loses the bits under 2**-F.
+    exp(-h*g*t) and g*t*exp(-h*g*t) are ints at the same scale, computed
+    once per distinct pole and time, so every entry is an exact integer dot
+    product rounded to float64 once.
+    """
+    widths = [max(t.bits for t in row) for row in rows]
+    frac_bits = max(widths) + GUARD_BITS
+    poles = sorted({t.pole for row in rows for t in row})
+    index = {v: i for i, v in enumerate(poles)}
+    doubled = {index[t.pole] for row in rows for t in row if t.linear}
+    fixed = []
+    for row, bits in zip(rows, widths):
+        consts = [_to_fixed(*round_to_bits(t.const, bits), frac_bits) for t in row]
+        linear = [t for t in row if t.linear]
+        fixed.append(([index[t.pole] for t in row], consts,
+                      [index[t.pole] for t in linear],
+                      [_to_fixed(*round_to_bits(t.linear, bits), frac_bits) for t in linear]))
+
+    out = np.empty((len(rows), grid.size))
+    # g*t is exact at this width (a product of two doubles), and exp's
+    # error stays far below 2**-F
+    with mpmath.workprec(frac_bits + 32):
+        gamma_mp = mpmath.mpf(gamma)
+        for j, t in enumerate(grid):
+            gt = gamma_mp * mpmath.mpf(float(t))
+            expo = [mpmath.exp(-v * gt) for v in poles]
+            # both factors are nonnegative, so man_exp (unsigned) is exact
+            e_fix = [_to_fixed(*x.man_exp, frac_bits) for x in expo]
+            g_fix = {i: _to_fixed(*(gt * expo[i]).man_exp, frac_bits) for i in doubled}
+            for r, (idx, consts, lin_idx, linears) in enumerate(fixed):
+                acc = sum(map(mul, consts, map(e_fix.__getitem__, idx)))
+                if linears:
+                    acc += sum(map(mul, linears, map(g_fix.__getitem__, lin_idx)))
+                out[r, j] = scaled_to_float(acc, 2 * frac_bits)
+    return out
+
+
 def assemble_table(ladder: DickeLadder, initial_m0: int, grid: np.ndarray,
                    rows_terms: list[list[ResidueTerm] | None], method: str,
-                   policy: PrecisionPolicy) -> EvolutionTable:
-    """Evaluate per-row term lists over a grid; mpf rows share one
-    exp(-h*g*t) cache per time since all rows draw poles from the same
-    ladder values."""
+                   policy: PrecisionPolicy,
+                   t0_defect: list[float] | None = None) -> EvolutionTable:
+    """Evaluate per-row term lists over a grid: rows at float64 width in
+    numpy, wider rows together in one fixed-point pass.  `t0_defect` is the
+    per-row reconstruction defect when the caller already has it from
+    `resolve_bits`; otherwise it is recomputed here."""
     n = ladder.n_emitters
-    bits_per_row = np.array([max((t.bits for t in row), default=DOUBLE_BITS)
-                             if row is not None else DOUBLE_BITS
-                             for row in rows_terms], dtype=int)
+    bits_per_row = [max(t.bits for t in row) if row else DOUBLE_BITS for row in rows_terms]
     populations = np.zeros((n + 1, grid.size))
-    mp_rows = [m for m in range(n + 1)
-               if rows_terms[m] and bits_per_row[m] > DOUBLE_BITS]
+    wide = [m for m in range(n + 1) if rows_terms[m] and bits_per_row[m] > DOUBLE_BITS]
     for m in range(n + 1):
-        terms = rows_terms[m]
-        if not terms or m in mp_rows:
-            continue
-        populations[m] = _row_eval_double(terms, ladder.gamma, grid)
+        if rows_terms[m] and bits_per_row[m] <= DOUBLE_BITS:
+            populations[m] = _row_eval_double(rows_terms[m], ladder.gamma, grid)
+    if wide:
+        populations[wide] = _fixed_point_rows([rows_terms[m] for m in wide],
+                                              ladder.gamma, grid)
 
-    if mp_rows:
-        work_bits = int(max(bits_per_row[m] for m in mp_rows))
-        with mpmath.workprec(work_bits):
-            converted = {
-                m: [(t.pole, fraction_to_mpf(t.const), fraction_to_mpf(t.linear))
-                    for t in rows_terms[m]]
-                for m in mp_rows
-            }
-            for j, t in enumerate(grid):
-                gt = mpmath.mpf(ladder.gamma) * mpmath.mpf(float(t))
-                exp_cache: dict[int, mpmath.mpf] = {}
-                for m in mp_rows:
-                    total = mpmath.mpf(0)
-                    for pole, const, linear in converted[m]:
-                        expo = exp_cache.get(pole)
-                        if expo is None:
-                            expo = mpmath.exp(-pole * gt)
-                            exp_cache[pole] = expo
-                        total += (const + linear * gt) * expo
-                    populations[m, j] = float(total)
-
-    t0_defect = [rounding_defect([t.const for t in row], terms_t0_delta(m, initial_m0),
-                                 int(bits_per_row[m])) if row else 0.0
-                 for m, row in enumerate(rows_terms)]
+    if t0_defect is None:
+        t0_defect = [rounding_defect([t.const for t in row], terms_t0_delta(m, initial_m0),
+                                     bits_per_row[m]) if row else 0.0
+                     for m, row in enumerate(rows_terms)]
     meta = {
         "method": method,
         "precision_mode": policy.mode,
-        "bits": bits_per_row.tolist(),
+        "bits": bits_per_row,
         "t0_defect": t0_defect,
     }
     return EvolutionTable(n_emitters=n, gamma=ladder.gamma, initial_m0=initial_m0,
@@ -245,13 +289,12 @@ def evaluate_distribution(ladder: DickeLadder, initial_m0: int,
     if not (0 <= initial_m0 <= n):
         raise ValueError(f"initial_m0 must lie in [0, N], got {initial_m0}")
 
-    rows_terms: list[list[ResidueTerm] | None] = []
-    for m in range(n + 1):
-        if m > initial_m0:
-            rows_terms.append(None)
-            continue
+    rows_terms: list[list[ResidueTerm] | None] = [None] * (n + 1)
+    t0_defect = [0.0] * (n + 1)
+    for m in range(initial_m0 + 1):
         raw = exact_terms(ladder, m, initial_m0)
-        bits, _ = resolve_bits([a for _, _, a, _ in raw],
-                               terms_t0_delta(m, initial_m0), policy)
-        rows_terms.append([ResidueTerm(v, mult, a, b, bits) for v, mult, a, b in raw])
-    return assemble_table(ladder, initial_m0, grid, rows_terms, "residue", policy)
+        bits, t0_defect[m] = resolve_bits([a for _, _, a, _ in raw],
+                                          terms_t0_delta(m, initial_m0), policy)
+        rows_terms[m] = [ResidueTerm(v, mult, a, b, bits) for v, mult, a, b in raw]
+    return assemble_table(ladder, initial_m0, grid, rows_terms, "residue", policy,
+                          t0_defect)

@@ -30,7 +30,7 @@ import numpy as np
 from .ladder import DickeLadder, classify_poles
 from .precision import (DOUBLE_BITS, PrecisionPolicy, fraction_to_float,
                         fraction_to_mpf, resolve_bits)
-from .residues import ResidueTerm, _prefix_suffix_products, terms_t0_delta
+from .residues import ResidueTerm, terms_t0_delta
 from .states import DiagonalState
 
 EXACT_RATIONAL_LIMIT = 64   # build T entries as exact rationals up to this N
@@ -38,6 +38,20 @@ EXACT_RATIONAL_LIMIT = 64   # build T entries as exact rationals up to this N
 
 class SingularityError(ZeroDivisionError):
     """Resolvent evaluated on one of its poles."""
+
+
+def _prefix_suffix_products(values: list[int]) -> list[int]:
+    """For each k, the product of all entries except the k-th."""
+    k = len(values)
+    prefix = [1] * (k + 1)
+    for i, v in enumerate(values):
+        prefix[i + 1] = prefix[i] * v
+    suffix = 1
+    out = [0] * k
+    for i in range(k - 1, -1, -1):
+        out[i] = prefix[i] * suffix
+        suffix *= values[i]
+    return out
 
 
 def _h_ext(ladder: DickeLadder) -> list[int]:
@@ -308,7 +322,7 @@ def jordan_decompose(ladder: DickeLadder,
             tilde, tilde_inv, tilde_labels = built
             needed = _estimate_propagation_bits(tilde, tilde_inv, dim)
             if policy.mode == "bits":
-                bits = policy.mantissa_bits
+                bits = max(policy.mantissa_bits, DOUBLE_BITS)
             else:
                 bits = max(DOUBLE_BITS, needed)
                 if bits > policy.max_bits:

@@ -202,3 +202,28 @@ def test_auto_grid_spacing_by_size(tmp_path):
     assert times[0] > 0.0
     ratios = np.diff(np.log(times))
     assert np.allclose(ratios, ratios[0])
+
+
+@pytest.mark.parametrize("gamma", ["inf", "nan"])
+def test_non_finite_gamma_usage_error(gamma, capsys):
+    assert run(["solve", "--n", "4", "--gamma", gamma, "--points", "5"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+
+
+def test_low_fixed_width_shows_cancellation_loss(tmp_path):
+    out = tmp_path / "b60.json"
+    assert run(["solve", "--n", "40", "--precision", "bits", "--bits", "60",
+                "--t-max", "2", "--points", "9", "--format", "json", "--out", str(out)]) == 0
+    meta = json.loads(out.read_text())["metadata"]
+    assert set(meta["bits"]) == {60}
+    assert meta["trace_defect"] > 1e-3
+
+
+@pytest.mark.parametrize("method", ["residue", "jordan"])
+def test_width_below_double_reported_as_used(method, tmp_path):
+    out = tmp_path / f"{method}.json"
+    assert run(["solve", "--n", "8", "--method", method, "--precision", "bits",
+                "--bits", "2", "--t-max", "2", "--points", "5", "--format", "json",
+                "--out", str(out)]) == 0
+    bits = json.loads(out.read_text())["metadata"]["bits"]
+    assert bits == ([53] * 9 if method == "residue" else 53)

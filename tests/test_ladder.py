@@ -24,7 +24,8 @@ def test_ladder_n3_degenerate_pair():
     assert ladder.h[2] == 4
 
 
-@pytest.mark.parametrize("bad_n, bad_gamma", [(0, 1.0), (-3, 1.0), (2, 0.0), (2, -1.0)])
+@pytest.mark.parametrize("bad_n, bad_gamma", [(0, 1.0), (-3, 1.0), (2, 0.0), (2, -1.0),
+                                                (2, float("inf")), (2, float("nan"))])
 def test_build_ladder_rejects(bad_n, bad_gamma):
     with pytest.raises(ValueError):
         build_ladder(bad_n, bad_gamma)

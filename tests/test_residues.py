@@ -1,16 +1,18 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational
 
 from dicke.ladder import build_ladder
 from dicke.oracles import integrate_rate_equations
-from dicke.precision import PrecisionError, PrecisionPolicy
+from dicke.precision import PrecisionError, PrecisionPolicy, round_to_bits
 from dicke.residues import (above_equator_closed_form, evaluate_distribution,
-                            evaluate_population, residue_terms)
+                            evaluate_population, exact_terms, residue_terms)
 
 
 def closed_form_n2(gt):
@@ -212,3 +214,104 @@ def test_small_n_full_solutions_against_hand_forms():
     table = evaluate_distribution(build_ladder(2, 1.0), 2, time_grid=grid)
     expected = np.stack([closed_form_n2(gt) for gt in grid], axis=1)
     assert np.abs(table.populations - expected).max() < 1e-14
+
+
+def product_formula_terms(ladder, m, m0):
+    """Reference coefficients from the O(N^3) product formula: every pole
+    gap h_p - h_k multiplied out, the double-pole sum over 1/gap built from
+    prefix/suffix products of the gaps."""
+    h = ladder.h
+    numerator = 1
+    for k in range(m + 1, m0 + 1):
+        numerator *= h[k]
+    signed_num = (-1 if (m0 - m) % 2 else 1) * numerator
+    out = []
+    for v in sorted({h[k] for k in range(m, m0 + 1)}):
+        multiplicity = sum(1 for k in range(m, m0 + 1) if h[k] == v)
+        gaps = [v - h[k] for k in range(m, m0 + 1) if h[k] != v]
+        den = 1
+        for g in gaps:
+            den *= g
+        c = Fraction(signed_num, den)
+        if multiplicity == 1:
+            out.append((v, 1, c, Fraction(0)))
+            continue
+        prefix = [1]
+        for g in gaps:
+            prefix.append(prefix[-1] * g)
+        s_num, suffix = 0, 1
+        for i in range(len(gaps) - 1, -1, -1):
+            s_num += prefix[i] * suffix
+            suffix *= gaps[i]
+        s = Fraction(s_num, den)
+        out.append((v, 2, -c * s, -c))
+    return out
+
+
+def test_closed_form_matches_product_formula():
+    for n in range(1, 41):
+        ladder = build_ladder(n, 1.0)
+        for m0 in range(n + 1):
+            for m in range(m0 + 1):
+                assert exact_terms(ladder, m, m0) == product_formula_terms(ladder, m, m0), (n, m, m0)
+
+
+def mp_rounded(value, bits):
+    """`value` rounded to `bits` significant bits (round-half-even) by mpmath."""
+    return mpmath.mpf(from_rational(value.numerator, value.denominator, bits, "n"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions().filter(bool), st.integers(min_value=2, max_value=300))
+def test_round_to_bits_matches_mpmath(value, bits):
+    mant, exp = round_to_bits(value, bits)
+    with mpmath.workprec(bits):
+        assert mpmath.ldexp(mant, exp) == mp_rounded(value, bits)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=48), st.data())
+def test_fixed_point_rows_match_mpmath_sum(n, data):
+    m0 = data.draw(st.integers(min_value=0, max_value=n), label="m0")
+    t = data.draw(st.floats(min_value=0.0, max_value=3.0), label="t")
+    gamma = data.draw(st.sampled_from([0.5, 1.0, 2.5]), label="gamma")
+    ladder = build_ladder(n, gamma)
+    table = evaluate_distribution(ladder, m0, time_grid=[t])
+    for m in range(m0 + 1):
+        bits = table.meta["bits"][m]
+        if bits <= 53:
+            continue
+        # the same b-bit coefficients, summed at more than twice the width
+        with mpmath.workprec(2 * bits + 64):
+            gt = mpmath.mpf(gamma) * mpmath.mpf(t)
+            total = mpmath.fsum((mp_rounded(a, bits) + mp_rounded(b, bits) * gt)
+                                * mpmath.exp(-v * gt)
+                                for v, _, a, b in exact_terms(ladder, m, m0))
+        assert abs(table.populations[m, 0] - float(total)) <= 1e-15, (m, bits)
+
+
+def test_fixed_point_population_matches_table():
+    ladder = build_ladder(30, 1.0)
+    grid = np.array([0.0, 0.05, 0.4])
+    table = evaluate_distribution(ladder, 30, time_grid=grid)
+    for m in (0, 7, 15):
+        terms = residue_terms(ladder, m, 30)
+        assert terms[0].bits > 53
+        for j, t in enumerate(grid):
+            assert evaluate_population(terms, 1.0, t) == table.populations[m, j]
+
+
+def test_t0_defect_recorded_from_resolution():
+    ladder = build_ladder(24, 1.0)
+    table = evaluate_distribution(ladder, 20, time_grid=[0.0, 1.0])
+    for m in range(21):
+        assert table.meta["t0_defect"][m] <= 1e-12
+    assert table.meta["t0_defect"][21:] == [0.0] * 4
+
+
+def test_fixed_point_rows_far_in_time():
+    # exp(-h*g*t) far below 2**-F rounds to zero; the ground state holds everything
+    ladder = build_ladder(30, 1.0)
+    table = evaluate_distribution(ladder, 30, time_grid=[0.0, 1e4, 1e9])
+    assert max(table.meta["bits"]) > 53
+    assert np.array_equal(table.populations[:, 1:], np.eye(31)[:, :1].repeat(2, axis=1))
