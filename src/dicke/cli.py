@@ -8,6 +8,7 @@ machine-readable JSON error object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -133,24 +134,21 @@ def _solve(config: RunConfig):
     return ladder, table
 
 
-def cmd_solve(args) -> int:
-    config = _config_from_args(args)
-    ladder, table = _solve(config)
-    if config.out_path is None:
-        doc = table_document(table, ladder, config.describe())
-        print(json.dumps(doc, indent=1))
-    elif config.out_format == "csv":
-        write_csv(table, ladder, config.out_path, digits=config.digits)
+def _emit(report: dict, out: str | None) -> None:
+    """Write a JSON report to `out`, or print it when no path is given."""
+    text = json.dumps(report, indent=1)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     else:
-        write_json(table, ladder, config.out_path, config.describe())
-    return EXIT_OK
+        print(text)
 
 
-def cmd_trajectories(args) -> int:
-    config = _config_from_args(args, method="mc")
+def cmd_solve(args, method: str | None = None) -> int:
+    config = _config_from_args(args, method=method)
     ladder, table = _solve(config)
     if config.out_path is None:
-        print(json.dumps(table_document(table, ladder, config.describe()), indent=1))
+        _emit(table_document(table, ladder, config.describe()), None)
     elif config.out_format == "csv":
         write_csv(table, ladder, config.out_path, digits=config.digits)
     else:
@@ -199,12 +197,7 @@ def cmd_compare(args) -> int:
             "max_abs_z": float(np.abs(z).max()),
         }
 
-    out = json.dumps(report, indent=1)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
+    _emit(report, args.out)
     if worst > args.tol:
         print(json.dumps({"error": {"kind": "comparison", "max_abs_diff": worst,
                                     "tolerance": args.tol}}), file=sys.stderr)
@@ -230,12 +223,7 @@ def cmd_scan(args) -> int:
         "time_correlation": result.time_correlation,
         "excluded": list(result.excluded),
     }
-    out = json.dumps(report, indent=1)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
+    _emit(report, args.out)
     return EXIT_OK
 
 
@@ -294,8 +282,7 @@ def cmd_bench(args) -> int:
                 "method": m, "n_emitters": n,
                 "seconds": time.perf_counter() - started,
                 "trace_defect": table.trace_defect(),
-                "bits": int(max(table.meta["bits"])) if isinstance(
-                    table.meta.get("bits"), list) else table.meta.get("bits"),
+                "bits": max(table.meta["bits"]) if "bits" in table.meta else None,
             })
     report = {"schema": 1, "bench": rows}
     if args.find_onset:
@@ -303,12 +290,7 @@ def cmd_bench(args) -> int:
             args.gamma, n_cap=args.onset_cap, t_max=args.t_max)
     if args.escalate:
         report["escalation"] = escalation_report(args.escalate, args.gamma, args.t_max)
-    out = json.dumps(report, indent=1)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
+    _emit(report, args.out)
     return EXIT_OK
 
 
@@ -374,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_traj = sub.add_parser("trajectories", help="Monte Carlo estimate with standard errors")
     _add_common(p_traj)
-    p_traj.set_defaults(func=cmd_trajectories)
+    p_traj.set_defaults(func=functools.partial(cmd_solve, method="mc"))
 
     p_cmp = sub.add_parser("compare", help="cross-validate several methods on one grid")
     _add_common(p_cmp)

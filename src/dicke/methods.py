@@ -8,7 +8,7 @@ from .ladder import DickeLadder
 from .oracles import (discrete_time_propagate, evaluate_series,
                       integrate_rate_equations, series_coefficients)
 from .precision import PrecisionPolicy
-from .residues import ResidueTerm, assemble_table, evaluate_distribution
+from .residues import ResidueTerm, assemble_table, evaluate_distribution, rows_meta
 from .states import DiagonalState, EvolutionTable, check_time_grid
 from .trajectories import estimate
 
@@ -51,18 +51,14 @@ def solve_populations(ladder: DickeLadder, initial_m0: int | None = None,
         return assemble_table(ladder, m0, grid, rows, "laplace", policy)
 
     if method == "jordan":
-        from .spectral import jordan_decompose, propagate
+        from .spectral import jordan_decompose, jordan_terms, propagate
         decomp = jordan_decompose(ladder, policy)
-        start = np.zeros(n + 1)
-        start[m0] = 1.0
-        initial = DiagonalState(populations=start, time=0.0)
-        populations = np.empty((n + 1, grid.size))
-        for j, t in enumerate(grid):
-            populations[:, j] = propagate(decomp, ladder.gamma, float(t), initial).populations
-        meta = {"method": "jordan", "bits": decomp.bits, "exact_entries": decomp.exact}
-        return EvolutionTable(n_emitters=n, gamma=ladder.gamma, initial_m0=m0,
-                              times=grid, populations=populations, method="jordan",
-                              meta=meta)
+        initial = DiagonalState(populations=np.eye(n + 1)[m0], time=0.0)
+        populations = propagate(decomp, ladder.gamma, grid, initial)
+        meta = rows_meta(jordan_terms(decomp, initial.populations), m0, "jordan", policy)
+        meta["exact_entries"] = decomp.exact
+        return EvolutionTable(n_emitters=n, gamma=ladder.gamma, initial_m0=m0, times=grid,
+                              populations=populations, method="jordan", meta=meta)
 
     if method == "series":
         coeffs = series_coefficients(ladder, m0, series_order)

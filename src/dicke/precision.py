@@ -124,11 +124,11 @@ def rounding_defect(consts: list[Fraction], delta: int, bits: int) -> float:
     stay a faithful gauge of the per-coefficient rounding loss.
     """
     if bits <= DOUBLE_BITS:
+        # fsum rounds the exact sum of the doubles once, like a rational sum
         try:
-            total = sum((Fraction(fraction_to_float(c)) for c in consts), Fraction(0))
+            return abs(math.fsum([fraction_to_float(c) for c in consts] + [-delta]))
         except (OverflowError, ValueError):
             return math.inf
-        return abs(fraction_to_float(total - delta))
     rounded = [round_to_bits(c, bits) for c in consts]
     low = min([0] + [e for _, e in rounded])
     total = sum(mant << (e - low) for mant, e in rounded) - (delta << -low)

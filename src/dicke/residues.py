@@ -18,7 +18,6 @@ and sums the rounded values exactly in integer fixed point.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -164,15 +163,7 @@ def evaluate_population(terms: list[ResidueTerm], gamma: float, t: float) -> flo
     """Sum the expansion at one time; result downgraded to float64."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    if not terms:
-        return 0.0
-    if max(term.bits for term in terms) <= DOUBLE_BITS:
-        gt = gamma * t
-        return math.fsum(
-            (fraction_to_float(term.const) + fraction_to_float(term.linear) * gt)
-            * math.exp(-term.pole * gt)
-            for term in terms)
-    return float(_fixed_point_rows([terms], gamma, np.array([float(t)]))[0, 0])
+    return float(evaluate_rows([terms], gamma, np.array([float(t)]))[0, 0])
 
 
 def _row_eval_double(terms: list[ResidueTerm], gamma: float, grid: np.ndarray) -> np.ndarray:
@@ -240,38 +231,55 @@ def _fixed_point_rows(rows: list[list[ResidueTerm]], gamma: float,
     return out
 
 
-def assemble_table(ladder: DickeLadder, initial_m0: int, grid: np.ndarray,
-                   rows_terms: list[list[ResidueTerm] | None], method: str,
-                   policy: PrecisionPolicy,
-                   t0_defect: list[float] | None = None) -> EvolutionTable:
-    """Evaluate per-row term lists over a grid: rows at float64 width in
-    numpy, wider rows together in one fixed-point pass.  `t0_defect` is the
-    per-row reconstruction defect when the caller already has it from
-    `resolve_bits`; otherwise it is recomputed here."""
-    n = ladder.n_emitters
-    bits_per_row = [max(t.bits for t in row) if row else DOUBLE_BITS for row in rows_terms]
-    populations = np.zeros((n + 1, grid.size))
-    wide = [m for m in range(n + 1) if rows_terms[m] and bits_per_row[m] > DOUBLE_BITS]
-    for m in range(n + 1):
-        if rows_terms[m] and bits_per_row[m] <= DOUBLE_BITS:
-            populations[m] = _row_eval_double(rows_terms[m], ladder.gamma, grid)
+def evaluate_rows(rows: list[list[ResidueTerm] | None], gamma: float,
+                  grid: np.ndarray) -> np.ndarray:
+    """(len(rows), |grid|) values of per-row term lists: rows at float64
+    width in numpy, wider rows together in one fixed-point pass, empty rows
+    zero."""
+    out = np.zeros((len(rows), grid.size))
+    wide = []
+    for r, row in enumerate(rows):
+        if not row:
+            continue
+        if max(t.bits for t in row) <= DOUBLE_BITS:
+            out[r] = _row_eval_double(row, gamma, grid)
+        else:
+            wide.append(r)
     if wide:
-        populations[wide] = _fixed_point_rows([rows_terms[m] for m in wide],
-                                              ladder.gamma, grid)
+        out[wide] = _fixed_point_rows([rows[r] for r in wide], gamma, grid)
+    return out
 
+
+def rows_meta(rows_terms: list[list[ResidueTerm] | None], initial_m0: int, method: str,
+              policy: PrecisionPolicy, t0_defect: list[float] | None = None) -> dict:
+    """Provenance of a table evaluated from per-row term lists: the width of
+    every row and its t=0 reconstruction defect.  `t0_defect` is given when
+    the caller already has it from `resolve_bits`; otherwise it is
+    computed here."""
+    bits_per_row = [max(t.bits for t in row) if row else DOUBLE_BITS for row in rows_terms]
     if t0_defect is None:
         t0_defect = [rounding_defect([t.const for t in row], terms_t0_delta(m, initial_m0),
                                      bits_per_row[m]) if row else 0.0
                      for m, row in enumerate(rows_terms)]
-    meta = {
+    return {
         "method": method,
         "precision_mode": policy.mode,
         "bits": bits_per_row,
         "t0_defect": t0_defect,
     }
-    return EvolutionTable(n_emitters=n, gamma=ladder.gamma, initial_m0=initial_m0,
-                          times=grid, populations=populations, method=method,
-                          meta=meta)
+
+
+def assemble_table(ladder: DickeLadder, initial_m0: int, grid: np.ndarray,
+                   rows_terms: list[list[ResidueTerm] | None], method: str,
+                   policy: PrecisionPolicy,
+                   t0_defect: list[float] | None = None) -> EvolutionTable:
+    """Evaluate per-row term lists over a grid into a table with
+    `rows_meta` provenance."""
+    populations = evaluate_rows(rows_terms, ladder.gamma, grid)
+    return EvolutionTable(n_emitters=ladder.n_emitters, gamma=ladder.gamma,
+                          initial_m0=initial_m0, times=grid, populations=populations,
+                          method=method,
+                          meta=rows_meta(rows_terms, initial_m0, method, policy, t0_defect))
 
 
 def evaluate_distribution(ladder: DickeLadder, initial_m0: int,

@@ -13,6 +13,11 @@ gaps.  No generic eigensolver, Jordan algorithm or LU inversion is ever
 run; candidate vectors are validated against their defining equations
 instead of trusting the index windows.
 
+Propagation multiplies the decomposition out into the per-row expansion
+sum_p (A_p + B_p*g*t) * exp(-h_p*g*t) (`jordan_terms`) and sums it with
+the residue evaluator, so all closed-form methods share one evaluation
+path: float64 rows in numpy, wider rows in one integer fixed-point pass.
+
 The resolvent (z*1 - H)^{-1} is evaluated from its rational closed form,
 and inverting its Laplace representation reproduces the residue expansion
 through an independent code path (poles sit at z = -h_p here).
@@ -21,19 +26,20 @@ through an independent code path (poles sit at z = -h_p here).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
 import numpy as np
+from mpmath.libmp import to_rational
 
 from .ladder import DickeLadder, classify_poles
-from .precision import (DOUBLE_BITS, PrecisionPolicy, fraction_to_float,
-                        fraction_to_mpf, resolve_bits)
-from .residues import ResidueTerm, terms_t0_delta
+from .precision import DOUBLE_BITS, PrecisionPolicy, fraction_to_float, resolve_bits
+from .residues import ResidueTerm, evaluate_rows, terms_t0_delta
 from .states import DiagonalState
 
 EXACT_RATIONAL_LIMIT = 64   # build T entries as exact rationals up to this N
+_ZERO = Fraction(0)
 
 
 class SingularityError(ZeroDivisionError):
@@ -175,8 +181,10 @@ class JordanDecomposition:
     state m = N - i); `permutation[c]` gives the tilde column holding the
     c-th column of the paper-ordered similarity matrix T, whose column
     blocks match `blocks`.  Entries are exact rationals up to
-    EXACT_RATIONAL_LIMIT emitters and mpf beyond; `bits` is the working
-    precision used for propagation.
+    EXACT_RATIONAL_LIMIT emitters and mpf beyond (float64 in `double`
+    mode); `bits` is the width the propagated expansion is rounded to.
+    `_last_terms` keeps the expansion of the last start state, so
+    propagating one state to many times builds it once.
     """
 
     ladder: DickeLadder
@@ -188,9 +196,7 @@ class JordanDecomposition:
     single_positions: tuple[tuple[int, int], ...]      # (tilde col, eigenvalue)
     bits: int
     exact: bool
-
-    def __post_init__(self):
-        self._work_cache = None
+    _last_terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_emitters(self) -> int:
@@ -215,36 +221,11 @@ class JordanDecomposition:
                 out[r, i] = _entry_to_float(self.tilde_inv[k][i])
         return out
 
-    def _work_matrices(self):
-        """tilde / tilde_inv converted once to the propagation precision."""
-        if self._work_cache is not None:
-            return self._work_cache
-        dim = self.n_emitters + 1
-        if self.bits <= DOUBLE_BITS:
-            t = np.array([[_entry_to_float(self.tilde[i][k]) for k in range(dim)]
-                          for i in range(dim)])
-            tinv = np.array([[_entry_to_float(self.tilde_inv[i][k]) for k in range(dim)]
-                             for i in range(dim)])
-        else:
-            with mpmath.workprec(self.bits):
-                t = [[_entry_to_mpf(self.tilde[i][k]) for k in range(dim)]
-                     for i in range(dim)]
-                tinv = [[_entry_to_mpf(self.tilde_inv[i][k]) for k in range(dim)]
-                        for i in range(dim)]
-        self._work_cache = (t, tinv)
-        return self._work_cache
-
 
 def _entry_to_float(entry) -> float:
     if isinstance(entry, Fraction):
         return fraction_to_float(entry)
     return float(entry)
-
-
-def _entry_to_mpf(entry):
-    if isinstance(entry, Fraction):
-        return fraction_to_mpf(entry)
-    return mpmath.mpf(entry)
 
 
 def _log2_magnitude(entry) -> float:
@@ -444,58 +425,82 @@ def _build_tilde(h, n_emitters, n, ratio, tol):
     return tilde, tilde_inv, tilde_labels
 
 
-def propagate(decomp: JordanDecomposition, gamma: float, t: float,
-              initial: DiagonalState) -> DiagonalState:
+def _entry_to_fraction(entry) -> Fraction:
+    """Exact value of a stored entry: rationals as they are, doubles and
+    mpf through their binary expansion (mpf's `man_exp` mantissa is
+    unsigned, so the sign is taken from `to_rational`)."""
+    if isinstance(entry, Fraction):
+        return entry
+    if isinstance(entry, float):
+        return Fraction(entry)
+    return Fraction(*to_rational(entry._mpf_))
+
+
+def jordan_terms(decomp: JordanDecomposition, populations) -> list[list[ResidueTerm]]:
+    """Per-row expansion of exp(H*g*t) x in the form the residue methods use.
+
+    With c = T^{-1} x (exact, zero entries of x skipped), a Jordan pair
+    (v, w, l) contributes (T_iv*c_v + T_iw*c_w + T_iv*c_w*g*t) * exp(l*g*t)
+    to row i and a single (k, l) contributes T_ik*c_k * exp(l*g*t).  Rows are
+    indexed by the physical state m; all-zero terms are dropped, poles are
+    ascending and every term carries the decomposition's width.  The lists
+    are shared with later calls for the same start and must not be mutated.
+    """
+    dim = decomp.n_emitters + 1
+    x_td = np.asarray(populations, dtype=float)[::-1]
+    if x_td.shape != (dim,):
+        raise ValueError(f"initial state has wrong length {x_td.shape}")
+    key = x_td.tobytes()
+    if decomp._last_terms is not None and decomp._last_terms[0] == key:
+        return decomp._last_terms[1]
+    start = [(i, Fraction(float(v))) for i, v in enumerate(x_td) if v]
+    coeff = [sum((_entry_to_fraction(decomp.tilde_inv[k][i]) * v
+                  for i, v in start if decomp.tilde_inv[k][i]), _ZERO)
+             for k in range(dim)]
+    # blocks the start does not excite contribute nothing to any row
+    blocks = sorted([(-lam, kv, kw) for kv, kw, lam in decomp.pair_positions
+                     if coeff[kv] or coeff[kw]]
+                    + [(-lam, k, None) for k, lam in decomp.single_positions if coeff[k]])
+    rows: list[list[ResidueTerm]] = [[] for _ in range(dim)]
+    for i in range(dim):
+        row = decomp.tilde[i]
+        terms = rows[decomp.n_emitters - i]
+        for pole, kv, kw in blocks:
+            if not row[kv] and (kw is None or not row[kw]):
+                continue
+            t_v = _entry_to_fraction(row[kv]) if row[kv] else _ZERO
+            if kw is None:
+                const, linear = t_v * coeff[kv], _ZERO
+            else:
+                t_w = _entry_to_fraction(row[kw]) if row[kw] else _ZERO
+                const = t_v * coeff[kv] + t_w * coeff[kw]
+                linear = t_v * coeff[kw]
+            if const or linear:
+                terms.append(ResidueTerm(pole=pole, multiplicity=2 if linear else 1,
+                                         const=const, linear=linear, bits=decomp.bits))
+    decomp._last_terms = (key, rows)
+    return rows
+
+
+def propagate(decomp: JordanDecomposition, gamma: float, t,
+              initial: DiagonalState) -> DiagonalState | np.ndarray:
     """Apply the block-structured exponential: coefficients of singles are
     scaled by exp(l*g*t); a Jordan pair (v, w) mixes as
-    (cv + g*t*cw, cw) * exp(l*g*t).  Never a dense matrix exponential."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    dim = decomp.n_emitters + 1
-    pops = np.asarray(initial.populations, dtype=float)
-    if pops.shape != (dim,):
-        raise ValueError(f"initial state has wrong length {pops.shape}")
-    x_td = pops[::-1]
-    tilde, tilde_inv = decomp._work_matrices()
+    (cv + g*t*cw, cw) * exp(l*g*t).  Never a dense matrix exponential; the
+    expansion from `jordan_terms` is summed by the residue evaluator.
 
-    if decomp.bits <= DOUBLE_BITS:
-        coeff = tilde_inv @ x_td
-        gt = gamma * t
-        for kv, kw, lam in decomp.pair_positions:
-            e = math.exp(lam * gt)
-            coeff[kv], coeff[kw] = e * (coeff[kv] + gt * coeff[kw]), e * coeff[kw]
-        for k, lam in decomp.single_positions:
-            coeff[k] *= math.exp(lam * gt)
-        y_td = tilde @ coeff
-        out = np.asarray(y_td[::-1], dtype=float)
-    else:
-        with mpmath.workprec(decomp.bits):
-            x_mp = [mpmath.mpf(float(v)) for v in x_td]
-            coeff = []
-            for r in range(dim):
-                acc = mpmath.mpf(0)
-                row = tilde_inv[r]
-                for k in range(dim):
-                    if row[k]:
-                        acc += row[k] * x_mp[k]
-                coeff.append(acc)
-            gt = mpmath.mpf(gamma) * mpmath.mpf(t)
-            for kv, kw, lam in decomp.pair_positions:
-                e = mpmath.exp(lam * gt)
-                cv, cw = coeff[kv], coeff[kw]
-                coeff[kv] = e * (cv + gt * cw)
-                coeff[kw] = e * cw
-            for k, lam in decomp.single_positions:
-                coeff[k] = coeff[k] * mpmath.exp(lam * gt)
-            out = np.empty(dim)
-            for i in range(dim):
-                acc = mpmath.mpf(0)
-                row = tilde[i]
-                for k in range(dim):
-                    if row[k]:
-                        acc += row[k] * coeff[k]
-                out[dim - 1 - i] = float(acc)
-    return DiagonalState(populations=out, time=float(initial.time) + float(t))
+    `t` is one time, giving the state at initial.time + t, or a 1-d grid
+    of times, giving the (N+1, |grid|) populations from one evaluation
+    pass.
+    """
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or np.any(times < 0):
+        raise ValueError(f"t must be a nonnegative time or 1-d grid, got {t}")
+    rows = jordan_terms(decomp, initial.populations)
+    out = evaluate_rows(rows, gamma, times.reshape(-1))
+    if times.ndim:
+        return out
+    return DiagonalState(populations=out[:, 0], time=float(initial.time) + float(t))
 
 
 def reconstruction_defect(decomp: JordanDecomposition) -> float:

@@ -226,4 +226,4 @@ def test_width_below_double_reported_as_used(method, tmp_path):
                 "--bits", "2", "--t-max", "2", "--points", "5", "--format", "json",
                 "--out", str(out)]) == 0
     bits = json.loads(out.read_text())["metadata"]["bits"]
-    assert bits == ([53] * 9 if method == "residue" else 53)
+    assert bits == [53] * 9

@@ -6,11 +6,13 @@ import pytest
 
 from dicke.ladder import build_ladder
 from dicke.oracles import integrate_rate_equations
+from dicke.methods import solve_populations
 from dicke.precision import PrecisionPolicy
-from dicke.residues import residue_terms
-from dicke.spectral import (SingularityError, eigenvector, generalized_eigenvector,
-                            invert_laplace, jordan_decompose, propagate,
-                            reconstruction_defect, resolvent_element)
+from dicke.residues import ResidueTerm, exact_terms, residue_terms
+from dicke.spectral import (EXACT_RATIONAL_LIMIT, SingularityError, eigenvector,
+                            generalized_eigenvector, invert_laplace, jordan_decompose,
+                            jordan_terms, propagate, reconstruction_defect,
+                            resolvent_element)
 from dicke.states import DiagonalState
 
 
@@ -149,6 +151,35 @@ def test_reconstruction_defect_exact_zero():
         assert reconstruction_defect(decomp) == 0.0
 
 
+def assert_jordan_terms_exact(ladder, starts):
+    n = ladder.n_emitters
+    decomp = jordan_decompose(ladder)
+    for m0 in starts:
+        rows = jordan_terms(decomp, np.eye(n + 1)[m0])
+        for m in range(n + 1):
+            expected = [ResidueTerm(*t) for t in exact_terms(ladder, m, m0)] if m <= m0 else []
+            assert rows[m] == expected, (n, m, m0)
+
+
+def test_jordan_terms_equal_exact_terms():
+    # the eigenvector route and the residue closed form are independent
+    # derivations of the same expansion; with exact entries they agree with ==
+    for n in range(1, 33):
+        assert_jordan_terms_exact(build_ladder(n, 1.0), range(n + 1))
+    assert_jordan_terms_exact(build_ladder(64, 1.0), [64])
+
+
+def test_jordan_above_exact_rational_limit_matches_residue():
+    # first size built from mpf entries: a lost entry sign shows up here
+    n = EXACT_RATIONAL_LIMIT + 1
+    ladder = build_ladder(n, 1.0)
+    grid = np.array([0.0, 0.01, 0.05, 0.2, 1.0])
+    jordan = solve_populations(ladder, times=grid, method="jordan")
+    residue = solve_populations(ladder, times=grid, method="residue")
+    assert not jordan.meta["exact_entries"]
+    assert np.abs(jordan.populations - residue.populations).max() <= 1e-12
+
+
 def test_propagate_t0_is_identity():
     ladder = build_ladder(9, 1.0)
     decomp = jordan_decompose(ladder)
@@ -185,6 +216,19 @@ def test_propagate_matches_ode_on_random_states():
         for idx, t in enumerate(grid):
             out = propagate(decomp, 1.0, float(t), state)
             assert np.abs(out.populations - reference[:, idx]).max() < 1e-9
+
+
+def test_propagate_grid_matches_single_times():
+    ladder = build_ladder(12, 1.0)
+    decomp = jordan_decompose(ladder)
+    state = DiagonalState(populations=np.eye(13)[9], time=0.0)
+    grid = np.array([0.0, 0.1, 0.7, 3.0])
+    table = propagate(decomp, 1.0, grid, state)
+    assert table.shape == (13, 4)
+    for j, t in enumerate(grid):
+        assert np.array_equal(table[:, j], propagate(decomp, 1.0, float(t), state).populations)
+    with pytest.raises(ValueError):
+        propagate(decomp, 1.0, np.array([0.0, -0.1]), state)
 
 
 def test_propagate_semigroup_property():
