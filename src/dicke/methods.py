@@ -56,7 +56,6 @@ def solve_populations(ladder: DickeLadder, initial_m0: int | None = None,
         initial = DiagonalState(populations=np.eye(n + 1)[m0], time=0.0)
         populations = propagate(decomp, ladder.gamma, grid, initial)
         meta = rows_meta(jordan_terms(decomp, initial.populations), m0, "jordan", policy)
-        meta["exact_entries"] = decomp.exact
         return EvolutionTable(n_emitters=n, gamma=ladder.gamma, initial_m0=m0, times=grid,
                               populations=populations, method="jordan", meta=meta)
 

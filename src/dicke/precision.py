@@ -15,8 +15,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 DOUBLE_BITS = 53
 _ENV_CAP = "DICKE_MAX_BITS"
 
@@ -73,11 +71,6 @@ def fraction_to_float(value: Fraction) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
-
-
-def fraction_to_mpf(value: Fraction):
-    """Round an exact rational to an mpf at the ambient working precision."""
-    return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
 
 
 def round_to_bits(value: Fraction, bits: int) -> tuple[int, int]:

@@ -10,8 +10,10 @@ Everything here uses closed-form entries: eigenvectors, generalized
 eigenvectors, the column-permuted lower-triangular similarity matrix and
 the block entries of its inverse are explicit products of integer ladder
 gaps.  No generic eigensolver, Jordan algorithm or LU inversion is ever
-run; candidate vectors are validated against their defining equations
-instead of trusting the index windows.
+run; candidate vectors are validated exactly against their defining
+equations instead of trusting the index windows.  The entries are exact
+rationals at every N and in every precision mode; the mode only sets the
+width the propagated expansion is rounded to.
 
 Propagation multiplies the decomposition out into the per-row expansion
 sum_p (A_p + B_p*g*t) * exp(-h_p*g*t) (`jordan_terms`) and sums it with
@@ -29,17 +31,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
-from mpmath.libmp import to_rational
 
 from .ladder import DickeLadder, classify_poles
-from .precision import DOUBLE_BITS, PrecisionPolicy, fraction_to_float, resolve_bits
+from .precision import (DOUBLE_BITS, PrecisionError, PrecisionPolicy, fraction_to_float,
+                        resolve_bits)
 from .residues import ResidueTerm, evaluate_rows, terms_t0_delta
 from .states import DiagonalState
 
-EXACT_RATIONAL_LIMIT = 64   # build T entries as exact rationals up to this N
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class SingularityError(ZeroDivisionError):
@@ -77,41 +78,41 @@ def _eigen_labels(n_emitters: int) -> list[int]:
     return labels
 
 
-def _v_components(h: list[int], n_emitters: int, j: int, ratio) -> list:
+def _v_components(h: list[int], n_emitters: int, j: int) -> list[Fraction]:
     """Eigenvector of eigenvalue -h_j, physical components m = 0..N.
 
     Nonzero on m <= N+1-j; the leading component (m = N+1-j) is the empty
-    product 1.  `ratio(num, den)` fixes the arithmetic (exact or mpf).
+    product 1.
     """
     jbar = n_emitters + 1 - j
-    out = [ratio(0, 1)] * (n_emitters + 1)
+    out = [_ZERO] * (n_emitters + 1)
     for m in range(min(jbar, n_emitters) + 1):
         mbar = n_emitters + 1 - m
-        acc = ratio(1, 1)
+        acc = _ONE
         for i in range(j + 1, mbar + 1):
-            acc = acc * ratio(h[i - 1], h[i] - h[j])
+            acc = acc * Fraction(h[i - 1], h[i] - h[j])
         out[m] = acc
     return out
 
 
-def _w_components(h: list[int], n_emitters: int, j: int, ratio) -> list:
+def _w_components(h: list[int], n_emitters: int, j: int) -> list[Fraction]:
     """Generalized eigenvector solving (H + h_j*1) w = v^{(j)}."""
     jbar = n_emitters + 1 - j
-    out = [ratio(0, 1)] * (n_emitters + 1)
+    out = [_ZERO] * (n_emitters + 1)
     for m in range(jbar + 1, j + 1):
         mbar = n_emitters + 1 - m
-        acc = ratio(1, h[j - 1])
+        acc = Fraction(1, h[j - 1])
         for i in range(mbar + 1, j):
-            acc = acc * ratio(h[i] - h[j], h[i - 1])
+            acc = acc * Fraction(h[i] - h[j], h[i - 1])
         out[m] = acc
     for m in range(jbar + 1):
         mbar = n_emitters + 1 - m
-        prod = ratio(1, 1)
+        prod = _ONE
         for i in range(j + 1, mbar + 1):
-            prod = prod * ratio(h[i - 1], h[i] - h[j])
-        tail = ratio(0, 1)
+            prod = prod * Fraction(h[i - 1], h[i] - h[j])
+        tail = _ZERO
         for i in range(mbar + 1, n_emitters + 2):
-            tail = tail + ratio(1, h[i] - h[j])
+            tail = tail + Fraction(1, h[i] - h[j])
         out[m] = prod * tail
     return out
 
@@ -128,22 +129,16 @@ def _apply_generator(h: list[int], vec: list) -> list:
     return out
 
 
-def _validate_eigenpair(h, vec, j, generalized_of=None, tol=None):
-    """Check H v = -h_j v, or (H + h_j) w = v for generalized vectors."""
+def _validate_eigenpair(h, vec, j, generalized_of=None):
+    """Check H v = -h_j v, or (H + h_j) w = v for generalized vectors,
+    exactly."""
     hv = _apply_generator(h, vec)
     if generalized_of is None:
         resid = [hv[m] + h[j] * vec[m] for m in range(len(vec))]
     else:
         resid = [hv[m] + h[j] * vec[m] - generalized_of[m] for m in range(len(vec))]
-    if tol is None:
-        if any(r != 0 for r in resid):
-            raise ArithmeticError(f"closed-form vector for label j={j} fails its defining equation")
-    else:
-        scale = max(abs(float(v)) for v in vec) * max(h[:-1]) if vec else 1.0
-        worst = max(abs(float(r)) for r in resid)
-        if worst > tol * max(scale, 1.0):
-            raise ArithmeticError(
-                f"vector for label j={j} residual {worst:.3e} above tolerance")
+    if any(r != 0 for r in resid):
+        raise ArithmeticError(f"closed-form vector for label j={j} fails its defining equation")
 
 
 def eigenvector(ladder: DickeLadder, j: int) -> np.ndarray:
@@ -153,7 +148,7 @@ def eigenvector(ladder: DickeLadder, j: int) -> np.ndarray:
     if j not in _eigen_labels(n_emitters):
         raise ValueError(f"no eigenvector label j={j} for N={n_emitters}")
     h = _h_ext(ladder)
-    vec = _v_components(h, n_emitters, j, lambda a, b: Fraction(a, b))
+    vec = _v_components(h, n_emitters, j)
     _validate_eigenpair(h, vec, j)
     return np.array([fraction_to_float(c) for c in vec])
 
@@ -167,9 +162,8 @@ def generalized_eigenvector(ladder: DickeLadder, j: int) -> np.ndarray:
             f"label j={j} has no generalized eigenvector for N={n_emitters} "
             f"(degenerate labels are {n + 1}..{n_emitters})")
     h = _h_ext(ladder)
-    ratio = lambda a, b: Fraction(a, b)
-    vec = _w_components(h, n_emitters, j, ratio)
-    _validate_eigenpair(h, vec, j, generalized_of=_v_components(h, n_emitters, j, ratio))
+    vec = _w_components(h, n_emitters, j)
+    _validate_eigenpair(h, vec, j, generalized_of=_v_components(h, n_emitters, j))
     return np.array([fraction_to_float(c) for c in vec])
 
 
@@ -180,22 +174,20 @@ class JordanDecomposition:
     `tilde` is lower triangular in the top-down row ordering (row i is
     state m = N - i); `permutation[c]` gives the tilde column holding the
     c-th column of the paper-ordered similarity matrix T, whose column
-    blocks match `blocks`.  Entries are exact rationals up to
-    EXACT_RATIONAL_LIMIT emitters and mpf beyond (float64 in `double`
-    mode); `bits` is the width the propagated expansion is rounded to.
-    `_last_terms` keeps the expansion of the last start state, so
-    propagating one state to many times builds it once.
+    blocks match `blocks`.  Entries are exact rationals at every N and in
+    every precision mode; `bits` is the width the propagated expansion is
+    rounded to.  `_last_terms` keeps the expansion of the last start
+    state, so propagating one state to many times builds it once.
     """
 
     ladder: DickeLadder
     blocks: tuple[tuple[int, int], ...]          # (eigenvalue, size) in T order
-    tilde: list                                  # (N+1) x (N+1), rows top-down
-    tilde_inv: list
+    tilde: list[list[Fraction]]                  # (N+1) x (N+1), rows top-down
+    tilde_inv: list[list[Fraction]]
     permutation: tuple[int, ...]
     pair_positions: tuple[tuple[int, int, int], ...]   # (tilde col of v, of w, eigenvalue)
     single_positions: tuple[tuple[int, int], ...]      # (tilde col, eigenvalue)
     bits: int
-    exact: bool
     _last_terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -209,7 +201,7 @@ class JordanDecomposition:
         for c in range(dim):
             k = self.permutation[c]
             for i in range(dim):
-                out[i, c] = _entry_to_float(self.tilde[i][k])
+                out[i, c] = fraction_to_float(self.tilde[i][k])
         return out
 
     def similarity_inverse(self) -> np.ndarray:
@@ -218,47 +210,37 @@ class JordanDecomposition:
         for r in range(dim):
             k = self.permutation[r]
             for i in range(dim):
-                out[r, i] = _entry_to_float(self.tilde_inv[k][i])
+                out[r, i] = fraction_to_float(self.tilde_inv[k][i])
         return out
 
 
-def _entry_to_float(entry) -> float:
-    if isinstance(entry, Fraction):
-        return fraction_to_float(entry)
-    return float(entry)
-
-
-def _log2_magnitude(entry) -> float:
-    if isinstance(entry, Fraction):
-        if entry == 0:
-            return 0.0
-        return float(entry.numerator.bit_length() - entry.denominator.bit_length())
+def _log2_magnitude(entry: Fraction) -> float:
     if entry == 0:
         return 0.0
-    return float(mpmath.mag(entry))
+    return float(entry.numerator.bit_length() - entry.denominator.bit_length())
 
 
-def _t11_inv_entry(h, n_emitters, m, j, ratio):
+def _t11_inv_entry(h, n_emitters, m, j) -> Fraction:
     """Closed-form inverse entry for the generalized-vector block,
     labels n+1 <= m <= j <= N."""
     n = _middle_label(n_emitters)
-    acc = ratio(h[m], 1)
+    acc = Fraction(h[m])
     for i in range(m + 1, j + 1):
-        acc = acc * ratio(h[i], h[i] - h[m])
+        acc = acc * Fraction(h[i], h[i] - h[m])
     for i in range(n + 1, m):
-        acc = acc * ratio(h[i], h[i] - h[m]) * ratio(h[i], h[i] - h[m])
+        acc = acc * Fraction(h[i], h[i] - h[m]) * Fraction(h[i], h[i] - h[m])
     if n_emitters % 2 == 1:
-        acc = acc * ratio(h[n], h[n] - h[m])
+        acc = acc * Fraction(h[n], h[n] - h[m])
     return acc
 
 
-def _t22_inv_entry(h, n_emitters, m, j, ratio):
+def _t22_inv_entry(h, n_emitters, m, j) -> Fraction:
     """Closed-form inverse entry for the eigenvector block, row state m,
     column label j, nonzero for j <= N+1-m."""
     mbar = n_emitters + 1 - m
-    acc = ratio(1, 1)
+    acc = _ONE
     for i in range(j, mbar):
-        acc = acc * ratio(h[i], h[i] - h[mbar])
+        acc = acc * Fraction(h[i], h[i] - h[mbar])
     return acc
 
 
@@ -272,9 +254,10 @@ def jordan_decompose(ladder: DickeLadder,
                      policy: PrecisionPolicy | None = None) -> JordanDecomposition:
     """Assemble the block decomposition from closed-form entries.
 
-    Exact rational entries up to EXACT_RATIONAL_LIMIT emitters, mpf above.
-    The propagation precision is sized from the entry magnitudes (the
-    later similarity matvecs cancel down from products of those entries).
+    The entries are exact rationals in every mode; the policy only sets
+    the propagation width.  In auto mode it is sized from the entry
+    magnitudes (the later similarity products cancel down from products
+    of those entries).
     """
     policy = policy or PrecisionPolicy()
     n_emitters = ladder.n_emitters
@@ -282,35 +265,17 @@ def jordan_decompose(ladder: DickeLadder,
     dim = n_emitters + 1
     h = _h_ext(ladder)
 
+    tilde, tilde_inv, tilde_labels = _build_tilde(h, n_emitters, n)
     if policy.mode == "double":
-        # plain float64 entries: fast, and honest about what doubles can do
-        tilde, tilde_inv, tilde_labels = _build_tilde(
-            h, n_emitters, n, lambda a, b: a / b, tol=1e-8)
         bits = DOUBLE_BITS
-        exact = False
+    elif policy.mode == "bits":
+        bits = max(policy.mantissa_bits, DOUBLE_BITS)
     else:
-        exact = n_emitters <= EXACT_RATIONAL_LIMIT
-        attempt_bits = max(policy.mantissa_bits, 80)
-        while True:
-            if exact:
-                ratio = lambda a, b: Fraction(a, b)
-                built = _build_tilde(h, n_emitters, n, ratio, tol=None)
-            else:
-                with mpmath.workprec(attempt_bits):
-                    ratio = lambda a, b: mpmath.mpf(a) / mpmath.mpf(b)
-                    built = _build_tilde(h, n_emitters, n, ratio,
-                                         tol=2.0 ** (-(attempt_bits - 60)))
-            tilde, tilde_inv, tilde_labels = built
-            needed = _estimate_propagation_bits(tilde, tilde_inv, dim)
-            if policy.mode == "bits":
-                bits = max(policy.mantissa_bits, DOUBLE_BITS)
-            else:
-                bits = max(DOUBLE_BITS, needed)
-                if bits > policy.max_bits:
-                    raise_from_cap(bits, policy)
-            if exact or bits <= attempt_bits:
-                break
-            attempt_bits = bits  # rebuild mpf entries at the full working precision
+        bits = max(DOUBLE_BITS, _estimate_propagation_bits(tilde, tilde_inv, dim))
+        if bits > policy.max_bits:
+            raise PrecisionError(
+                f"propagation needs about {bits} bits, above the {policy.max_bits}-bit cap",
+                defect=float("nan"), bits=policy.max_bits)
 
     # T ordering: [v_n (odd)] then (v_j, w_j) pairs ascending j, then v_{N+1}
     t_labels: list[tuple[str, int]] = []
@@ -339,17 +304,10 @@ def jordan_decompose(ladder: DickeLadder,
     return JordanDecomposition(
         ladder=ladder, blocks=tuple(blocks), tilde=tilde, tilde_inv=tilde_inv,
         permutation=permutation, pair_positions=tuple(pair_positions),
-        single_positions=tuple(single_positions), bits=bits, exact=exact)
+        single_positions=tuple(single_positions), bits=bits)
 
 
-def raise_from_cap(bits: int, policy: PrecisionPolicy):
-    from .precision import PrecisionError
-    raise PrecisionError(
-        f"propagation needs about {bits} bits, above the {policy.max_bits}-bit cap",
-        defect=float("nan"), bits=policy.max_bits)
-
-
-def _build_tilde(h, n_emitters, n, ratio, tol):
+def _build_tilde(h, n_emitters, n):
     """Columns of the permuted-triangular similarity matrix plus its
     inverse from the closed-form blocks."""
     dim = n_emitters + 1
@@ -361,17 +319,15 @@ def _build_tilde(h, n_emitters, n, ratio, tol):
     columns = {}
     for kind, j in tilde_labels:
         if kind == "v":
-            vec = _v_components(h, n_emitters, j, ratio)
-            _validate_eigenpair(h, vec, j, tol=tol)
+            vec = _v_components(h, n_emitters, j)
+            _validate_eigenpair(h, vec, j)
         else:
-            vec = _w_components(h, n_emitters, j, ratio)
-            _validate_eigenpair(h, vec, j, tol=tol,
-                                generalized_of=_v_components(h, n_emitters, j, ratio))
+            vec = _w_components(h, n_emitters, j)
+            _validate_eigenpair(h, vec, j, generalized_of=_v_components(h, n_emitters, j))
         columns[(kind, j)] = vec
 
-    zero = ratio(0, 1)
     # rows top-down: row i holds physical component m = N - i
-    tilde = [[zero] * dim for _ in range(dim)]
+    tilde = [[_ZERO] * dim for _ in range(dim)]
     for k, lab in enumerate(tilde_labels):
         vec = columns[lab]
         for i in range(dim):
@@ -379,41 +335,46 @@ def _build_tilde(h, n_emitters, n, ratio, tol):
 
     nw = len(w_labels)
     # inverse blocks from the closed forms, same (row, column) conventions
-    t11_inv = [[zero] * nw for _ in range(nw)]
+    t11_inv = [[_ZERO] * nw for _ in range(nw)]
     for r in range(nw):
         m = n_emitters - r
         for c in range(r + 1):
             j = n_emitters - c
-            t11_inv[r][c] = _t11_inv_entry(h, n_emitters, m, j, ratio)
+            t11_inv[r][c] = _t11_inv_entry(h, n_emitters, m, j)
 
     nv = dim - nw
     v_col_labels = [j for _, j in v_labels]
-    t22_inv = [[zero] * nv for _ in range(nv)]
+    t22_inv = [[_ZERO] * nv for _ in range(nv)]
     for r in range(nv):
         m = n - r
         mbar = n_emitters + 1 - m
         for c, j in enumerate(v_col_labels):
             if j <= mbar:
-                t22_inv[r][c] = _t22_inv_entry(h, n_emitters, m, j, ratio)
+                t22_inv[r][c] = _t22_inv_entry(h, n_emitters, m, j)
 
     t21 = [[tilde[nw + r][c] for c in range(nw)] for r in range(nv)]
-    # lower-left of the block inverse: -T22^{-1} T21 T11^{-1}
-    tmp = [[zero] * nw for _ in range(nv)]
+    # lower-left of the block inverse: -T22^{-1} T21 T11^{-1}; the inverse
+    # blocks are triangular, so zero products are skipped
+    tmp = [[_ZERO] * nw for _ in range(nv)]
     for r in range(nv):
         for c in range(nw):
-            acc = zero
+            acc = _ZERO
             for k in range(nv):
-                acc = acc + t22_inv[r][k] * t21[k][c]
+                a, b = t22_inv[r][k], t21[k][c]
+                if a and b:
+                    acc = acc + a * b
             tmp[r][c] = acc
-    lower_left = [[zero] * nw for _ in range(nv)]
+    lower_left = [[_ZERO] * nw for _ in range(nv)]
     for r in range(nv):
         for c in range(nw):
-            acc = zero
+            acc = _ZERO
             for k in range(nw):
-                acc = acc + tmp[r][k] * t11_inv[k][c]
+                a, b = tmp[r][k], t11_inv[k][c]
+                if a and b:
+                    acc = acc + a * b
             lower_left[r][c] = -acc
 
-    tilde_inv = [[zero] * dim for _ in range(dim)]
+    tilde_inv = [[_ZERO] * dim for _ in range(dim)]
     for r in range(nw):
         for c in range(nw):
             tilde_inv[r][c] = t11_inv[r][c]
@@ -423,17 +384,6 @@ def _build_tilde(h, n_emitters, n, ratio, tol):
         for c in range(nv):
             tilde_inv[nw + r][nw + c] = t22_inv[r][c]
     return tilde, tilde_inv, tilde_labels
-
-
-def _entry_to_fraction(entry) -> Fraction:
-    """Exact value of a stored entry: rationals as they are, doubles and
-    mpf through their binary expansion (mpf's `man_exp` mantissa is
-    unsigned, so the sign is taken from `to_rational`)."""
-    if isinstance(entry, Fraction):
-        return entry
-    if isinstance(entry, float):
-        return Fraction(entry)
-    return Fraction(*to_rational(entry._mpf_))
 
 
 def jordan_terms(decomp: JordanDecomposition, populations) -> list[list[ResidueTerm]]:
@@ -454,8 +404,8 @@ def jordan_terms(decomp: JordanDecomposition, populations) -> list[list[ResidueT
     if decomp._last_terms is not None and decomp._last_terms[0] == key:
         return decomp._last_terms[1]
     start = [(i, Fraction(float(v))) for i, v in enumerate(x_td) if v]
-    coeff = [sum((_entry_to_fraction(decomp.tilde_inv[k][i]) * v
-                  for i, v in start if decomp.tilde_inv[k][i]), _ZERO)
+    coeff = [sum((decomp.tilde_inv[k][i] * v for i, v in start if decomp.tilde_inv[k][i]),
+                 _ZERO)
              for k in range(dim)]
     # blocks the start does not excite contribute nothing to any row
     blocks = sorted([(-lam, kv, kw) for kv, kw, lam in decomp.pair_positions
@@ -468,11 +418,11 @@ def jordan_terms(decomp: JordanDecomposition, populations) -> list[list[ResidueT
         for pole, kv, kw in blocks:
             if not row[kv] and (kw is None or not row[kw]):
                 continue
-            t_v = _entry_to_fraction(row[kv]) if row[kv] else _ZERO
+            t_v = row[kv]
             if kw is None:
                 const, linear = t_v * coeff[kv], _ZERO
             else:
-                t_w = _entry_to_fraction(row[kw]) if row[kw] else _ZERO
+                t_w = row[kw]
                 const = t_v * coeff[kv] + t_w * coeff[kw]
                 linear = t_v * coeff[kw]
             if const or linear:
@@ -508,10 +458,9 @@ def reconstruction_defect(decomp: JordanDecomposition) -> float:
     entries give an identically zero defect."""
     dim = decomp.n_emitters + 1
     h = _h_ext(decomp.ladder)
-    zero = Fraction(0) if decomp.exact else mpmath.mpf(0)
 
     # J in tilde ordering: diagonal eigenvalues plus a 1 coupling w -> v
-    jcol_diag = [zero] * dim
+    jcol_diag = [_ZERO] * dim
     couple = {}
     for kv, kw, lam in decomp.pair_positions:
         jcol_diag[kv] = jcol_diag[kv] + lam
@@ -522,7 +471,7 @@ def reconstruction_defect(decomp: JordanDecomposition) -> float:
 
     def matmul(a, b):
         rows, inner, cols = len(a), len(b), len(b[0])
-        out = [[zero] * cols for _ in range(rows)]
+        out = [[_ZERO] * cols for _ in range(rows)]
         for i in range(rows):
             ai = a[i]
             for k in range(inner):
@@ -536,7 +485,7 @@ def reconstruction_defect(decomp: JordanDecomposition) -> float:
                         row[c] = row[c] + aik * bk[c]
         return out
 
-    tj = [[zero] * dim for _ in range(dim)]
+    tj = [[_ZERO] * dim for _ in range(dim)]
     for i in range(dim):
         for k in range(dim):
             val = decomp.tilde[i][k] * jcol_diag[k]
@@ -555,7 +504,7 @@ def reconstruction_defect(decomp: JordanDecomposition) -> float:
             elif i == c + 1:
                 expected = h[decomp.n_emitters - c]
             diff = rebuilt[i][c] - expected
-            worst = max(worst, abs(_entry_to_float(diff)) if decomp.exact else abs(float(diff)))
+            worst = max(worst, abs(fraction_to_float(diff)))
     return worst
 
 

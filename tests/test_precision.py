@@ -7,7 +7,7 @@ import pytest
 
 from dicke.ladder import build_ladder
 from dicke.precision import (DOUBLE_BITS, PrecisionPolicy, default_max_bits,
-                             fraction_to_float, fraction_to_mpf, rounding_defect)
+                             fraction_to_float, rounding_defect)
 from dicke.residues import residue_terms
 from dicke.states import DiagonalState
 
@@ -65,9 +65,9 @@ def test_working_precision_trace_is_tiny():
             total = mpmath.mpf(0)
             for terms in rows:
                 for term in terms:
-                    total += (fraction_to_mpf(term.const)
-                              + fraction_to_mpf(term.linear) * gt_mp) \
-                        * mpmath.exp(-term.pole * gt_mp)
+                    const = mpmath.mpf(term.const.numerator) / term.const.denominator
+                    linear = mpmath.mpf(term.linear.numerator) / term.linear.denominator
+                    total += (const + linear * gt_mp) * mpmath.exp(-term.pole * gt_mp)
             assert abs(float(total - 1)) < 1e-20
 
 

@@ -7,12 +7,11 @@ import pytest
 from dicke.ladder import build_ladder
 from dicke.oracles import integrate_rate_equations
 from dicke.methods import solve_populations
-from dicke.precision import PrecisionPolicy
+from dicke.precision import PrecisionError, PrecisionPolicy
 from dicke.residues import ResidueTerm, exact_terms, residue_terms
-from dicke.spectral import (EXACT_RATIONAL_LIMIT, SingularityError, eigenvector,
-                            generalized_eigenvector, invert_laplace, jordan_decompose,
-                            jordan_terms, propagate, reconstruction_defect,
-                            resolvent_element)
+from dicke.spectral import (SingularityError, eigenvector, generalized_eigenvector,
+                            invert_laplace, jordan_decompose, jordan_terms, propagate,
+                            reconstruction_defect, resolvent_element)
 from dicke.states import DiagonalState
 
 
@@ -167,16 +166,14 @@ def test_jordan_terms_equal_exact_terms():
     for n in range(1, 33):
         assert_jordan_terms_exact(build_ladder(n, 1.0), range(n + 1))
     assert_jordan_terms_exact(build_ladder(64, 1.0), [64])
+    assert_jordan_terms_exact(build_ladder(65, 1.0), [65, 32])
 
 
-def test_jordan_above_exact_rational_limit_matches_residue():
-    # first size built from mpf entries: a lost entry sign shows up here
-    n = EXACT_RATIONAL_LIMIT + 1
-    ladder = build_ladder(n, 1.0)
+def test_jordan_n65_table_matches_residue():
+    ladder = build_ladder(65, 1.0)
     grid = np.array([0.0, 0.01, 0.05, 0.2, 1.0])
     jordan = solve_populations(ladder, times=grid, method="jordan")
     residue = solve_populations(ladder, times=grid, method="residue")
-    assert not jordan.meta["exact_entries"]
     assert np.abs(jordan.populations - residue.populations).max() <= 1e-12
 
 
@@ -331,10 +328,14 @@ def test_invert_laplace_n3_ground_state():
 
 def test_jordan_policy_modes():
     ladder = build_ladder(6, 1.0)
-    exact = jordan_decompose(ladder)
+    auto = jordan_decompose(ladder)
     double = jordan_decompose(ladder, PrecisionPolicy.double())
-    assert double.bits == 53
+    # the mode sets only the propagation width, never the entries
+    assert double.tilde == auto.tilde and double.tilde_inv == auto.tilde_inv
+    assert double.bits == 53 < auto.bits
+    with pytest.raises(PrecisionError):
+        jordan_decompose(ladder, PrecisionPolicy(max_bits=auto.bits - 1))
     start = DiagonalState(populations=np.eye(7)[6], time=0.0)
-    a = propagate(exact, 1.0, 0.8, start)
+    a = propagate(auto, 1.0, 0.8, start)
     b = propagate(double, 1.0, 0.8, start)
     assert np.abs(a.populations - b.populations).max() < 1e-9
