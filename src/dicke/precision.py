@@ -47,8 +47,14 @@ class PrecisionPolicy:
             raise ValueError("mantissa_bits must be at least 2")
         if self.escalation_factor <= 1.0:
             raise ValueError("escalation_factor must exceed 1")
+        if not (math.isfinite(self.target_defect) and self.target_defect >= 0):
+            raise ValueError(f"target_defect must be finite and nonnegative, "
+                             f"got {self.target_defect}")
         if self.max_bits == 0:
             object.__setattr__(self, "max_bits", default_max_bits())
+        if self.max_bits < 0:
+            raise ValueError(f"max_bits (or {_ENV_CAP}) must be nonnegative, "
+                             f"got {self.max_bits}")
 
     @classmethod
     def double(cls) -> "PrecisionPolicy":

@@ -71,49 +71,44 @@ def _middle_label(n_emitters: int) -> int:
 
 
 def _eigen_labels(n_emitters: int) -> list[int]:
-    n = _middle_label(n_emitters)
-    labels = list(range(n + 1, n_emitters + 2))
-    if n_emitters % 2 == 1:
-        labels.insert(0, n)
-    return labels
+    # N+1-ceil(N/2) is the lone middle label for odd N, the first doubled one for even N
+    return list(range(n_emitters + 1 - _middle_label(n_emitters), n_emitters + 2))
 
 
 def _v_components(h: list[int], n_emitters: int, j: int) -> list[Fraction]:
     """Eigenvector of eigenvalue -h_j, physical components m = 0..N.
 
     Nonzero on m <= N+1-j; the leading component (m = N+1-j) is the empty
-    product 1.
+    product 1, and each lower m multiplies in h_{mbar-1}/(h_mbar - h_j).
     """
     jbar = n_emitters + 1 - j
     out = [_ZERO] * (n_emitters + 1)
-    for m in range(min(jbar, n_emitters) + 1):
+    acc = out[jbar] = _ONE
+    for m in range(jbar - 1, -1, -1):
         mbar = n_emitters + 1 - m
-        acc = _ONE
-        for i in range(j + 1, mbar + 1):
-            acc = acc * Fraction(h[i - 1], h[i] - h[j])
+        acc = acc * Fraction(h[mbar - 1], h[mbar] - h[j])
         out[m] = acc
     return out
 
 
-def _w_components(h: list[int], n_emitters: int, j: int) -> list[Fraction]:
-    """Generalized eigenvector solving (H + h_j*1) w = v^{(j)}."""
+def _w_components(h: list[int], n_emitters: int, j: int, v: list[Fraction]) -> list[Fraction]:
+    """Generalized eigenvector solving (H + h_j*1) w = v, with v = v^{(j)}.
+
+    For m <= N+1-j the entry is v_m times the running sum
+    sum_{i > mbar} 1/(h_i - h_j); above, it runs up from 1/h_{j-1} at
+    m = N+2-j, each higher m multiplying in (h_{mbar+1} - h_j)/h_mbar.
+    """
     jbar = n_emitters + 1 - j
     out = [_ZERO] * (n_emitters + 1)
-    for m in range(jbar + 1, j + 1):
+    tail = _ZERO
+    for m in range(1, jbar + 1):
+        tail = tail + Fraction(1, h[n_emitters + 2 - m] - h[j])
+        out[m] = v[m] * tail
+    acc = out[jbar + 1] = Fraction(1, h[j - 1])
+    for m in range(jbar + 2, j + 1):
         mbar = n_emitters + 1 - m
-        acc = Fraction(1, h[j - 1])
-        for i in range(mbar + 1, j):
-            acc = acc * Fraction(h[i] - h[j], h[i - 1])
+        acc = acc * Fraction(h[mbar + 1] - h[j], h[mbar])
         out[m] = acc
-    for m in range(jbar + 1):
-        mbar = n_emitters + 1 - m
-        prod = _ONE
-        for i in range(j + 1, mbar + 1):
-            prod = prod * Fraction(h[i - 1], h[i] - h[j])
-        tail = _ZERO
-        for i in range(mbar + 1, n_emitters + 2):
-            tail = tail + Fraction(1, h[i] - h[j])
-        out[m] = prod * tail
     return out
 
 
@@ -162,8 +157,9 @@ def generalized_eigenvector(ladder: DickeLadder, j: int) -> np.ndarray:
             f"label j={j} has no generalized eigenvector for N={n_emitters} "
             f"(degenerate labels are {n + 1}..{n_emitters})")
     h = _h_ext(ladder)
-    vec = _w_components(h, n_emitters, j)
-    _validate_eigenpair(h, vec, j, generalized_of=_v_components(h, n_emitters, j))
+    v = _v_components(h, n_emitters, j)
+    vec = _w_components(h, n_emitters, j, v)
+    _validate_eigenpair(h, vec, j, generalized_of=v)
     return np.array([fraction_to_float(c) for c in vec])
 
 
@@ -220,28 +216,63 @@ def _log2_magnitude(entry: Fraction) -> float:
     return float(entry.numerator.bit_length() - entry.denominator.bit_length())
 
 
-def _t11_inv_entry(h, n_emitters, m, j) -> Fraction:
-    """Closed-form inverse entry for the generalized-vector block,
-    labels n+1 <= m <= j <= N."""
+def _t11_inv_row(h, n_emitters, m) -> list[Fraction]:
+    """Row of the generalized-vector inverse block for label m, columns
+    j = N..n+1 in tilde order (n = ceil(N/2)), nonzero for j >= m.
+
+    The diagonal entry is h_m * prod_{n<i<m} (h_i/(h_i - h_m))^2, times
+    h_n/(h_n - h_m) for odd N; each larger j multiplies in h_j/(h_j - h_m).
+    """
     n = _middle_label(n_emitters)
     acc = Fraction(h[m])
-    for i in range(m + 1, j + 1):
-        acc = acc * Fraction(h[i], h[i] - h[m])
     for i in range(n + 1, m):
-        acc = acc * Fraction(h[i], h[i] - h[m]) * Fraction(h[i], h[i] - h[m])
+        ratio = Fraction(h[i], h[i] - h[m])
+        acc = acc * ratio * ratio
     if n_emitters % 2 == 1:
         acc = acc * Fraction(h[n], h[n] - h[m])
-    return acc
+    row = [_ZERO] * (n_emitters - n)
+    row[n_emitters - m] = acc
+    for j in range(m + 1, n_emitters + 1):
+        acc = acc * Fraction(h[j], h[j] - h[m])
+        row[n_emitters - j] = acc
+    return row
 
 
-def _t22_inv_entry(h, n_emitters, m, j) -> Fraction:
-    """Closed-form inverse entry for the eigenvector block, row state m,
-    column label j, nonzero for j <= N+1-m."""
+def _t22_inv_row(h, n_emitters, m) -> list[Fraction]:
+    """Row of the eigenvector inverse block for state m, columns over the
+    eigenvector labels in ascending order, nonzero for j <= mbar = N+1-m.
+
+    The entry at j = mbar is the empty product 1; each lower j multiplies
+    in h_j/(h_j - h_mbar).
+    """
+    first = n_emitters + 1 - _middle_label(n_emitters)
     mbar = n_emitters + 1 - m
-    acc = _ONE
-    for i in range(j, mbar):
-        acc = acc * Fraction(h[i], h[i] - h[mbar])
-    return acc
+    row = [_ZERO] * (n_emitters + 2 - first)
+    acc = row[mbar - first] = _ONE
+    for j in range(mbar - 1, first - 1, -1):
+        acc = acc * Fraction(h[j], h[j] - h[mbar])
+        row[j - first] = acc
+    return row
+
+
+def _matmul(a, b) -> list[list[Fraction]]:
+    """Exact product of two matrices of rationals given as row lists.
+
+    A zero a[i][k] skips row k of b before the inner loop and zero entries
+    of b are skipped inside it, so triangular and sparse factors are cheap.
+    """
+    cols = len(b[0]) if b else 0
+    out = []
+    for ai in a:
+        row = [_ZERO] * cols
+        for aik, bk in zip(ai, b):
+            if not aik:
+                continue
+            for c, bkc in enumerate(bk):
+                if bkc:
+                    row[c] = row[c] + aik * bkc
+        out.append(row)
+    return out
 
 
 def _estimate_propagation_bits(tilde, tilde_inv, dim: int) -> int:
@@ -278,28 +309,21 @@ def jordan_decompose(ladder: DickeLadder,
                 defect=float("nan"), bits=policy.max_bits)
 
     # T ordering: [v_n (odd)] then (v_j, w_j) pairs ascending j, then v_{N+1}
-    t_labels: list[tuple[str, int]] = []
-    if n_emitters % 2 == 1:
-        t_labels.append(("v", n))
-    for j in range(n + 1, n_emitters + 1):
-        t_labels.append(("v", j))
-        t_labels.append(("w", j))
-    t_labels.append(("v", n_emitters + 1))
-
     tilde_index = {lab: k for k, lab in enumerate(tilde_labels)}
-    permutation = tuple(tilde_index[lab] for lab in t_labels)
-
+    t_labels: list[tuple[str, int]] = []
     blocks: list[tuple[int, int]] = []
     pair_positions = []
     single_positions = []
-    if n_emitters % 2 == 1:
-        blocks.append((-h[n], 1))
-        single_positions.append((tilde_index[("v", n)], -h[n]))
-    for j in range(n + 1, n_emitters + 1):
-        blocks.append((-h[j], 2))
-        pair_positions.append((tilde_index[("v", j)], tilde_index[("w", j)], -h[j]))
-    blocks.append((0, 1))
-    single_positions.append((tilde_index[("v", n_emitters + 1)], 0))
+    for j in _eigen_labels(n_emitters):
+        if n < j <= n_emitters:
+            t_labels += [("v", j), ("w", j)]
+            blocks.append((-h[j], 2))
+            pair_positions.append((tilde_index[("v", j)], tilde_index[("w", j)], -h[j]))
+        else:
+            t_labels.append(("v", j))
+            blocks.append((-h[j], 1))
+            single_positions.append((tilde_index[("v", j)], -h[j]))
+    permutation = tuple(tilde_index[lab] for lab in t_labels)
 
     return JordanDecomposition(
         ladder=ladder, blocks=tuple(blocks), tilde=tilde, tilde_inv=tilde_inv,
@@ -309,80 +333,36 @@ def jordan_decompose(ladder: DickeLadder,
 
 def _build_tilde(h, n_emitters, n):
     """Columns of the permuted-triangular similarity matrix plus its
-    inverse from the closed-form blocks."""
+    inverse from the closed-form blocks.
+
+    Each label's eigenvector is built and validated once; a doubled
+    label's Jordan partner is built from it and validated against it.
+    """
     dim = n_emitters + 1
-    w_labels = [("w", j) for j in range(n_emitters, n, -1)]
-    v_labels = ([("v", n)] if n_emitters % 2 == 1 else []) \
-        + [("v", j) for j in range(n + 1, n_emitters + 2)]
-    tilde_labels = w_labels + v_labels
-
-    columns = {}
-    for kind, j in tilde_labels:
-        if kind == "v":
-            vec = _v_components(h, n_emitters, j)
-            _validate_eigenpair(h, vec, j)
-        else:
-            vec = _w_components(h, n_emitters, j)
-            _validate_eigenpair(h, vec, j, generalized_of=_v_components(h, n_emitters, j))
-        columns[(kind, j)] = vec
-
+    labels = _eigen_labels(n_emitters)
+    v_cols, w_cols = [], []
+    for j in labels:
+        v = _v_components(h, n_emitters, j)
+        _validate_eigenpair(h, v, j)
+        v_cols.append(v)
+        if n < j <= n_emitters:
+            w = _w_components(h, n_emitters, j, v)
+            _validate_eigenpair(h, w, j, generalized_of=v)
+            w_cols.append(w)
+    # w columns by descending label, then v columns by ascending label
+    tilde_labels = [("w", j) for j in range(n_emitters, n, -1)] + [("v", j) for j in labels]
+    columns = w_cols[::-1] + v_cols
     # rows top-down: row i holds physical component m = N - i
-    tilde = [[_ZERO] * dim for _ in range(dim)]
-    for k, lab in enumerate(tilde_labels):
-        vec = columns[lab]
-        for i in range(dim):
-            tilde[i][k] = vec[n_emitters - i]
+    tilde = [[col[n_emitters - i] for col in columns] for i in range(dim)]
 
-    nw = len(w_labels)
     # inverse blocks from the closed forms, same (row, column) conventions
-    t11_inv = [[_ZERO] * nw for _ in range(nw)]
-    for r in range(nw):
-        m = n_emitters - r
-        for c in range(r + 1):
-            j = n_emitters - c
-            t11_inv[r][c] = _t11_inv_entry(h, n_emitters, m, j)
-
-    nv = dim - nw
-    v_col_labels = [j for _, j in v_labels]
-    t22_inv = [[_ZERO] * nv for _ in range(nv)]
-    for r in range(nv):
-        m = n - r
-        mbar = n_emitters + 1 - m
-        for c, j in enumerate(v_col_labels):
-            if j <= mbar:
-                t22_inv[r][c] = _t22_inv_entry(h, n_emitters, m, j)
-
-    t21 = [[tilde[nw + r][c] for c in range(nw)] for r in range(nv)]
-    # lower-left of the block inverse: -T22^{-1} T21 T11^{-1}; the inverse
-    # blocks are triangular, so zero products are skipped
-    tmp = [[_ZERO] * nw for _ in range(nv)]
-    for r in range(nv):
-        for c in range(nw):
-            acc = _ZERO
-            for k in range(nv):
-                a, b = t22_inv[r][k], t21[k][c]
-                if a and b:
-                    acc = acc + a * b
-            tmp[r][c] = acc
-    lower_left = [[_ZERO] * nw for _ in range(nv)]
-    for r in range(nv):
-        for c in range(nw):
-            acc = _ZERO
-            for k in range(nw):
-                a, b = tmp[r][k], t11_inv[k][c]
-                if a and b:
-                    acc = acc + a * b
-            lower_left[r][c] = -acc
-
-    tilde_inv = [[_ZERO] * dim for _ in range(dim)]
-    for r in range(nw):
-        for c in range(nw):
-            tilde_inv[r][c] = t11_inv[r][c]
-    for r in range(nv):
-        for c in range(nw):
-            tilde_inv[nw + r][c] = lower_left[r][c]
-        for c in range(nv):
-            tilde_inv[nw + r][nw + c] = t22_inv[r][c]
+    nw = len(w_cols)
+    t11_inv = [_t11_inv_row(h, n_emitters, m) for m in range(n_emitters, n, -1)]
+    t22_inv = [_t22_inv_row(h, n_emitters, m) for m in range(n, -1, -1)]
+    # lower-left of the block inverse: -T22^{-1} T21 T11^{-1}
+    lower_left = _matmul(_matmul(t22_inv, [row[:nw] for row in tilde[nw:]]), t11_inv)
+    tilde_inv = [row + [_ZERO] * (dim - nw) for row in t11_inv] \
+        + [[-x for x in left] + right for left, right in zip(lower_left, t22_inv)]
     return tilde, tilde_inv, tilde_labels
 
 
@@ -469,22 +449,6 @@ def reconstruction_defect(decomp: JordanDecomposition) -> float:
     for k, lam in decomp.single_positions:
         jcol_diag[k] = jcol_diag[k] + lam
 
-    def matmul(a, b):
-        rows, inner, cols = len(a), len(b), len(b[0])
-        out = [[_ZERO] * cols for _ in range(rows)]
-        for i in range(rows):
-            ai = a[i]
-            for k in range(inner):
-                aik = ai[k]
-                if not aik:
-                    continue
-                bk = b[k]
-                row = out[i]
-                for c in range(cols):
-                    if bk[c]:
-                        row[c] = row[c] + aik * bk[c]
-        return out
-
     tj = [[_ZERO] * dim for _ in range(dim)]
     for i in range(dim):
         for k in range(dim):
@@ -492,7 +456,7 @@ def reconstruction_defect(decomp: JordanDecomposition) -> float:
             if k in couple:
                 val = val + decomp.tilde[i][couple[k]]
             tj[i][k] = val
-    rebuilt = matmul(tj, decomp.tilde_inv)
+    rebuilt = _matmul(tj, decomp.tilde_inv)
 
     worst = 0.0
     for i in range(dim):

@@ -210,6 +210,23 @@ def test_non_finite_gamma_usage_error(gamma, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--target-defect", "-1"], ["--target-defect", "nan"], ["--target-defect", "inf"],
+    ["--max-bits", "-5"], ["--max-bits", "-5", "--method", "jordan"],
+    ["--precision", "bits", "--bits", "80", "--max-bits", "-5"]])
+def test_bad_precision_flags_usage_error(flags, capsys):
+    # refused before any work: without the check these escalate to the cap and exit 3
+    # (or, for inf, accept 53 bits everywhere and exit 0)
+    assert run(["solve", "--n", "20", "--points", "5"] + flags) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+
+
+def test_negative_env_bit_cap_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("DICKE_MAX_BITS", "-3")
+    assert run(["solve", "--n", "20", "--points", "5"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+
+
 def test_low_fixed_width_shows_cancellation_loss(tmp_path):
     out = tmp_path / "b60.json"
     assert run(["solve", "--n", "40", "--precision", "bits", "--bits", "60",

@@ -21,6 +21,25 @@ def test_policy_validation():
         PrecisionPolicy(escalation_factor=1.0)
 
 
+@pytest.mark.parametrize("target", [-1.0, -1e-30, math.nan, math.inf, -math.inf])
+def test_policy_rejects_bad_target_defect(target):
+    with pytest.raises(ValueError, match="target_defect"):
+        PrecisionPolicy(target_defect=target)
+    with pytest.raises(ValueError, match="target_defect"):
+        PrecisionPolicy.auto(target_defect=target)
+
+
+def test_policy_rejects_negative_bit_cap(monkeypatch):
+    with pytest.raises(ValueError, match="max_bits"):
+        PrecisionPolicy(max_bits=-5)
+    monkeypatch.setenv("DICKE_MAX_BITS", "-3")
+    with pytest.raises(ValueError, match="max_bits"):
+        PrecisionPolicy()
+    # a zero target stays allowed: exact cancellation can meet it
+    monkeypatch.delenv("DICKE_MAX_BITS")
+    assert PrecisionPolicy(target_defect=0.0).target_defect == 0.0
+
+
 def test_policy_constructors():
     assert PrecisionPolicy.double().mode == "double"
     assert PrecisionPolicy.bits(256).mantissa_bits == 256

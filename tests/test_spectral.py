@@ -9,7 +9,8 @@ from dicke.oracles import integrate_rate_equations
 from dicke.methods import solve_populations
 from dicke.precision import PrecisionError, PrecisionPolicy
 from dicke.residues import ResidueTerm, exact_terms, residue_terms
-from dicke.spectral import (SingularityError, eigenvector, generalized_eigenvector,
+from dicke.spectral import (SingularityError, _t11_inv_row, _t22_inv_row, _v_components,
+                            _w_components, eigenvector, generalized_eigenvector,
                             invert_laplace, jordan_decompose, jordan_terms, propagate,
                             reconstruction_defect, resolvent_element)
 from dicke.states import DiagonalState
@@ -148,6 +149,75 @@ def test_reconstruction_defect_exact_zero():
         decomp = jordan_decompose(build_ladder(n, 1.0))
         assert reconstruction_defect(decomp) <= 1e-10  # exact entries: identically 0
         assert reconstruction_defect(decomp) == 0.0
+
+
+def product_v(h, n, j, m):
+    """Eigenvector component from its full product formula (zero above N+1-j)."""
+    mbar = n + 1 - m
+    if m > n + 1 - j:
+        return Fraction(0)
+    acc = Fraction(1)
+    for i in range(j + 1, mbar + 1):
+        acc *= Fraction(h[i - 1], h[i] - h[j])
+    return acc
+
+
+def product_w(h, n, j, m):
+    """Jordan-partner component from its full product and tail-sum formulas."""
+    mbar = n + 1 - m
+    if n + 1 - j < m <= j:
+        acc = Fraction(1, h[j - 1])
+        for i in range(mbar + 1, j):
+            acc *= Fraction(h[i] - h[j], h[i - 1])
+        return acc
+    if m > j:
+        return Fraction(0)
+    tail = sum((Fraction(1, h[i] - h[j]) for i in range(mbar + 1, n + 2)), Fraction(0))
+    return product_v(h, n, j, m) * tail
+
+
+def product_t11_inv(h, n, m, j):
+    """Generalized-vector inverse block entry, labels mid < m <= j <= N."""
+    mid = (n + 1) // 2
+    acc = Fraction(h[m])
+    for i in range(m + 1, j + 1):
+        acc *= Fraction(h[i], h[i] - h[m])
+    for i in range(mid + 1, m):
+        acc *= Fraction(h[i], h[i] - h[m]) ** 2
+    if n % 2 == 1:
+        acc *= Fraction(h[mid], h[mid] - h[m])
+    return acc
+
+
+def product_t22_inv(h, n, m, j):
+    """Eigenvector inverse block entry, state m, label j <= N+1-m."""
+    mbar = n + 1 - m
+    acc = Fraction(1)
+    for i in range(j, mbar):
+        acc *= Fraction(h[i], h[i] - h[mbar])
+    return acc
+
+
+def test_running_products_match_product_formulas():
+    # the builders accumulate each column and row as one running product;
+    # every entry must equal its own closed-form product with ==
+    for n in range(1, 41):
+        h = [m * (n + 1 - m) for m in range(n + 2)]  # h_{N+1} = 0
+        mid = (n + 1) // 2
+        v_labels = range(n + 1 - mid, n + 2)
+        w_labels = range(mid + 1, n + 1)
+        for j in v_labels:
+            v = _v_components(h, n, j)
+            assert v == [product_v(h, n, j, m) for m in range(n + 1)], (n, j)
+            if j in w_labels:
+                assert _w_components(h, n, j, v) == \
+                    [product_w(h, n, j, m) for m in range(n + 1)], (n, j)
+        for m in w_labels:  # row m, columns j = N..mid+1
+            assert _t11_inv_row(h, n, m) == [
+                product_t11_inv(h, n, m, j) if j >= m else 0 for j in range(n, mid, -1)], (n, m)
+        for m in range(mid + 1):  # row m, columns j ascending over v_labels
+            assert _t22_inv_row(h, n, m) == [
+                product_t22_inv(h, n, m, j) if j <= n + 1 - m else 0 for j in v_labels], (n, m)
 
 
 def assert_jordan_terms_exact(ladder, starts):
