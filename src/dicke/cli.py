@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -102,14 +103,13 @@ class RunConfig:
 
 
 def _policy_from_args(args) -> PrecisionPolicy:
-    kwargs = {}
-    if args.max_bits:
-        kwargs["max_bits"] = args.max_bits
+    # --max-bits 0 leaves the cap to PrecisionPolicy's default
     if args.precision == "double":
-        return PrecisionPolicy(mode="double")
+        return PrecisionPolicy(mode="double", max_bits=args.max_bits)
     if args.precision == "bits":
-        return PrecisionPolicy(mode="bits", mantissa_bits=args.bits, **kwargs)
-    return PrecisionPolicy(mode="auto", target_defect=args.target_defect, **kwargs)
+        return PrecisionPolicy(mode="bits", mantissa_bits=args.bits, max_bits=args.max_bits)
+    return PrecisionPolicy(mode="auto", target_defect=args.target_defect,
+                           max_bits=args.max_bits)
 
 
 def _config_from_args(args, method: str | None = None) -> RunConfig:
@@ -199,8 +199,7 @@ def cmd_compare(args) -> int:
 
     _emit(report, args.out)
     if worst > args.tol:
-        print(json.dumps({"error": {"kind": "comparison", "max_abs_diff": worst,
-                                    "tolerance": args.tol}}), file=sys.stderr)
+        _report_error({"kind": "comparison", "max_abs_diff": worst, "tolerance": args.tol})
         return EXIT_COMPARISON
     return EXIT_OK
 
@@ -403,7 +402,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(json.dumps({"error": {"kind": "usage", "message": str(exc)}}), file=sys.stderr)
+        _report_error({"kind": "usage", "message": str(exc)})
         return EXIT_USAGE
     except (PrecisionError, TruncationError, StiffnessError, ArithmeticError) as exc:
         payload = {"kind": type(exc).__name__, "message": str(exc)}
@@ -411,11 +410,19 @@ def main(argv=None) -> int:
             payload.update({"defect": exc.defect, "bits": exc.bits})
         if isinstance(exc, TruncationError):
             payload["bound"] = exc.bound
-        print(json.dumps({"error": payload}), file=sys.stderr)
+        _report_error(payload)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        print(json.dumps({"error": {"kind": "config", "message": str(exc)}}), file=sys.stderr)
+        _report_error({"kind": "config", "message": str(exc)})
         return EXIT_USAGE
+
+
+def _report_error(payload: dict) -> None:
+    """Print an error object on stderr as strict JSON: a non-finite number
+    (such as an unknown defect) is written as null."""
+    payload = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+               for key, value in payload.items()}
+    print(json.dumps({"error": payload}, allow_nan=False), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -87,7 +87,9 @@ def solve_populations(ladder: DickeLadder, initial_m0: int | None = None,
                               meta=meta)
 
     mc = estimate(ladder, m0, grid, n_traj=n_traj, root_seed=seed, n_workers=n_workers)
-    meta = {"method": "mc", "n_traj": n_traj, "seed": seed, "n_workers": n_workers}
+    meta = {"method": "mc", "n_traj": n_traj, "seed": seed, "n_workers": n_workers,
+            "chunk_size": mc.chunk_size, "chunks": mc.chunks,
+            "library_streams": mc.library_streams}
     return EvolutionTable(n_emitters=n, gamma=ladder.gamma, initial_m0=m0,
                           times=grid, populations=mc.populations, method="mc",
                           meta=meta, std_errors=mc.std_errors)

@@ -52,9 +52,10 @@ class PrecisionPolicy:
                              f"got {self.target_defect}")
         if self.max_bits == 0:
             object.__setattr__(self, "max_bits", default_max_bits())
-        if self.max_bits < 0:
-            raise ValueError(f"max_bits (or {_ENV_CAP}) must be nonnegative, "
-                             f"got {self.max_bits}")
+        if self.max_bits < DOUBLE_BITS:
+            # no path evaluates below float64, so a lower cap could never be met
+            raise ValueError(f"max_bits (or {_ENV_CAP}) must be at least {DOUBLE_BITS}, "
+                             f"or 0 for the default; got {self.max_bits}")
 
     @classmethod
     def double(cls) -> "PrecisionPolicy":
@@ -143,7 +144,7 @@ def resolve_bits(consts: list[Fraction], delta: int, policy: PrecisionPolicy) ->
     if policy.mode == "bits":
         bits = max(policy.mantissa_bits, DOUBLE_BITS)
         return bits, rounding_defect(consts, delta, bits)
-    bits = policy.mantissa_bits
+    bits = min(policy.mantissa_bits, policy.max_bits)
     while True:
         defect = rounding_defect(consts, delta, bits)
         if defect <= policy.target_defect:

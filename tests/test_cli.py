@@ -13,6 +13,12 @@ def run(argv):
     return main(argv)
 
 
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_solve_csv_contract(tmp_path):
     out = tmp_path / "table.csv"
     code = run(["solve", "--n", "4", "--gamma", "1", "--t-max", "3",
@@ -144,14 +150,26 @@ def test_numerical_error_exit_code(capsys):
     code = run(["solve", "--n", "8", "--method", "series", "--t-max", "50",
                 "--points", "10", "--series-order", "10"])
     assert code == 3
-    err = capsys.readouterr().err
-    assert json.loads(err)["error"]["kind"] == "TruncationError"
+    error = strict_json(capsys.readouterr().err)["error"]
+    assert error["kind"] == "TruncationError"
+    assert error["bound"] is None  # the tail bound is infinite this far out
 
 
 def test_precision_cap_exit_code(capsys):
     code = run(["solve", "--n", "40", "--method", "residue", "--t-max", "1",
                 "--points", "5", "--max-bits", "60", "--target-defect", "1e-30"])
     assert code == 3
+    assert strict_json(capsys.readouterr().err)["error"]["bits"] == 60
+
+
+def test_jordan_precision_cap_error_is_strict_json(capsys):
+    # both paths report the cap; Jordan has no defect to report and writes null
+    assert run(["solve", "--n", "20", "--points", "5", "--max-bits", "60",
+                "--method", "jordan"]) == 3
+    error = strict_json(capsys.readouterr().err)["error"]
+    assert error["kind"] == "PrecisionError"
+    assert error["bits"] == 60
+    assert error["defect"] is None
 
 
 def test_scan_command(tmp_path):
@@ -213,18 +231,22 @@ def test_non_finite_gamma_usage_error(gamma, capsys):
 @pytest.mark.parametrize("flags", [
     ["--target-defect", "-1"], ["--target-defect", "nan"], ["--target-defect", "inf"],
     ["--max-bits", "-5"], ["--max-bits", "-5", "--method", "jordan"],
-    ["--precision", "bits", "--bits", "80", "--max-bits", "-5"]])
+    ["--precision", "bits", "--bits", "80", "--max-bits", "-5"],
+    ["--max-bits", "10"], ["--max-bits", "10", "--method", "jordan"],
+    ["--precision", "double", "--max-bits", "10"]])
 def test_bad_precision_flags_usage_error(flags, capsys):
     # refused before any work: without the check these escalate to the cap and exit 3
-    # (or, for inf, accept 53 bits everywhere and exit 0)
+    # (or, for inf and for double, accept 53 bits everywhere and exit 0); no path
+    # evaluates below 53 bits, so a cap under 53 can never be met
     assert run(["solve", "--n", "20", "--points", "5"] + flags) == 2
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
 
 
 def test_negative_env_bit_cap_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("DICKE_MAX_BITS", "-3")
-    assert run(["solve", "--n", "20", "--points", "5"]) == 2
-    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
+    for cap in ("-3", "32"):
+        monkeypatch.setenv("DICKE_MAX_BITS", cap)
+        assert run(["solve", "--n", "20", "--points", "5"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
 
 
 def test_low_fixed_width_shows_cancellation_loss(tmp_path):

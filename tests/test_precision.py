@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dicke.ladder import build_ladder
-from dicke.precision import (DOUBLE_BITS, PrecisionPolicy, default_max_bits,
-                             fraction_to_float, rounding_defect)
+from dicke.precision import (DOUBLE_BITS, PrecisionError, PrecisionPolicy, default_max_bits,
+                             fraction_to_float, resolve_bits, rounding_defect)
 from dicke.residues import residue_terms
 from dicke.states import DiagonalState
 
@@ -38,6 +38,30 @@ def test_policy_rejects_negative_bit_cap(monkeypatch):
     # a zero target stays allowed: exact cancellation can meet it
     monkeypatch.delenv("DICKE_MAX_BITS")
     assert PrecisionPolicy(target_defect=0.0).target_defect == 0.0
+
+
+@pytest.mark.parametrize("cap", [1, 10, 52])
+def test_policy_rejects_cap_below_double(cap, monkeypatch):
+    with pytest.raises(ValueError, match="max_bits"):
+        PrecisionPolicy(max_bits=cap)
+    with pytest.raises(ValueError, match="max_bits"):
+        PrecisionPolicy(mode="double", max_bits=cap)
+    monkeypatch.setenv("DICKE_MAX_BITS", str(cap))
+    with pytest.raises(ValueError, match="max_bits"):
+        PrecisionPolicy()
+    monkeypatch.setenv("DICKE_MAX_BITS", "53")
+    assert PrecisionPolicy().max_bits == 53
+    assert PrecisionPolicy(max_bits=53).max_bits == 53
+
+
+def test_escalation_stops_at_the_cap():
+    # roundings of 1/3 + 2**-60 and 2/3 - 2**-60 never sum back to 1 exactly
+    consts = [Fraction(1, 3) + Fraction(1, 2 ** 60), Fraction(2, 3) - Fraction(1, 2 ** 60)]
+    for start in (53, 113):
+        policy = PrecisionPolicy.auto(target_defect=0.0, start_bits=start, max_bits=60)
+        with pytest.raises(PrecisionError) as caught:
+            resolve_bits(consts, 1, policy)
+        assert caught.value.bits == 60
 
 
 def test_policy_constructors():

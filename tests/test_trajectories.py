@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dicke import trajectories
 from dicke.ladder import build_ladder
+from dicke.methods import solve_populations
 from dicke.precision import PrecisionPolicy
 from dicke.residues import evaluate_distribution
-from dicke.trajectories import bin_trajectory, estimate, sample_trajectory
+from dicke.trajectories import (_draw_open_unit, _uniform_streams, bin_trajectory, chunk_size,
+                                estimate, sample_trajectory)
 
 
 class ScriptedRng:
@@ -163,3 +166,125 @@ def test_estimate_validates_arguments():
         estimate(ladder, 2, [0.1, 0.5], n_traj=0, root_seed=1)
     with pytest.raises(ValueError):
         estimate(ladder, 5, [0.1, 0.5], n_traj=10, root_seed=1)
+    with pytest.raises(ValueError):
+        estimate(ladder, 2, [0.1, 0.5], n_traj=10, root_seed=-1)
+
+
+# --- the vectorised streams against the library generator -------------------
+
+STREAM_SEEDS = [0, 1, 7001, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 2 ** 128]
+
+
+def library_rows(seed, start, stop, size):
+    return np.array([np.random.default_rng((seed, i)).random(size)
+                     for i in range(start, stop)]).reshape(stop - start, size)
+
+
+@pytest.mark.parametrize("size", [0, 1, 12])
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_streams_equal_library_generator(seed, size):
+    # also catches a numpy release that changes the stream (NEP 19 allows it)
+    chunk = chunk_size(8, 50)
+    picks = np.random.default_rng(seed % 2 ** 32).integers(0, 10 ** 6, 6)
+    for index in [0, 1, chunk - 1, chunk, *picks.tolist()]:
+        draws, rebuilt = _uniform_streams(seed, index, index + 1, size)
+        assert rebuilt == 0
+        assert np.array_equal(draws, library_rows(seed, index, index + 1, size))
+    # a range across a chunk boundary, rows side by side
+    draws, _ = _uniform_streams(seed, chunk - 3, chunk + 3, size)
+    assert np.array_equal(draws, library_rows(seed, chunk - 3, chunk + 3, size))
+
+
+@pytest.mark.parametrize("start, size", [(2 ** 32, 4), (0, trajectories._VECTOR_DRAWS + 1)])
+def test_indices_above_32_bits_and_long_streams_use_library(start, size):
+    draws, rebuilt = _uniform_streams(5, start, start + 3, size)
+    assert rebuilt == 3
+    assert np.array_equal(draws, library_rows(5, start, start + 3, size))
+
+
+# --- chunked counts against the per-trajectory loop --------------------------
+
+def loop_counts(ladder, m0, grid, n_traj, seed):
+    """One generator, one sample and one binning per trajectory, as the
+    engine did before it worked in chunks."""
+    grid = np.asarray(grid, dtype=float)
+    counts = np.zeros((ladder.n_emitters + 1, grid.size), dtype=np.int64)
+    rates = ladder.gamma * ladder.h_array()[m0:0:-1]
+    cols = np.arange(grid.size)
+    for idx in range(n_traj):
+        rng = np.random.default_rng((seed, idx))
+        draws = rng.random(m0)
+        while (draws == 0.0).any():
+            draws[draws == 0.0] = rng.random(int((draws == 0.0).sum()))
+        jumps = np.cumsum(-np.log(draws) / rates)
+        counts[m0 - np.searchsorted(jumps, grid, side="right"), cols] += 1
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 21, 2 ** 40])
+@pytest.mark.parametrize("n, m0", [(8, 8), (6, 3), (5, 0), (1, 1), (150, 150)])
+def test_chunked_counts_equal_per_trajectory_loop(n, m0, seed):
+    ladder = build_ladder(n, 1.0)
+    # 200 points keep the chunks short: a few hundred trajectories
+    grid = np.linspace(0.0, 1.5, 200)
+    if m0:
+        # a grid time exactly on a jump: the post-jump state is occupied there
+        rates = ladder.h_array()[m0:0:-1]
+        jump = np.cumsum(-np.log(np.random.default_rng((seed, 2)).random(m0)) / rates)[-1]
+        grid = np.sort(np.append(grid, jump))
+    chunk = chunk_size(m0, grid.size)
+    for n_traj in (1, chunk - 1, chunk, chunk + 1):
+        result = estimate(ladder, m0, grid, n_traj=n_traj, root_seed=seed)
+        assert np.array_equal(result.counts, loop_counts(ladder, m0, grid, n_traj, seed))
+
+
+def test_zero_draw_row_is_rebuilt_by_library(monkeypatch):
+    pcg_uniforms = trajectories._pcg_uniforms
+
+    def with_zero(root_seed, start, stop, size):
+        draws = pcg_uniforms(root_seed, start, stop, size)
+        draws[1, 2] = 0.0
+        return draws
+
+    monkeypatch.setattr(trajectories, "_pcg_uniforms", with_zero)
+    draws, rebuilt = _uniform_streams(21, 40, 44, 5)
+    assert rebuilt == 1
+    assert np.array_equal(draws[1], _draw_open_unit(np.random.default_rng((21, 41)), 5))
+    assert np.array_equal(draws[[0, 2, 3]], library_rows(21, 40, 44, 5)[[0, 2, 3]])
+    # one row per chunk goes to the library; counts match the per-trajectory loop
+    grid = np.linspace(0.0, 2.0, 200)
+    n_traj = chunk_size(5, grid.size) + 7
+    result = estimate(build_ladder(5, 1.0), 5, grid, n_traj=n_traj, root_seed=21)
+    assert result.library_streams == 2
+    assert np.array_equal(result.counts, loop_counts(build_ladder(5, 1.0), 5, grid, n_traj, 21))
+
+
+def test_chunk_record_matches_single_trajectories():
+    ladder = build_ladder(6, 1.0)
+    grid = np.linspace(0.0, 1.0, 7)
+    draws, _ = _uniform_streams(3, 10, 15, 6)
+    chunk = sample_trajectory(ladder, 6, draws, seed_index=10)
+    states = bin_trajectory(chunk, grid)
+    assert states.shape == (5, 7)
+    for row in range(5):
+        single = sample_trajectory(ladder, 6, np.random.default_rng((3, 10 + row)))
+        assert np.array_equal(chunk.jump_times[row], single.jump_times)
+        assert np.array_equal(states[row], bin_trajectory(single, grid))
+
+
+def test_chunk_size_bounds_every_chunk_array():
+    assert chunk_size(8, 50) * 51 <= trajectories.CHUNK_ENTRIES
+    assert chunk_size(4000, 50) * 4000 <= trajectories.CHUNK_ENTRIES
+    assert chunk_size(8, 10 ** 6) == 1
+
+
+def test_mc_meta_records_chunk_statistics():
+    ladder = build_ladder(3, 1.0)
+    grid = np.linspace(0.01, 1.0, 200)
+    chunk = chunk_size(3, grid.size)
+    table = solve_populations(ladder, times=grid, method="mc",
+                              n_traj=2 * chunk + 1, seed=4, n_workers=2)
+    assert table.meta["chunk_size"] == chunk
+    assert table.meta["chunks"] == 3
+    assert table.meta["library_streams"] == 0
+    assert table.meta["n_workers"] == 2
