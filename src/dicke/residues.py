@@ -26,13 +26,12 @@ import mpmath
 import numpy as np
 
 from .ladder import DickeLadder, classify_poles
-from .precision import (DOUBLE_BITS, PrecisionPolicy, fraction_to_float,
-                        resolve_bits, round_to_bits, rounding_defect,
-                        scaled_to_float)
+from .precision import (DOUBLE_BITS, GUARD_BITS, PrecisionPolicy, error_bound,
+                        fraction_to_float, resolve_bits, round_to_bits,
+                        rounding_defect, scaled_to_float)
 from .states import EvolutionTable, check_time_grid
 
 _ZERO = Fraction(0)
-GUARD_BITS = 64   # fixed-point fraction bits beyond the widest row width
 
 
 @dataclass(frozen=True)
@@ -113,20 +112,13 @@ def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
     return out
 
 
-def terms_t0_delta(target_m: int, initial_m0: int) -> int:
-    return 1 if target_m == initial_m0 else 0
-
-
 def residue_terms(ladder: DickeLadder, target_m: int, initial_m0: int,
                   policy: PrecisionPolicy | None = None) -> list[ResidueTerm]:
-    """Term list for rho_m(t) from start state m0, with evaluation
-    precision resolved by the t=0 reconstruction canary."""
-    policy = policy or PrecisionPolicy()
+    """Term list for rho_m(t) from start state m0, rounded to the width
+    `resolve_bits` picks for it."""
     raw = exact_terms(ladder, target_m, initial_m0)
-    delta = terms_t0_delta(target_m, initial_m0)
-    bits, _ = resolve_bits([a for _, _, a, _ in raw], delta, policy)
-    return [ResidueTerm(pole=v, multiplicity=mult, const=a, linear=b, bits=bits)
-            for v, mult, a, b in raw]
+    bits, _ = resolve_bits(raw, policy or PrecisionPolicy())
+    return [ResidueTerm(*term, bits=bits) for term in raw]
 
 
 def above_equator_closed_form(ladder: DickeLadder, target_m: int) -> list[ResidueTerm]:
@@ -251,35 +243,34 @@ def evaluate_rows(rows: list[list[ResidueTerm] | None], gamma: float,
 
 
 def rows_meta(rows_terms: list[list[ResidueTerm] | None], initial_m0: int, method: str,
-              policy: PrecisionPolicy, t0_defect: list[float] | None = None) -> dict:
+              policy: PrecisionPolicy) -> dict:
     """Provenance of a table evaluated from per-row term lists: the width of
-    every row and its t=0 reconstruction defect.  `t0_defect` is given when
-    the caller already has it from `resolve_bits`; otherwise it is
-    computed here."""
+    every row, its a-priori error bound at that width and its t=0
+    reconstruction defect."""
     bits_per_row = [max(t.bits for t in row) if row else DOUBLE_BITS for row in rows_terms]
-    if t0_defect is None:
-        t0_defect = [rounding_defect([t.const for t in row], terms_t0_delta(m, initial_m0),
-                                     bits_per_row[m]) if row else 0.0
-                     for m, row in enumerate(rows_terms)]
     return {
         "method": method,
         "precision_mode": policy.mode,
         "bits": bits_per_row,
-        "t0_defect": t0_defect,
+        "error_bound": [error_bound([(t.pole, t.multiplicity, t.const, t.linear) for t in row],
+                                    bits) if row else 0.0
+                        for row, bits in zip(rows_terms, bits_per_row)],
+        "t0_defect": [rounding_defect([t.const for t in row], int(m == initial_m0),
+                                      bits_per_row[m]) if row else 0.0
+                      for m, row in enumerate(rows_terms)],
     }
 
 
 def assemble_table(ladder: DickeLadder, initial_m0: int, grid: np.ndarray,
                    rows_terms: list[list[ResidueTerm] | None], method: str,
-                   policy: PrecisionPolicy,
-                   t0_defect: list[float] | None = None) -> EvolutionTable:
+                   policy: PrecisionPolicy) -> EvolutionTable:
     """Evaluate per-row term lists over a grid into a table with
     `rows_meta` provenance."""
     populations = evaluate_rows(rows_terms, ladder.gamma, grid)
     return EvolutionTable(n_emitters=ladder.n_emitters, gamma=ladder.gamma,
                           initial_m0=initial_m0, times=grid, populations=populations,
                           method=method,
-                          meta=rows_meta(rows_terms, initial_m0, method, policy, t0_defect))
+                          meta=rows_meta(rows_terms, initial_m0, method, policy))
 
 
 def evaluate_distribution(ladder: DickeLadder, initial_m0: int,
@@ -288,8 +279,7 @@ def evaluate_distribution(ladder: DickeLadder, initial_m0: int,
     """Full (N+1) x |grid| population table from start state m0.
 
     Rows above m0 are exactly zero (decay only lowers the excitation
-    number).  Per-row metadata records the resolved mantissa bits and the
-    t=0 reconstruction defect.
+    number).  Per-row metadata is that of `rows_meta`.
     """
     policy = policy or PrecisionPolicy()
     grid = check_time_grid(time_grid)
@@ -297,12 +287,6 @@ def evaluate_distribution(ladder: DickeLadder, initial_m0: int,
     if not (0 <= initial_m0 <= n):
         raise ValueError(f"initial_m0 must lie in [0, N], got {initial_m0}")
 
-    rows_terms: list[list[ResidueTerm] | None] = [None] * (n + 1)
-    t0_defect = [0.0] * (n + 1)
-    for m in range(initial_m0 + 1):
-        raw = exact_terms(ladder, m, initial_m0)
-        bits, t0_defect[m] = resolve_bits([a for _, _, a, _ in raw],
-                                          terms_t0_delta(m, initial_m0), policy)
-        rows_terms[m] = [ResidueTerm(v, mult, a, b, bits) for v, mult, a, b in raw]
-    return assemble_table(ladder, initial_m0, grid, rows_terms, "residue", policy,
-                          t0_defect)
+    rows_terms = [residue_terms(ladder, m, initial_m0, policy) if m <= initial_m0 else None
+                  for m in range(n + 1)]
+    return assemble_table(ladder, initial_m0, grid, rows_terms, "residue", policy)

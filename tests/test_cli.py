@@ -7,6 +7,7 @@ from dicke.cli import main
 from dicke.io import read_json, write_json
 from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
+from dicke.precision import PrecisionPolicy
 
 
 def run(argv):
@@ -163,13 +164,13 @@ def test_precision_cap_exit_code(capsys):
 
 
 def test_jordan_precision_cap_error_is_strict_json(capsys):
-    # both paths report the cap; Jordan has no defect to report and writes null
+    # both paths report the cap and the error bound there, above the target
     assert run(["solve", "--n", "20", "--points", "5", "--max-bits", "60",
                 "--method", "jordan"]) == 3
     error = strict_json(capsys.readouterr().err)["error"]
     assert error["kind"] == "PrecisionError"
     assert error["bits"] == 60
-    assert error["defect"] is None
+    assert error["defect"] > 1e-12
 
 
 def test_scan_command(tmp_path):
@@ -256,6 +257,19 @@ def test_low_fixed_width_shows_cancellation_loss(tmp_path):
     meta = json.loads(out.read_text())["metadata"]
     assert set(meta["bits"]) == {60}
     assert meta["trace_defect"] > 1e-3
+    # the recorded bounds own up to the loss: their sum bounds the trace defect
+    assert sum(meta["error_bound"]) >= meta["trace_defect"]
+
+
+def test_auto_partial_start_matches_wide_table(tmp_path):
+    # this request's auto table once had trace defect 2.1e-7 (perfbench/README.md)
+    out = tmp_path / "m64.json"
+    assert run(["solve", "--method", "residue", "--precision", "auto", "--points", "50",
+                "--format", "json", "--n", "128", "--initial", "64", "--out", str(out)]) == 0
+    table, _ = read_json(out)
+    wide = solve_populations(build_ladder(128, 1.0), 64, table.times, "residue",
+                             PrecisionPolicy.bits(4 * 128 + 200))
+    assert np.abs(table.populations - wide.populations).max() <= 1e-9
 
 
 @pytest.mark.parametrize("method", ["residue", "jordan"])

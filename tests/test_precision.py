@@ -4,10 +4,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicke.ladder import build_ladder
+from dicke.methods import solve_populations
 from dicke.precision import (DOUBLE_BITS, PrecisionError, PrecisionPolicy, default_max_bits,
-                             fraction_to_float, resolve_bits, rounding_defect)
+                             error_bound, fraction_to_float, resolve_bits, rounding_defect)
 from dicke.residues import residue_terms
 from dicke.states import DiagonalState
 
@@ -17,8 +20,6 @@ def test_policy_validation():
         PrecisionPolicy(mode="quad")
     with pytest.raises(ValueError):
         PrecisionPolicy(mantissa_bits=1)
-    with pytest.raises(ValueError):
-        PrecisionPolicy(escalation_factor=1.0)
 
 
 @pytest.mark.parametrize("target", [-1.0, -1e-30, math.nan, math.inf, -math.inf])
@@ -55,13 +56,15 @@ def test_policy_rejects_cap_below_double(cap, monkeypatch):
 
 
 def test_escalation_stops_at_the_cap():
-    # roundings of 1/3 + 2**-60 and 2/3 - 2**-60 never sum back to 1 exactly
-    consts = [Fraction(1, 3) + Fraction(1, 2 ** 60), Fraction(2, 3) - Fraction(1, 2 ** 60)]
-    for start in (53, 113):
-        policy = PrecisionPolicy.auto(target_defect=0.0, start_bits=start, max_bits=60)
-        with pytest.raises(PrecisionError) as caught:
-            resolve_bits(consts, 1, policy)
-        assert caught.value.bits == 60
+    # roundings of 1/3 + 2**-60 and 2/3 - 2**-60 never sum back to 1 exactly,
+    # and no finite width certifies a zero error
+    terms = [(0, 1, Fraction(1, 3) + Fraction(1, 2 ** 60), Fraction(0)),
+             (2, 1, Fraction(2, 3) - Fraction(1, 2 ** 60), Fraction(0))]
+    policy = PrecisionPolicy.auto(target_defect=0.0, max_bits=60)
+    with pytest.raises(PrecisionError) as caught:
+        resolve_bits(terms, policy)
+    assert caught.value.bits == 60
+    assert caught.value.defect == error_bound(terms, 60) > 0
 
 
 def test_policy_constructors():
@@ -125,3 +128,65 @@ def test_diagonal_state_validation():
 
 def test_evaluate_population_double_bits_constant():
     assert DOUBLE_BITS == 53
+
+
+CLOSED_FORMS = ("residue", "laplace", "jordan")
+
+
+def wide_reference(ladder, m0, grid):
+    return solve_populations(ladder, m0, grid, "residue",
+                             PrecisionPolicy.bits(4 * ladder.n_emitters + 200))
+
+
+@pytest.mark.parametrize("n, m0", [(65, 32), (128, 64)])
+def test_auto_partial_start_on_log_grid(n, m0):
+    # a row whose roundings cancel at t = 0 but not at t = 1e-3 (trace
+    # defects 5.5 and 1.05 under a t = 0 check) must get its width from the bound
+    ladder = build_ladder(n, 1.0)
+    grid = np.geomspace(1e-3, 5.0, 50)
+    wide = wide_reference(ladder, m0, grid)
+    residue, laplace, jordan = (solve_populations(ladder, m0, grid, method)
+                                for method in CLOSED_FORMS)
+    assert np.abs(residue.populations - wide.populations).max() <= 1e-12
+    assert max(residue.meta["error_bound"]) <= 1e-12
+    for table in (laplace, jordan):
+        assert np.array_equal(table.populations, residue.populations)
+        assert table.meta["bits"] == residue.meta["bits"]
+
+
+@pytest.mark.parametrize("policy", [PrecisionPolicy.double(), PrecisionPolicy.bits(80),
+                                    PrecisionPolicy.auto()])
+def test_closed_forms_share_widths_bounds_and_tables(policy):
+    ladder = build_ladder(40, 1.0)
+    grid = np.geomspace(1e-3, 5.0, 12)
+    for m0 in (40, 21):
+        residue, laplace, jordan = (solve_populations(ladder, m0, grid, method, policy)
+                                    for method in CLOSED_FORMS)
+        for table in (laplace, jordan):
+            assert np.array_equal(table.populations, residue.populations)
+            assert table.meta["bits"] == residue.meta["bits"]
+            assert table.meta["error_bound"] == residue.meta["error_bound"]
+        assert len(residue.meta["error_bound"]) == 41
+        assert residue.meta["error_bound"][m0 + 1:] == [0.0] * (40 - m0)
+        if policy.mode == "auto":
+            assert max(residue.meta["bits"]) > 53
+            assert max(residue.meta["error_bound"]) <= policy.target_defect
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_error_bound_covers_measured_error(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    m0 = data.draw(st.integers(0, n), label="m0")
+    bits = data.draw(st.sampled_from([53, 60, 80, 120]), label="bits")
+    method = data.draw(st.sampled_from(["residue", "jordan"]), label="method")
+    t_max = data.draw(st.floats(0.01, 5.0), label="t_max")
+    points = data.draw(st.integers(2, 12), label="points")
+    if data.draw(st.booleans(), label="log grid"):
+        grid = np.geomspace(1e-3 * t_max, t_max, points)
+    else:
+        grid = np.linspace(0.0, t_max, points)
+    ladder = build_ladder(n, 1.0)
+    table = solve_populations(ladder, m0, grid, method, PrecisionPolicy.bits(bits))
+    error = np.abs(table.populations - wide_reference(ladder, m0, grid).populations)
+    assert np.all(error.max(axis=1) <= table.meta["error_bound"])

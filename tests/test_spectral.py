@@ -7,6 +7,7 @@ import pytest
 from dicke.ladder import build_ladder
 from dicke.oracles import integrate_rate_equations
 from dicke.methods import solve_populations
+from dicke import spectral
 from dicke.precision import PrecisionError, PrecisionPolicy
 from dicke.residues import ResidueTerm, exact_terms, residue_terms
 from dicke.spectral import (SingularityError, _t11_inv_row, _t22_inv_row, _v_components,
@@ -135,6 +136,25 @@ def test_tilde_inverse_is_exact_inverse():
                 for k in range(dim):
                     acc += decomp.tilde[i][k] * decomp.tilde_inv[k][c]
                 assert acc == (1 if i == c else 0)
+
+
+def test_apply_inverse_matches_full_inverse():
+    for n in range(1, 33):
+        decomp = jordan_decompose(build_ladder(n, 1.0))
+        for i in range(n + 1):
+            unit = [Fraction(int(k == i)) for k in range(n + 1)]
+            assert decomp.apply_inverse(unit) == [row[i] for row in decomp.tilde_inv], (n, i)
+
+
+def test_propagation_never_forms_the_inverse(monkeypatch):
+    def forbidden(a, b):
+        raise AssertionError("matrix product outside the diagnostics")
+    monkeypatch.setattr(spectral, "_matmul", forbidden)
+    decomp = jordan_decompose(build_ladder(24, 1.0))
+    out = propagate(decomp, 1.0, np.array([0.0, 0.3]),
+                    DiagonalState(populations=np.eye(25)[12], time=0.0))
+    assert np.abs(out.sum(axis=0) - 1).max() < 1e-12
+    assert "tilde_inv" not in vars(decomp)
 
 
 def test_similarity_permutation_consistency():
@@ -397,15 +417,20 @@ def test_invert_laplace_n3_ground_state():
 
 
 def test_jordan_policy_modes():
-    ladder = build_ladder(6, 1.0)
+    ladder = build_ladder(40, 1.0)
     auto = jordan_decompose(ladder)
     double = jordan_decompose(ladder, PrecisionPolicy.double())
-    # the mode sets only the propagation width, never the entries
+    # the mode sets only the propagation widths, never the entries
     assert double.tilde == auto.tilde and double.tilde_inv == auto.tilde_inv
-    assert double.bits == 53 < auto.bits
+    assert double.t11_inv == auto.t11_inv and double.t22_inv == auto.t22_inv
+    assert double.bits == auto.bits == 53
+    start = DiagonalState(populations=np.eye(41)[40], time=0.0)
+    widths = [row[0].bits for row in jordan_terms(auto, start.populations)]
+    assert max(widths) > 53
+    assert {row[0].bits for row in jordan_terms(double, start.populations)} == {53}
+    capped = jordan_decompose(ladder, PrecisionPolicy(max_bits=max(widths) - 1))
     with pytest.raises(PrecisionError):
-        jordan_decompose(ladder, PrecisionPolicy(max_bits=auto.bits - 1))
-    start = DiagonalState(populations=np.eye(7)[6], time=0.0)
+        propagate(capped, 1.0, 0.8, start)
     a = propagate(auto, 1.0, 0.8, start)
-    b = propagate(double, 1.0, 0.8, start)
-    assert np.abs(a.populations - b.populations).max() < 1e-9
+    b = propagate(jordan_decompose(ladder, PrecisionPolicy.bits(4 * 40 + 200)), 1.0, 0.8, start)
+    assert np.abs(a.populations - b.populations).max() < 1e-12
