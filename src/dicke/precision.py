@@ -108,12 +108,15 @@ def scaled_to_float(value: int, frac_bits: int) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def rounding_defect(consts: list[Fraction], delta: int, bits: int) -> float:
+def rounding_defect(consts: list[Fraction], delta: int, bits: int,
+                    rounded: list | None = None) -> float:
     """|sum of b-bit roundings - delta|, the rational sum taken exactly.
 
     Above float64 the roundings are `round_to_bits`, the ones the
     evaluation kernel sums, so the defect is that of the evaluated
-    coefficients.
+    coefficients.  A caller that already holds them passes them as
+    `rounded` (float64 values at 53 bits, `round_to_bits` pairs above) and
+    `consts` is not rounded again.
 
     Summing the rounded values in working precision can absorb the
     residual entirely (the largest near-cancelling pair may round to the
@@ -121,12 +124,15 @@ def rounding_defect(consts: list[Fraction], delta: int, bits: int) -> float:
     stay a faithful gauge of the per-coefficient rounding loss.
     """
     if bits <= DOUBLE_BITS:
+        if rounded is None:
+            rounded = [fraction_to_float(c) for c in consts]
         # fsum rounds the exact sum of the doubles once, like a rational sum
         try:
-            return abs(math.fsum([fraction_to_float(c) for c in consts] + [-delta]))
+            return abs(math.fsum(rounded + [-delta]))
         except (OverflowError, ValueError):
             return math.inf
-    rounded = [round_to_bits(c, bits) for c in consts]
+    if rounded is None:
+        rounded = [round_to_bits(c, bits) for c in consts]
     low = min([0] + [e for _, e in rounded])
     total = sum(mant << (e - low) for mant, e in rounded) - (delta << -low)
     return abs(scaled_to_float(total, -low))

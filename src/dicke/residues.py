@@ -12,15 +12,18 @@ with p' = N+1-p every pole gap factors as h_p - h_k = (p-k)(p'-k), so the
 denominators are signed ratios of factorials and the double-pole
 logarithmic derivative is a difference of harmonic numbers.  Evaluation
 rounds each coefficient once, at the width chosen per `PrecisionPolicy`,
-and sums the rounded values exactly in integer fixed point.
+and sums the rounded values exactly in integer fixed point, against
+exponentials built per time from two `mpmath.exp` calls and a product
+recurrence along the ladder.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import lshift, mul
 
 import mpmath
 import numpy as np
@@ -51,14 +54,73 @@ class ResidueTerm:
     bits: int = field(default=DOUBLE_BITS, compare=False)
 
 
+class TermRow(list):
+    """One row's `ResidueTerm`s, the width and a-priori bound they were
+    resolved to, and what evaluating them needs, each computed once:
+    float64 coefficients for a float64 row, `round_to_bits` mantissas and
+    exponents for a wider one.  The evaluation, `rows_meta` and the later
+    times of a propagation all read these, so a row must not be mutated.
+    """
+
+    def __init__(self, terms, bits: int, bound: float | None = None):
+        super().__init__(terms)
+        self.bits = bits
+        if bound is not None:   # else `error_bound`, on first use
+            self.bound = bound
+
+    @functools.cached_property
+    def bound(self) -> float:
+        """`error_bound` at the row's width."""
+        return error_bound([(t.pole, t.multiplicity, t.const, t.linear) for t in self],
+                           self.bits)
+
+    @functools.cached_property
+    def doubles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Poles, constants and linear coefficients in float64."""
+        return (np.array([t.pole for t in self], dtype=float),
+                np.array([fraction_to_float(t.const) for t in self]),
+                np.array([fraction_to_float(t.linear) for t in self]))
+
+    @functools.cached_property
+    def mantissas(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Mantissas and exponents of the constants, then of the linear
+        coefficients, rounded to the row's width: four lists parallel to
+        the terms (flat, as a wide row holds one big mantissa per term)."""
+        consts = [round_to_bits(t.const, self.bits) for t in self]
+        linears = [round_to_bits(t.linear, self.bits) for t in self]
+        return ([m for m, _ in consts], [e for _, e in consts],
+                [m for m, _ in linears], [e for _, e in linears])
+
+    def rounded_consts(self) -> list:
+        """The constants as evaluated: float64 values at 53 bits, else
+        `round_to_bits` pairs."""
+        if self.bits <= DOUBLE_BITS:
+            return self.doubles[1].tolist()
+        return list(zip(*self.mantissas[:2]))
+
+
+def bounded_row(raw, policy: PrecisionPolicy) -> TermRow:
+    """Exact (pole, multiplicity, const, linear) tuples as a row at the
+    width `resolve_bits` picks, keeping the bound it computed there."""
+    bits, bound = resolve_bits(raw, policy)
+    return TermRow([ResidueTerm(*term, bits=bits) for term in raw], bits, bound)
+
+
+def _as_row(terms) -> TermRow:
+    """A term list as a `TermRow` at its widest term's width."""
+    return terms if isinstance(terms, TermRow) else TermRow(terms, max(t.bits for t in terms))
+
+
 @functools.lru_cache(maxsize=4)
-def _prefix_tables(n_emitters: int) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-    """Factorials 0!..(N+1)! and harmonic numbers H_0..H_{N+1}."""
-    fact, harm = [1], [_ZERO]
+def _prefix_tables(n_emitters: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Factorials 0!..(N+1)!, and harmonic numbers H_0..H_{N+1} as integers
+    over their common denominator L = lcm(1..N+1), with L."""
+    lcm = math.lcm(*range(1, n_emitters + 2))
+    fact, harm = [1], [0]
     for k in range(1, n_emitters + 2):
         fact.append(fact[-1] * k)
-        harm.append(harm[-1] + Fraction(1, k))
-    return tuple(fact), tuple(harm)
+        harm.append(harm[-1] + lcm // k)
+    return tuple(fact), tuple(harm), lcm
 
 
 def _gap_product(fact, x: int, m: int, m0: int) -> int:
@@ -78,7 +140,7 @@ def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
     n = ladder.n_emitters
     m, m0 = target_m, initial_m0
     pole_set = classify_poles(ladder, m, m0)
-    fact, harm = _prefix_tables(n)
+    fact, harm, lcm = _prefix_tables(n)
     sign = -1 if (m0 - m) % 2 else 1
     # h_{m+1} ... h_m0 = (m0!/m!) * ((N-m)!/(N-m0)!)
     signed_num = sign * (fact[m0] // fact[m]) * (fact[n - m] // fact[n - m0])
@@ -105,20 +167,20 @@ def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
         # double pole: with c(z) = signed_num / prod(z - h_k) over the
         # non-degenerate factors, the residue is [c'(v) - g*t*c(v)] *
         # exp(-v*g*t) and c'(v) = -c(v) * s, s = sum_k 1/((p-k)(q-k)) =
-        # (S_p - S_q)/(q-p) by partial fractions, S_x = sum_k 1/(x-k)
-        s = (harm[p - m] - harm[m0 - p] - harm[q - m] + harm[m0 - q]
-             + Fraction(2, q - p)) / (q - p)
-        out.append((pole.value, 2, -c * s, -c))
+        # (S_p - S_q)/(q-p) by partial fractions, S_x = sum_k 1/(x-k); the
+        # harmonic numbers are integers over L, so -c*s is one fraction
+        gap = q - p
+        s_num = (harm[p - m] - harm[m0 - p] - harm[q - m] + harm[m0 - q]
+                 + 2 * (lcm // gap))
+        out.append((pole.value, 2, Fraction(-signed_num * s_num, den * lcm * gap), -c))
     return out
 
 
 def residue_terms(ladder: DickeLadder, target_m: int, initial_m0: int,
-                  policy: PrecisionPolicy | None = None) -> list[ResidueTerm]:
+                  policy: PrecisionPolicy | None = None) -> TermRow:
     """Term list for rho_m(t) from start state m0, rounded to the width
     `resolve_bits` picks for it."""
-    raw = exact_terms(ladder, target_m, initial_m0)
-    bits, _ = resolve_bits(raw, policy or PrecisionPolicy())
-    return [ResidueTerm(*term, bits=bits) for term in raw]
+    return bounded_row(exact_terms(ladder, target_m, initial_m0), policy or PrecisionPolicy())
 
 
 def above_equator_closed_form(ladder: DickeLadder, target_m: int) -> list[ResidueTerm]:
@@ -158,10 +220,8 @@ def evaluate_population(terms: list[ResidueTerm], gamma: float, t: float) -> flo
     return float(evaluate_rows([terms], gamma, np.array([float(t)]))[0, 0])
 
 
-def _row_eval_double(terms: list[ResidueTerm], gamma: float, grid: np.ndarray) -> np.ndarray:
-    poles = np.array([t.pole for t in terms], dtype=float)
-    consts = np.array([fraction_to_float(t.const) for t in terms])
-    linears = np.array([fraction_to_float(t.linear) for t in terms])
+def _row_eval_double(row: TermRow, gamma: float, grid: np.ndarray) -> np.ndarray:
+    poles, consts, linears = row.doubles
     gt = gamma * grid
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         weights = consts[:, None] + linears[:, None] * gt[None, :]
@@ -180,46 +240,113 @@ def _to_fixed(mant: int, exp: int, frac_bits: int) -> int:
     return (mant + (1 << (-shift - 1))) >> -shift
 
 
-def _fixed_point_rows(rows: list[list[ResidueTerm]], gamma: float,
-                      grid: np.ndarray) -> np.ndarray:
+def _ladder_exponentials(poles: list[int], doubled: list[int], gt: mpmath.mpf,
+                         frac_bits: int) -> list[int]:
+    """exp(-v*g*t) for ascending integer poles v, then g*t*exp(-v*g*t) for
+    the poles at the indices `doubled`, as ints scaled by 2**F (F =
+    `frac_bits`), each within 1/2 + 2**-64 units of 2**-F; `gt` is exact.
+
+    Two `mpmath.exp` calls give q = exp(-g*t) and the first pole's value,
+    each within a unit of 2**-W for a width W > F; every other value is a
+    product of two values <= 1 truncated to 2**-W, whose error is below the
+    sum of its factors' errors plus a unit.  The ratio exp(-d*g*t) of each
+    distinct gap d between neighbouring poles is the next smaller gap's
+    ratio times a power of q (on the Dicke ladder the gaps are N - 2p, so
+    that power is q**2), and each pole's value is its lower neighbour's
+    times its gap's ratio.  So every factor is at most 1, the value for v
+    is a product of v - poles[0] copies of q and the first value, and its
+    error is below 2*(v - poles[0]) + 1 units; W adds the bit length of
+    that and of g*t (the second list multiplies the error by g*t) to
+    F + GUARD_BITS, and each value is rounded to 2**-F.
+    """
+    # g*t = man * 2**exp < 2**(bit_length(man) + exp)
+    man, exp = gt.man_exp
+    width = (frac_bits + GUARD_BITS + (2 * poles[-1] + 1).bit_length()
+             + max(0, man.bit_length() + exp))
+    one = 1 << width
+
+    def times(a: int, b: int) -> int:
+        return a * b >> width
+
+    with mpmath.workprec(width + 10):
+        powers = {1: _to_fixed(*mpmath.exp(-gt).man_exp, width)}
+        first = _to_fixed(*mpmath.exp(-poles[0] * gt).man_exp, width)
+
+    def power(s: int) -> int:   # q**s by squaring
+        if s not in powers:
+            half = power(s // 2)
+            powers[s] = times(times(half, half), powers[1]) if s % 2 else times(half, half)
+        return powers[s]
+
+    ratios, ratio, below = {}, one, 0
+    for gap in sorted({b - a for a, b in zip(poles, poles[1:])}):
+        ratio = ratios[gap] = times(ratio, power(gap - below))
+        below = gap
+    wide = [first]
+    for a, b in zip(poles, poles[1:]):
+        wide.append(times(wide[-1], ratios[b - a]))
+
+    drop = width - frac_bits
+    shift = drop - exp   # > GUARD_BITS
+    return ([(x + (1 << (drop - 1))) >> drop for x in wide]
+            + [(man * wide[i] + (1 << (shift - 1))) >> shift for i in doubled])
+
+
+def _shifted_products(coeffs, frac_bits: int) -> tuple[list[int], list[int], list[int]]:
+    """(value index, multiplier, left shift) of each nonzero (index, mant,
+    exp) coefficient in an F-scaled dot product: the b-bit mantissa and
+    shift e + F, or where e + F < 0 the coefficient rounded to 2**-F and
+    no shift."""
+    idx, mants, shifts = [], [], []
+    for i, mant, exp in coeffs:
+        if mant:
+            shift = exp + frac_bits
+            if shift < 0:
+                mant, shift = _to_fixed(mant, exp, frac_bits), 0
+            idx.append(i)
+            mants.append(mant)
+            shifts.append(shift)
+    return idx, mants, shifts
+
+
+def _fixed_point_rows(rows: list[TermRow], gamma: float, grid: np.ndarray) -> np.ndarray:
     """Evaluate term lists wider than float64 in integer fixed point.
 
-    Each coefficient is rounded once to its row's width b (round-half-even)
-    and stored as an int scaled by 2**F, F = widest width + GUARD_BITS; a
-    coefficient below 2**(b-F) also loses the bits under 2**-F.
-    exp(-h*g*t) and g*t*exp(-h*g*t) are ints at the same scale, computed
-    once per distinct pole and time, so every entry is an exact integer dot
-    product rounded to float64 once.
+    Each coefficient is its row's `round_to_bits` pair at width b, a value
+    taken at the scale 2**F, F = widest width + GUARD_BITS (one below
+    2**(b-F) also loses the bits under 2**-F).  exp(-h*g*t) and
+    g*t*exp(-h*g*t) are ints at the same scale, computed once per distinct
+    pole and time by `_ladder_exponentials`.  Every entry is one exact
+    integer dot product rounded to float64 once.  In it each b-bit
+    mantissa multiplies its exponential and the product is shifted left by
+    e + F: the same integer as the scaled coefficient times the
+    exponential, with a b-bit factor in place of an (a+F)-bit one.
     """
-    widths = [max(t.bits for t in row) for row in rows]
-    frac_bits = max(widths) + GUARD_BITS
+    frac_bits = max(row.bits for row in rows) + GUARD_BITS
     poles = sorted({t.pole for row in rows for t in row})
     index = {v: i for i, v in enumerate(poles)}
-    doubled = {index[t.pole] for row in rows for t in row if t.linear}
+    doubled = sorted({index[t.pole] for row in rows for t in row if t.linear})
+    # the g*t*exp(-h*g*t) values follow the exp(-h*g*t) values in one list
+    g_index = {i: len(poles) + k for k, i in enumerate(doubled)}
     fixed = []
-    for row, bits in zip(rows, widths):
-        consts = [_to_fixed(*round_to_bits(t.const, bits), frac_bits) for t in row]
-        linear = [t for t in row if t.linear]
-        fixed.append(([index[t.pole] for t in row], consts,
-                      [index[t.pole] for t in linear],
-                      [_to_fixed(*round_to_bits(t.linear, bits), frac_bits) for t in linear]))
+    for row in rows:
+        coeffs = []
+        for t, c_mant, c_exp, l_mant, l_exp in zip(row, *row.mantissas):
+            coeffs.append((index[t.pole], c_mant, c_exp))
+            if l_mant:
+                coeffs.append((g_index[index[t.pole]], l_mant, l_exp))
+        fixed.append(_shifted_products(coeffs, frac_bits))
 
     out = np.empty((len(rows), grid.size))
-    # g*t is exact at this width (a product of two doubles), and exp's
-    # error stays far below 2**-F
-    with mpmath.workprec(frac_bits + 32):
+    # g*t is exact at 106 bits (a product of two doubles)
+    with mpmath.workprec(2 * DOUBLE_BITS):
         gamma_mp = mpmath.mpf(gamma)
-        for j, t in enumerate(grid):
-            gt = gamma_mp * mpmath.mpf(float(t))
-            expo = [mpmath.exp(-v * gt) for v in poles]
-            # both factors are nonnegative, so man_exp (unsigned) is exact
-            e_fix = [_to_fixed(*x.man_exp, frac_bits) for x in expo]
-            g_fix = {i: _to_fixed(*(gt * expo[i]).man_exp, frac_bits) for i in doubled}
-            for r, (idx, consts, lin_idx, linears) in enumerate(fixed):
-                acc = sum(map(mul, consts, map(e_fix.__getitem__, idx)))
-                if linears:
-                    acc += sum(map(mul, linears, map(g_fix.__getitem__, lin_idx)))
-                out[r, j] = scaled_to_float(acc, 2 * frac_bits)
+        gts = [gamma_mp * mpmath.mpf(float(t)) for t in grid]
+    for j, gt in enumerate(gts):
+        values = _ladder_exponentials(poles, doubled, gt, frac_bits)
+        for r, (idx, mants, shifts) in enumerate(fixed):
+            acc = sum(map(lshift, map(mul, mants, map(values.__getitem__, idx)), shifts))
+            out[r, j] = scaled_to_float(acc, 2 * frac_bits)
     return out
 
 
@@ -229,35 +356,35 @@ def evaluate_rows(rows: list[list[ResidueTerm] | None], gamma: float,
     width in numpy, wider rows together in one fixed-point pass, empty rows
     zero."""
     out = np.zeros((len(rows), grid.size))
-    wide = []
+    wide, wide_rows = [], []
     for r, row in enumerate(rows):
         if not row:
             continue
-        if max(t.bits for t in row) <= DOUBLE_BITS:
+        row = _as_row(row)
+        if row.bits <= DOUBLE_BITS:
             out[r] = _row_eval_double(row, gamma, grid)
         else:
             wide.append(r)
+            wide_rows.append(row)
     if wide:
-        out[wide] = _fixed_point_rows([rows[r] for r in wide], gamma, grid)
+        out[wide] = _fixed_point_rows(wide_rows, gamma, grid)
     return out
 
 
 def rows_meta(rows_terms: list[list[ResidueTerm] | None], initial_m0: int, method: str,
               policy: PrecisionPolicy) -> dict:
     """Provenance of a table evaluated from per-row term lists: the width of
-    every row, its a-priori error bound at that width and its t=0
-    reconstruction defect."""
-    bits_per_row = [max(t.bits for t in row) if row else DOUBLE_BITS for row in rows_terms]
+    every row, its a-priori error bound at that width and the t=0
+    reconstruction defect of its coefficients as evaluated."""
+    rows = [_as_row(row) if row else None for row in rows_terms]
     return {
         "method": method,
         "precision_mode": policy.mode,
-        "bits": bits_per_row,
-        "error_bound": [error_bound([(t.pole, t.multiplicity, t.const, t.linear) for t in row],
-                                    bits) if row else 0.0
-                        for row, bits in zip(rows_terms, bits_per_row)],
-        "t0_defect": [rounding_defect([t.const for t in row], int(m == initial_m0),
-                                      bits_per_row[m]) if row else 0.0
-                      for m, row in enumerate(rows_terms)],
+        "bits": [row.bits if row else DOUBLE_BITS for row in rows],
+        "error_bound": [row.bound if row else 0.0 for row in rows],
+        "t0_defect": [rounding_defect([t.const for t in row], int(m == initial_m0), row.bits,
+                                      row.rounded_consts()) if row else 0.0
+                      for m, row in enumerate(rows)],
     }
 
 

@@ -35,8 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from .ladder import DickeLadder, classify_poles
-from .precision import DOUBLE_BITS, PrecisionPolicy, fraction_to_float, resolve_bits
-from .residues import ResidueTerm, evaluate_rows
+from .precision import DOUBLE_BITS, PrecisionPolicy, fraction_to_float
+from .residues import TermRow, bounded_row, evaluate_rows
 from .states import DiagonalState
 
 _ZERO = Fraction(0)
@@ -358,15 +358,17 @@ def _build_tilde(h, n_emitters, n):
     return tilde, t11_inv, t22_inv, tilde_labels
 
 
-def jordan_terms(decomp: JordanDecomposition, populations) -> list[list[ResidueTerm]]:
+def jordan_terms(decomp: JordanDecomposition, populations) -> list[TermRow | list]:
     """Per-row expansion of exp(H*g*t) x in the form the residue methods use.
 
     With c = T^{-1} x (exact, by `apply_inverse`), a Jordan pair (v, w, l)
     contributes (T_iv*c_v + T_iw*c_w + T_iv*c_w*g*t) * exp(l*g*t) to row i
     and a single (k, l) contributes T_ik*c_k * exp(l*g*t).  Rows are indexed
     by the physical state m; all-zero terms are dropped, poles are
-    ascending and each row has the width `resolve_bits` picks.  The lists
-    are shared with later calls for the same start and must not be mutated.
+    ascending and each nonempty row is a `TermRow` at the width
+    `resolve_bits` picks.  The rows, and what evaluation caches on them,
+    are shared with later calls for the same start and must not be
+    mutated.
     """
     dim = decomp.n_emitters + 1
     x_td = np.asarray(populations, dtype=float)[::-1]
@@ -380,7 +382,7 @@ def jordan_terms(decomp: JordanDecomposition, populations) -> list[list[ResidueT
     blocks = sorted([(-lam, kv, kw) for kv, kw, lam in decomp.pair_positions
                      if coeff[kv] or coeff[kw]]
                     + [(-lam, k, None) for k, lam in decomp.single_positions if coeff[k]])
-    rows: list[list[ResidueTerm]] = [[] for _ in range(dim)]
+    rows: list[TermRow | list] = [[] for _ in range(dim)]
     for i in range(dim):
         row = decomp.tilde[i]
         terms = []
@@ -397,8 +399,7 @@ def jordan_terms(decomp: JordanDecomposition, populations) -> list[list[ResidueT
             if const or linear:
                 terms.append((pole, 2 if linear else 1, const, linear))
         if terms:
-            bits, _ = resolve_bits(terms, decomp.policy)
-            rows[decomp.n_emitters - i] = [ResidueTerm(*term, bits=bits) for term in terms]
+            rows[decomp.n_emitters - i] = bounded_row(terms, decomp.policy)
     decomp._last_terms = (key, rows)
     return rows
 
@@ -508,7 +509,7 @@ def resolvent_element(ladder: DickeLadder, m: int, m_prime: int, z: complex) -> 
 
 
 def invert_laplace(ladder: DickeLadder, target_m: int, initial_m0: int,
-                   policy: PrecisionPolicy | None = None) -> list[ResidueTerm]:
+                   policy: PrecisionPolicy | None = None) -> TermRow:
     """Residue terms of the resolvent entry R_{m,m0}(z) e^{z*g*t}.
 
     The poles live at z = -h_p, so the gaps enter with the opposite sign
@@ -539,5 +540,4 @@ def invert_laplace(ladder: DickeLadder, target_m: int, initial_m0: int,
             else:
                 s = Fraction(0)
             raw.append((v, 2, -g_at * s, g_at))
-    bits, _ = resolve_bits(raw, policy)
-    return [ResidueTerm(*term, bits=bits) for term in raw]
+    return bounded_row(raw, policy)

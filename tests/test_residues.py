@@ -8,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_rational
 
-from dicke.ladder import build_ladder
+from dicke import precision, residues
+from dicke.ladder import build_ladder, classify_poles
+from dicke.methods import solve_populations
 from dicke.oracles import integrate_rate_equations
-from dicke.precision import PrecisionError, PrecisionPolicy, round_to_bits
-from dicke.residues import (above_equator_closed_form, evaluate_distribution,
-                            evaluate_population, exact_terms, residue_terms)
+from dicke.precision import (PrecisionError, PrecisionPolicy, fraction_to_float, round_to_bits,
+                             scaled_to_float)
+from dicke.residues import (ResidueTerm, _gap_product, _ladder_exponentials,
+                            above_equator_closed_form, evaluate_distribution,
+                            evaluate_population, evaluate_rows, exact_terms, residue_terms)
+from dicke.spectral import invert_laplace, jordan_decompose, jordan_terms
 
 
 def closed_form_n2(gt):
@@ -315,3 +320,195 @@ def test_fixed_point_rows_far_in_time():
     table = evaluate_distribution(ladder, 30, time_grid=[0.0, 1e4, 1e9])
     assert max(table.meta["bits"]) > 53
     assert np.array_equal(table.populations[:, 1:], np.eye(31)[:, :1].repeat(2, axis=1))
+
+
+# --- the fixed-point pass against its per-pole mpmath reference -------------
+
+def reference_to_fixed(mant, exp, frac_bits):
+    """mant * 2**exp scaled by 2**frac_bits, rounded half up."""
+    shift = exp + frac_bits
+    if shift >= 0:
+        return mant << shift
+    if mant.bit_length() < -shift:
+        return 0
+    return (mant + (1 << (-shift - 1))) >> -shift
+
+
+def reference_rows(rows, gamma, grid):
+    """Term lists evaluated as the package did before the ladder recurrence:
+    float64 rows in numpy; wider rows with every coefficient pre-shifted
+    to 2**-F and one `mpmath.exp` per pole and time at F + 32 bits."""
+    grid = np.asarray(grid, dtype=float)
+    out = np.zeros((len(rows), grid.size))
+    wide = [r for r, row in enumerate(rows) if row and max(t.bits for t in row) > 53]
+    for r, row in enumerate(rows):
+        if row and r not in wide:
+            poles = np.array([t.pole for t in row], dtype=float)
+            consts = np.array([fraction_to_float(t.const) for t in row])
+            linears = np.array([fraction_to_float(t.linear) for t in row])
+            gt = gamma * grid
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                weights = consts[:, None] + linears[:, None] * gt[None, :]
+                out[r] = (weights * np.exp(-poles[:, None] * gt[None, :])).sum(axis=0)
+    if not wide:
+        return out
+    widths = [max(t.bits for t in rows[r]) for r in wide]
+    frac_bits = max(widths) + 64
+    poles = sorted({t.pole for r in wide for t in rows[r]})
+    index = {v: i for i, v in enumerate(poles)}
+    doubled = {index[t.pole] for r in wide for t in rows[r] if t.linear}
+    fixed = []
+    for r, bits in zip(wide, widths):
+        row = rows[r]
+        linear = [t for t in row if t.linear]
+        fixed.append(([index[t.pole] for t in row],
+                      [reference_to_fixed(*round_to_bits(t.const, bits), frac_bits) for t in row],
+                      [index[t.pole] for t in linear],
+                      [reference_to_fixed(*round_to_bits(t.linear, bits), frac_bits)
+                       for t in linear]))
+    with mpmath.workprec(frac_bits + 32):
+        gamma_mp = mpmath.mpf(gamma)
+        for j, t in enumerate(grid):
+            gt = gamma_mp * mpmath.mpf(float(t))
+            expo = [mpmath.exp(-v * gt) for v in poles]
+            e_fix = [reference_to_fixed(*x.man_exp, frac_bits) for x in expo]
+            g_fix = {i: reference_to_fixed(*(gt * expo[i]).man_exp, frac_bits) for i in doubled}
+            for r, (idx, consts, lin_idx, linears) in zip(wide, fixed):
+                acc = sum(c * e_fix[i] for c, i in zip(consts, idx))
+                acc += sum(c * g_fix[i] for c, i in zip(linears, lin_idx))
+                out[r, j] = scaled_to_float(acc, 2 * frac_bits)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.data())
+def test_evaluator_equals_per_pole_exp_reference(n, data):
+    m0 = data.draw(st.integers(min_value=0, max_value=n), label="m0")
+    gamma = data.draw(st.sampled_from([0.5, 1.0, 2.5]), label="gamma")
+    policy = data.draw(st.sampled_from([PrecisionPolicy(), PrecisionPolicy.bits(120)]),
+                       label="policy")
+    times = data.draw(st.lists(st.floats(min_value=0.0, max_value=20.0), max_size=4),
+                      label="times")
+    grid = np.array(sorted({0.0, 1e4, 1e9, *times}))
+    ladder = build_ladder(n, gamma)
+    rows = {
+        "residue": [residue_terms(ladder, m, m0, policy) if m <= m0 else None
+                    for m in range(n + 1)],
+        "laplace": [invert_laplace(ladder, m, m0, policy) if m <= m0 else None
+                    for m in range(n + 1)],
+        "jordan": jordan_terms(jordan_decompose(ladder, policy), np.eye(n + 1)[m0]),
+    }
+    for method, method_rows in rows.items():
+        table = solve_populations(ladder, m0, grid, method, policy)
+        assert np.array_equal(table.populations, reference_rows(method_rows, gamma, grid)), method
+
+
+def test_evaluator_equals_reference_on_wide_log_grid():
+    ladder = build_ladder(64, 1.0)
+    grid = np.geomspace(1e-3, 5.0, 20)
+    for m0 in (64, 40):
+        rows = [residue_terms(ladder, m, m0) if m <= m0 else None for m in range(65)]
+        assert max(row.bits for row in rows if row) > 53
+        table = evaluate_distribution(ladder, m0, time_grid=grid)
+        assert np.array_equal(table.populations, reference_rows(rows, 1.0, grid))
+
+
+def test_coefficient_below_the_fixed_point_scale_is_rounded():
+    # at 60 bits F = 124, and a 60-bit mantissa times 2**-134 keeps only its
+    # top 50 bits at 2**-F: 2**49 + 1023/1024 rounds up to 2**49 + 1
+    const = Fraction((1 << 59) + 1023, 1 << 134)
+    row = [ResidueTerm(pole=1, multiplicity=1, const=const, linear=Fraction(0), bits=60)]
+    grid = np.array([0.0, 0.5])
+    values = evaluate_rows([row], 1.0, grid)
+    assert values[0, 0] == math.ldexp((1 << 49) + 1, -124)
+    assert np.array_equal(values, reference_rows([row], 1.0, grid))
+
+
+def mp_fixed(x, frac_bits):
+    return int(mpmath.nint(x * mpmath.mpf(2) ** frac_bits))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 129, 256])
+@pytest.mark.parametrize("frac_bits", [117, 700])
+def test_ladder_exponentials_within_a_unit(n, frac_bits):
+    poles = sorted(set(build_ladder(n, 1.0).h))
+    # g*t putting the largest or a middle pole's value 256 units above 2**-F:
+    # the recurrence must not lose it on the way down
+    floor_cases = [(v, (frac_bits - 8) * math.log(2) / v)
+                   for v in {poles[-1], poles[len(poles) // 2]} if v]
+    for gt in [0.0, 1e-3, 0.37, 1.0, 5.0, 1e4, 1e9, *(gt for _, gt in floor_cases)]:
+        gt_mp = mpmath.mpf(gt)
+        values = _ladder_exponentials(poles, list(range(len(poles))), gt_mp, frac_bits)
+        with mpmath.workprec(frac_bits + 64 + 64):
+            expected = [mp_fixed(mpmath.exp(-v * gt_mp), frac_bits) for v in poles]
+            expected += [mp_fixed(gt_mp * mpmath.exp(-v * gt_mp), frac_bits) for v in poles]
+        assert len(values) == len(expected)
+        assert all(abs(a - b) <= 1 for a, b in zip(values, expected)), (n, gt)
+    for v, gt in floor_cases:
+        values = _ladder_exponentials(poles, [], mpmath.mpf(gt), frac_bits)
+        assert values[poles.index(v)] >= 255, (n, v)
+
+
+def fraction_harmonic_terms(ladder, m, m0):
+    """`exact_terms` with the harmonic numbers as `Fraction`s: the
+    double-pole logarithmic derivative from five `Fraction` sums."""
+    n = ladder.n_emitters
+    fact, harm = [1], [Fraction(0)]
+    for k in range(1, n + 2):
+        fact.append(fact[-1] * k)
+        harm.append(harm[-1] + Fraction(1, k))
+    sign = -1 if (m0 - m) % 2 else 1
+    signed_num = sign * (fact[m0] // fact[m]) * (fact[n - m] // fact[n - m0])
+    out = []
+    for pole in classify_poles(ladder, m, m0).poles:
+        p = pole.index
+        q = n + 1 - p
+        run_p = _gap_product(fact, p, m, m0)
+        if q == p:
+            den = run_p * run_p
+        else:
+            if pole.multiplicity == 2:
+                run_p //= p - q
+            den = run_p * (_gap_product(fact, q, m, m0) // (q - p))
+        c = Fraction(signed_num, den)
+        if pole.multiplicity == 1:
+            out.append((pole.value, 1, c, Fraction(0)))
+            continue
+        s = (harm[p - m] - harm[m0 - p] - harm[q - m] + harm[m0 - q]
+             + Fraction(2, q - p)) / (q - p)
+        out.append((pole.value, 2, -c * s, -c))
+    return out
+
+
+def test_integer_harmonic_sums_equal_fraction_formula():
+    for n in range(1, 41):
+        ladder = build_ladder(n, 1.0)
+        for m0 in range(n + 1):
+            for m in range(m0 + 1):
+                assert exact_terms(ladder, m, m0) == fraction_harmonic_terms(ladder, m, m0), \
+                    (n, m, m0)
+
+
+def test_each_coefficient_rounded_and_bounded_once(monkeypatch):
+    calls = {"exp": 0, "round": 0, "bound": 0}
+
+    def counting(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mpmath, "exp", counting("exp", mpmath.exp))
+    for module in (residues, precision):
+        monkeypatch.setattr(module, "round_to_bits", counting("round", module.round_to_bits))
+        monkeypatch.setattr(module, "error_bound", counting("bound", module.error_bound))
+    ladder = build_ladder(48, 1.0)
+    grid = np.linspace(0.0, 3.0, 7)
+    table = evaluate_distribution(ladder, 48, time_grid=grid)
+    wide = [residue_terms(ladder, m, 48) for m in range(49) if table.meta["bits"][m] > 53]
+    assert wide
+    # q = exp(-g*t) and the lowest pole's value, per time
+    assert calls["exp"] == 2 * grid.size
+    # a const and a linear coefficient per term, each rounded once
+    assert calls["round"] == 2 * sum(len(row) for row in wide)
+    assert calls["bound"] == 0

@@ -7,7 +7,7 @@ import pytest
 from dicke.ladder import build_ladder
 from dicke.oracles import integrate_rate_equations
 from dicke.methods import solve_populations
-from dicke import spectral
+from dicke import residues, spectral
 from dicke.precision import PrecisionError, PrecisionPolicy
 from dicke.residues import ResidueTerm, exact_terms, residue_terms
 from dicke.spectral import (SingularityError, _t11_inv_row, _t22_inv_row, _v_components,
@@ -155,6 +155,19 @@ def test_propagation_never_forms_the_inverse(monkeypatch):
                     DiagonalState(populations=np.eye(25)[12], time=0.0))
     assert np.abs(out.sum(axis=0) - 1).max() < 1e-12
     assert "tilde_inv" not in vars(decomp)
+
+
+def test_per_time_propagation_converts_coefficients_once(monkeypatch):
+    decomp = jordan_decompose(build_ladder(16, 1.0), PrecisionPolicy.double())
+    start = DiagonalState(populations=np.eye(17)[16], time=0.0)
+    first = propagate(decomp, 1.0, 0.5, start).populations
+    conversions = []
+    monkeypatch.setattr(residues, "fraction_to_float",
+                        lambda value: conversions.append(value) or float(value))
+    # later times reuse the rows and the float64 coefficients kept on them
+    assert np.array_equal(propagate(decomp, 1.0, 0.5, start).populations, first)
+    propagate(decomp, 1.0, 1.5, start)
+    assert conversions == []
 
 
 def test_similarity_permutation_consistency():
