@@ -134,9 +134,9 @@ def _solve(config: RunConfig):
     return ladder, table
 
 
-def _emit(report: dict, out: str | None) -> None:
+def _emit(report: dict, out: str | None, allow_nan: bool = True) -> None:
     """Write a JSON report to `out`, or print it when no path is given."""
-    text = json.dumps(report, indent=1)
+    text = json.dumps(report, indent=1, allow_nan=allow_nan)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -144,9 +144,26 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
+def _require_finite(table) -> None:
+    """Raise FloatingPointError if the populations or a number in the
+    metadata are NaN or infinite, which strict JSON cannot carry."""
+    for name, values in [("populations", table.populations), *table.meta.items()]:
+        if isinstance(values, (float, list, np.ndarray)):
+            finite = np.isfinite(np.asarray(values, dtype=float))
+            if not finite.all():
+                raise FloatingPointError(
+                    f"the {table.method} table has {int((~finite).sum())} non-finite values "
+                    f"in {name}; --precision auto or more --bits avoids the overflow")
+
+
 def cmd_solve(args, method: str | None = None) -> int:
     config = _config_from_args(args, method=method)
     ladder, table = _solve(config)
+    _require_finite(table)
     if config.out_path is None:
         _emit(table_document(table, ladder, config.describe()), None)
     elif config.out_format == "csv":
@@ -160,6 +177,8 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise UsageError("compare needs at least two methods")
+    if not args.tol >= 0:
+        raise UsageError(f"--tol must be a nonnegative number, got {args.tol}")
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}")
@@ -172,16 +191,23 @@ def cmd_compare(args) -> int:
 
     exact = [m for m in methods if m in EXACT_METHODS]
     report = {"schema": 1, "config": _config_from_args(args, method=methods[0]).describe(),
-              "methods": methods, "pairs": [], "mc": None, "tolerance": args.tol}
+              "methods": methods, "pairs": [], "mc": None,
+              "tolerance": _finite_or_none(args.tol)}
+
+    def max_diff(a: str, b: str) -> float:
+        with np.errstate(invalid="ignore"):   # inf - inf is NaN
+            return float(np.abs(tables[a].populations - tables[b].populations).max())
+
+    # a NaN or infinite difference fails the gate and is written as null
     worst = 0.0
     for i, a in enumerate(exact):
         for b in exact[i + 1:]:
-            diff = float(np.abs(tables[a].populations - tables[b].populations).max())
-            worst = max(worst, diff)
-            report["pairs"].append({"a": a, "b": b, "max_abs_diff": diff})
+            diff = max_diff(a, b)
+            worst = max(worst, diff if math.isfinite(diff) else math.inf)
+            report["pairs"].append({"a": a, "b": b, "max_abs_diff": _finite_or_none(diff)})
     if "discrete" in methods:
         for a in exact:
-            diff = float(np.abs(tables[a].populations - tables["discrete"].populations).max())
+            diff = _finite_or_none(max_diff(a, "discrete"))
             report["pairs"].append({"a": a, "b": "discrete", "max_abs_diff": diff,
                                     "gated": False})
     if "mc" in methods and exact:
@@ -194,10 +220,10 @@ def cmd_compare(args) -> int:
         report["mc"] = {
             "reference": exact[0],
             "fraction_abs_z_above_3": float((np.abs(z) > 3.0).mean()),
-            "max_abs_z": float(np.abs(z).max()),
+            "max_abs_z": _finite_or_none(float(np.abs(z).max())),
         }
 
-    _emit(report, args.out)
+    _emit(report, args.out, allow_nan=False)
     if worst > args.tol:
         _report_error({"kind": "comparison", "max_abs_diff": worst, "tolerance": args.tol})
         return EXIT_COMPARISON
@@ -420,7 +446,7 @@ def main(argv=None) -> int:
 def _report_error(payload: dict) -> None:
     """Print an error object on stderr as strict JSON: a non-finite number
     (such as an unknown defect) is written as null."""
-    payload = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+    payload = {key: _finite_or_none(value) if isinstance(value, float) else value
                for key, value in payload.items()}
     print(json.dumps({"error": payload}, allow_nan=False), file=sys.stderr)
 

@@ -7,14 +7,26 @@ residues of
 
 over the distinct ladder values h_p with p in [m, m0].  A value occurring
 twice in the range is a double pole and contributes the non-exponential
-g*t * exp(-h*g*t) piece.  Coefficients are exact rationals in closed form:
-with p' = N+1-p every pole gap factors as h_p - h_k = (p-k)(p'-k), so the
-denominators are signed ratios of factorials and the double-pole
-logarithmic derivative is a difference of harmonic numbers.  Evaluation
-rounds each coefficient once, at the width chosen per `PrecisionPolicy`,
-and sums the rounded values exactly in integer fixed point, against
-exponentials built per time from two `mpmath.exp` calls and a product
-recurrence along the ladder.
+g*t * exp(-h*g*t) piece.  Coefficients are exact rationals in closed form.
+With q = N+1-p every pole gap factors as h_p - h_k = (p-k)(q-k), and the
+factorial quotients this gives collapse into binomials C(a,b) of about the
+size of the reduced coefficient.  Indexing each pole by the lowest p in
+[m, m0] with h_p = p*q, and writing B = C(m0,p) C(p,m):
+
+    double pole, p < q <= m0   linear -c, c = (-1)^(m0-m+N) (q-p)^2 B
+                               C(N-m,p-1) C(p-1,m0-q) (an integer);
+                               const -c * s, s a difference of harmonic
+                               numbers over (q-p)
+    odd-N middle, p = q        (-1)^(m0-m) B C(N-m,p-1) C(p-1,m0-p)
+    simple, q > m0             (-1)^(p-m) (q-p) B C(N-m,p-1) / (p C(N-m0,p)),
+                               and 1 for the pole 0
+    simple, q < m              (-1)^(m0-p) (p-q) B C(p-1,m0-q)
+                               / ((m-q) C(p-1,m-q))
+
+Evaluation rounds each coefficient once, at the width chosen per
+`PrecisionPolicy`, and sums the rounded values exactly in integer fixed
+point, against exponentials built per time from two `mpmath.exp` calls and
+a product recurrence along the ladder.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from operator import lshift, mul
 import mpmath
 import numpy as np
 
-from .ladder import DickeLadder, classify_poles
+from .ladder import DickeLadder
 from .precision import (DOUBLE_BITS, GUARD_BITS, PrecisionPolicy, error_bound,
                         fraction_to_float, resolve_bits, round_to_bits,
                         rounding_defect, scaled_to_float)
@@ -112,67 +124,93 @@ def _as_row(terms) -> TermRow:
 
 
 @functools.lru_cache(maxsize=4)
-def _prefix_tables(n_emitters: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Factorials 0!..(N+1)!, and harmonic numbers H_0..H_{N+1} as integers
-    over their common denominator L = lcm(1..N+1), with L."""
+def _prefix_tables(n_emitters: int) -> tuple[tuple[int, ...], int]:
+    """Harmonic numbers H_0..H_{N+1} as integers over their common
+    denominator L = lcm(1..N+1), with L."""
     lcm = math.lcm(*range(1, n_emitters + 2))
-    fact, harm = [1], [0]
+    harm = [0]
     for k in range(1, n_emitters + 2):
-        fact.append(fact[-1] * k)
         harm.append(harm[-1] + lcm // k)
-    return tuple(fact), tuple(harm), lcm
-
-
-def _gap_product(fact, x: int, m: int, m0: int) -> int:
-    """Product of (x - k) over k in [m, m0] with k != x."""
-    if x > m0:
-        return fact[x - m] // fact[x - m0 - 1]
-    if x < m:
-        sign = -1 if (m0 - m + 1) % 2 else 1
-        return sign * (fact[m0 - x] // fact[m - x - 1])
-    sign = -1 if (m0 - x) % 2 else 1
-    return sign * fact[x - m] * fact[m0 - x]
+    return tuple(harm), lcm
 
 
 def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
                 ) -> list[tuple[int, int, Fraction, Fraction]]:
-    """Exact (pole, multiplicity, const, linear) tuples, poles ascending."""
+    """Exact (pole, multiplicity, const, linear) tuples, poles ascending.
+
+    Each pole takes one of the four binomial forms of the module
+    docstring.  h_p = p*q grows with min(p, q), so the poles whose partner
+    lies below the range (q < m, so min(p, q) < m) come first, in
+    descending p, then p = m, m+1, ... up to the middle of the ladder.
+    Along each run a form's numerator and denominator are running exact
+    integers, each updated by one multiplication and one exact division
+    per pole.
+    """
     n = ladder.n_emitters
     m, m0 = target_m, initial_m0
-    pole_set = classify_poles(ladder, m, m0)
-    fact, harm, lcm = _prefix_tables(n)
-    sign = -1 if (m0 - m) % 2 else 1
-    # h_{m+1} ... h_m0 = (m0!/m!) * ((N-m)!/(N-m0)!)
-    signed_num = sign * (fact[m0] // fact[m]) * (fact[n - m] // fact[n - m0])
-
+    if not (0 <= m <= m0 <= n):
+        raise ValueError(
+            f"need 0 <= target_m <= initial_m0 <= N, got m={m}, m0={m0}, N={n}")
+    h = ladder.h   # pole values shared with the ladder, not one int per term
+    harm, lcm = _prefix_tables(n)
+    half = (n + 1) // 2
     out = []
-    for pole in pole_set.poles:
-        # p is the lowest index in [m, m0] with h_p = pole.value; its partner
-        # p' may lie outside the range (a simple pole) or coincide with p
-        # (odd-N middle)
-        p = pole.index
-        q = n + 1 - p
-        run_p = _gap_product(fact, p, m, m0)
-        if q == p:
-            den = run_p * run_p
-        else:
-            # the gaps skip k = p and k = q in both runs
-            if pole.multiplicity == 2:
-                run_p //= p - q
-            den = run_p * (_gap_product(fact, q, m, m0) // (q - p))
-        c = Fraction(signed_num, den)
-        if pole.multiplicity == 1:
-            out.append((pole.value, 1, c, _ZERO))
-            continue
-        # double pole: with c(z) = signed_num / prod(z - h_k) over the
-        # non-degenerate factors, the residue is [c'(v) - g*t*c(v)] *
-        # exp(-v*g*t) and c'(v) = -c(v) * s, s = sum_k 1/((p-k)(q-k)) =
-        # (S_p - S_q)/(q-p) by partial fractions, S_x = sum_k 1/(x-k); the
-        # harmonic numbers are integers over L, so -c*s is one fraction
-        gap = q - p
-        s_num = (harm[p - m] - harm[m0 - p] - harm[q - m] + harm[m0 - q]
-                 + 2 * (lcm // gap))
-        out.append((pole.value, 2, Fraction(-signed_num * s_num, den * lcm * gap), -c))
+
+    # q < m, p from m0 down: num = C(m0,p) C(p,m) C(p-1,m0-q), den = C(p-1,m-q)
+    low = max(m, half + 1, n + 2 - m)
+    if m0 >= low:
+        q = n + 1 - m0
+        num = math.comb(m0, m) * math.comb(m0 - 1, m0 - q)
+        den = math.comb(m0 - 1, m - q)
+        sign = 1
+        for p in range(m0, low - 1, -1):
+            out.append((h[p], 1, Fraction(sign * (p - q) * num, (m - q) * den), _ZERO))
+            num = num * (p - m) * (m0 - q) // ((m0 - p + 1) * (p - 1))
+            den = den * (m - q) // (p - 1)
+            q += 1
+            sign = -sign
+
+    # q > m0, p up: num = C(m0,p) C(p,m) C(N-m,p-1), den = p C(N-m0,p)
+    first = m
+    if m == 0:
+        out.append((0, 1, Fraction(1), _ZERO))
+        first = 1
+    last = min(m0, half, n - m0)
+    if first <= last:
+        q = n + 1 - first
+        num = math.comb(m0, first) * math.comb(first, m) * math.comb(n - m, first - 1)
+        den = first * math.comb(n - m0, first)
+        sign = -1 if (first - m) % 2 else 1
+        for p in range(first, last + 1):
+            out.append((h[p], 1, Fraction(sign * (q - p) * num, den), _ZERO))
+            num = num * (m0 - p) * (n - m - p + 1) // ((p + 1 - m) * p)
+            den = den * (n - m0 - p) // p
+            q -= 1
+            sign = -sign
+
+    # p <= q <= m0, p up: num = C(m0,p) C(p,m) C(N-m,p-1) C(p-1,m0-q)
+    first, last = max(m, n + 1 - m0), min(m0, half)
+    if first <= last:
+        q = n + 1 - first
+        num = (math.comb(m0, first) * math.comb(first, m) * math.comb(n - m, first - 1)
+               * math.comb(first - 1, m0 - q))
+        sign = -1 if (m0 - m + n) % 2 else 1
+        for p in range(first, last + 1):
+            if p == q:   # odd N: (-1)^(m0-m) = -sign
+                out.append((h[p], 1, Fraction(-sign * num), _ZERO))
+                break
+            # the residue is [c'(v) - g*t*c(v)] * exp(-v*g*t), c(z) = the
+            # numerator over the non-degenerate factors of the denominator;
+            # c'(v) = -c(v) * s with s = sum_k 1/((p-k)(q-k)) = (S_p - S_q)/(q-p)
+            # by partial fractions, S_x = sum_k 1/(x-k), and the harmonic
+            # numbers are integers over L, so -c*s is one fraction
+            gap = q - p
+            c = sign * gap * gap * num
+            s_num = (harm[p - m] - harm[m0 - p] - harm[q - m] + harm[m0 - q]
+                     + 2 * (lcm // gap))
+            out.append((h[p], 2, Fraction(-c * s_num, lcm * gap), Fraction(-c)))
+            num = num * (m0 - p) * (n - m - p + 1) // ((p + 1 - m) * (m0 - q + 1))
+            q -= 1
     return out
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dicke import cli
 from dicke.cli import main
 from dicke.io import read_json, write_json
 from dicke.ladder import build_ladder
@@ -138,6 +139,64 @@ def test_compare_tolerance_breach_exit_code(capsys):
     code = run(["compare", "--n", "6", "--methods", "residue,ode",
                 "--t-max", "2", "--points", "15", "--tol", "1e-30"])
     assert code == 4
+
+
+def with_non_finite(monkeypatch, method, edit):
+    """Make the CLI's `method` tables pass through `edit(table)` first."""
+    def solve(ladder, *args, **kwargs):
+        table = solve_populations(ladder, *args, **kwargs)
+        if table.method == method:
+            edit(table)
+        return table
+
+    monkeypatch.setattr(cli, "solve_populations", solve)
+
+
+def test_compare_nan_difference_fails(monkeypatch, capsys):
+    def nan_entry(table):
+        table.populations[1, 2] = np.nan
+    with_non_finite(monkeypatch, "jordan", nan_entry)
+    code = run(["compare", "--n", "4", "--methods", "residue,jordan,ode",
+                "--t-max", "2", "--points", "5"])
+    assert code == 4
+    captured = capsys.readouterr()
+    pairs = {(p["a"], p["b"]): p["max_abs_diff"] for p in strict_json(captured.out)["pairs"]}
+    assert pairs[("residue", "jordan")] is None and pairs[("jordan", "ode")] is None
+    assert pairs[("residue", "ode")] < 1e-8
+    error = strict_json(captured.err)["error"]
+    assert error["kind"] == "comparison" and error["max_abs_diff"] is None
+
+
+def test_compare_rejects_nan_tolerance(capsys):
+    assert run(["compare", "--n", "4", "--methods", "residue,ode", "--tol", "nan"]) == 2
+
+
+def test_solve_non_finite_table_exit_code(tmp_path, capsys):
+    # the first fully inverted float64 residue table with non-finite populations
+    out = tmp_path / "t.json"
+    code = run(["solve", "--n", "453", "--precision", "double", "--points", "3",
+                "--format", "json", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+    error = strict_json(capsys.readouterr().err)["error"]
+    assert error["kind"] == "FloatingPointError"
+    assert "populations" in error["message"]
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv", None])
+def test_solve_non_finite_metadata_exit_code(monkeypatch, tmp_path, capsys, out_format):
+    def infinite_bound(table):
+        table.meta["error_bound"][0] = float("inf")
+    with_non_finite(monkeypatch, "residue", infinite_bound)
+    out = tmp_path / "table.out"
+    argv = ["solve", "--n", "4", "--points", "3"]
+    if out_format:
+        argv += ["--format", out_format, "--out", str(out)]
+    assert run(argv) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error_bound" in strict_json(captured.err)["error"]["message"]
 
 
 def test_usage_error_on_bad_config(capsys):

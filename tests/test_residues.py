@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_rational
 
-from dicke import precision, residues
+from dicke import ladder as ladder_module
+from dicke import precision, residues, spectral
 from dicke.ladder import build_ladder, classify_poles
 from dicke.methods import solve_populations
 from dicke.oracles import integrate_rate_equations
 from dicke.precision import (PrecisionError, PrecisionPolicy, fraction_to_float, round_to_bits,
                              scaled_to_float)
-from dicke.residues import (ResidueTerm, _gap_product, _ladder_exponentials,
+from dicke.residues import (ResidueTerm, _ladder_exponentials,
                             above_equator_closed_form, evaluate_distribution,
                             evaluate_population, evaluate_rows, exact_terms, residue_terms)
 from dicke.spectral import invert_laplace, jordan_decompose, jordan_terms
@@ -261,6 +262,53 @@ def test_closed_form_matches_product_formula():
                 assert exact_terms(ladder, m, m0) == product_formula_terms(ladder, m, m0), (n, m, m0)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=41, max_value=300), st.data())
+def test_closed_form_matches_product_formula_large_n(n, data):
+    ladder = build_ladder(n, 1.0)
+    m0 = data.draw(st.integers(min_value=0, max_value=n), label="m0")
+    m = data.draw(st.integers(min_value=0, max_value=m0), label="m")
+    # the drawn row, and the same target from the fully inverted start
+    for start in (m0, n):
+        assert exact_terms(ladder, m, start) == product_formula_terms(ladder, m, start), start
+
+
+@pytest.mark.parametrize("n, m, m0, expected", [
+    # pole 0 (ground state): the steady-state weight 1, then a double pole
+    (2, 0, 2, [(0, 1, 1, 0), (2, 2, -1, -2)]),
+    # odd-N middle p = q = 2 next to a simple pole whose partner q = 3 > m0:
+    # rho_1 = 4 exp(-3 g t) - 4 exp(-4 g t)
+    (3, 1, 2, [(3, 1, 4, 0), (4, 1, -4, 0)]),
+    # partial start, every partner above m0: rho_2 = 6 exp(-10 g t) - 6 exp(-12 g t)
+    (6, 2, 3, [(10, 1, 6, 0), (12, 1, -6, 0)]),
+    # every partner below m (q = 1, 2 < 3), so p runs down: rho_3 = 2 exp(-4 g t) - 2 exp(-6 g t)
+    (4, 3, 4, [(4, 1, 2, 0), (6, 1, -2, 0)]),
+])
+def test_each_pole_branch_by_hand(n, m, m0, expected):
+    ladder = build_ladder(n, 1.0)
+    assert exact_terms(ladder, m, m0) == expected
+    assert exact_terms(ladder, m, m0) == product_formula_terms(ladder, m, m0)
+
+
+@pytest.mark.parametrize("n, m, m0", [
+    (5, 2, 5),     # q < m (pole 5), a double pole (8) and the middle (9)
+    (9, 0, 7),     # pole 0, q > m0, double poles and the middle
+    (10, 4, 10),   # q < m below the double poles
+    (64, 20, 50),  # q > m0 below the double poles
+])
+def test_pole_branches_in_one_row(n, m, m0):
+    ladder = build_ladder(n, 1.0)
+    terms = exact_terms(ladder, m, m0)
+    assert [t[0] for t in terms] == sorted({ladder.h[k] for k in range(m, m0 + 1)})
+    assert terms == product_formula_terms(ladder, m, m0)
+
+
+@pytest.mark.parametrize("m, m0", [(3, 2), (-1, 2), (0, 5), (5, 6)])
+def test_exact_terms_rejects_bad_range(m, m0):
+    with pytest.raises(ValueError):
+        exact_terms(build_ladder(4, 1.0), m, m0)
+
+
 def mp_rounded(value, bits):
     """`value` rounded to `bits` significant bits (round-half-even) by mpmath."""
     return mpmath.mpf(from_rational(value.numerator, value.denominator, bits, "n"))
@@ -449,8 +497,21 @@ def test_ladder_exponentials_within_a_unit(n, frac_bits):
         assert values[poles.index(v)] >= 255, (n, v)
 
 
+def gap_product(fact, x, m, m0):
+    """Product of (x - k) over k in [m, m0] with k != x, as a factorial
+    quotient."""
+    if x > m0:
+        return fact[x - m] // fact[x - m0 - 1]
+    if x < m:
+        sign = -1 if (m0 - m + 1) % 2 else 1
+        return sign * (fact[m0 - x] // fact[m - x - 1])
+    sign = -1 if (m0 - x) % 2 else 1
+    return sign * fact[x - m] * fact[m0 - x]
+
+
 def fraction_harmonic_terms(ladder, m, m0):
-    """`exact_terms` with the harmonic numbers as `Fraction`s: the
+    """Coefficients as factorial quotients over the gaps h_p - h_k =
+    (p-k)(q-k), q = N+1-p, with the harmonic numbers as `Fraction`s: the
     double-pole logarithmic derivative from five `Fraction` sums."""
     n = ladder.n_emitters
     fact, harm = [1], [Fraction(0)]
@@ -463,13 +524,13 @@ def fraction_harmonic_terms(ladder, m, m0):
     for pole in classify_poles(ladder, m, m0).poles:
         p = pole.index
         q = n + 1 - p
-        run_p = _gap_product(fact, p, m, m0)
+        run_p = gap_product(fact, p, m, m0)
         if q == p:
             den = run_p * run_p
         else:
             if pole.multiplicity == 2:
                 run_p //= p - q
-            den = run_p * (_gap_product(fact, q, m, m0) // (q - p))
+            den = run_p * (gap_product(fact, q, m, m0) // (q - p))
         c = Fraction(signed_num, den)
         if pole.multiplicity == 1:
             out.append((pole.value, 1, c, Fraction(0)))
@@ -512,3 +573,22 @@ def test_each_coefficient_rounded_and_bounded_once(monkeypatch):
     # a const and a linear coefficient per term, each rounded once
     assert calls["round"] == 2 * sum(len(row) for row in wide)
     assert calls["bound"] == 0
+
+
+def test_one_exact_terms_call_per_row_and_no_pole_classification(monkeypatch):
+    calls = {"exact_terms": 0, "classify_poles": 0}
+
+    def counting(key, func):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(residues, "exact_terms", counting("exact_terms", residues.exact_terms))
+    classify = counting("classify_poles", classify_poles)
+    for module in (ladder_module, residues, spectral):
+        monkeypatch.setattr(module, "classify_poles", classify, raising=False)
+    for n, m0 in ((17, 17), (40, 25)):
+        calls.update(exact_terms=0, classify_poles=0)
+        evaluate_distribution(build_ladder(n, 1.0), m0, time_grid=[0.0, 0.5])
+        assert calls == {"exact_terms": m0 + 1, "classify_poles": 0}, (n, m0)
