@@ -134,9 +134,10 @@ def _solve(config: RunConfig):
     return ladder, table
 
 
-def _emit(report: dict, out: str | None, allow_nan: bool = True) -> None:
-    """Write a JSON report to `out`, or print it when no path is given."""
-    text = json.dumps(report, indent=1, allow_nan=allow_nan)
+def _emit(report: dict, out: str | None) -> None:
+    """Write a JSON report to `out`, or print it when no path is given, as
+    strict JSON: a non-finite number is written as null."""
+    text = json.dumps(_strict(report), indent=1, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -144,8 +145,16 @@ def _emit(report: dict, out: str | None, allow_nan: bool = True) -> None:
         print(text)
 
 
-def _finite_or_none(value: float) -> float | None:
-    return value if math.isfinite(value) else None
+def _strict(value):
+    """`value` with each NaN or infinite float in it, at any depth of
+    dicts, lists and tuples, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
 
 
 def _require_finite(table) -> None:
@@ -191,8 +200,7 @@ def cmd_compare(args) -> int:
 
     exact = [m for m in methods if m in EXACT_METHODS]
     report = {"schema": 1, "config": _config_from_args(args, method=methods[0]).describe(),
-              "methods": methods, "pairs": [], "mc": None,
-              "tolerance": _finite_or_none(args.tol)}
+              "methods": methods, "pairs": [], "mc": None, "tolerance": args.tol}
 
     def max_diff(a: str, b: str) -> float:
         with np.errstate(invalid="ignore"):   # inf - inf is NaN
@@ -204,10 +212,10 @@ def cmd_compare(args) -> int:
         for b in exact[i + 1:]:
             diff = max_diff(a, b)
             worst = max(worst, diff if math.isfinite(diff) else math.inf)
-            report["pairs"].append({"a": a, "b": b, "max_abs_diff": _finite_or_none(diff)})
+            report["pairs"].append({"a": a, "b": b, "max_abs_diff": diff})
     if "discrete" in methods:
         for a in exact:
-            diff = _finite_or_none(max_diff(a, "discrete"))
+            diff = max_diff(a, "discrete")
             report["pairs"].append({"a": a, "b": "discrete", "max_abs_diff": diff,
                                     "gated": False})
     if "mc" in methods and exact:
@@ -220,10 +228,10 @@ def cmd_compare(args) -> int:
         report["mc"] = {
             "reference": exact[0],
             "fraction_abs_z_above_3": float((np.abs(z) > 3.0).mean()),
-            "max_abs_z": _finite_or_none(float(np.abs(z).max())),
+            "max_abs_z": float(np.abs(z).max()),
         }
 
-    _emit(report, args.out, allow_nan=False)
+    _emit(report, args.out)
     if worst > args.tol:
         _report_error({"kind": "comparison", "max_abs_diff": worst, "tolerance": args.tol})
         return EXIT_COMPARISON
@@ -261,7 +269,8 @@ def double_precision_onset(gamma: float = 1.0, n_cap: int = 64,
     for n in range(2, n_cap + 1):
         ladder = build_ladder(n, gamma)
         table = solve_populations(ladder, times=grid, method="residue", policy=policy)
-        defect = table.trace_defect()
+        with np.errstate(invalid="ignore"):   # inf - inf is NaN
+            defect = table.trace_defect()
         negative = -table.min_population()
         if not np.isfinite(defect) or defect > trace_tol or negative > trace_tol:
             return {"onset_n": n, "trace_defect": float(defect),
@@ -303,10 +312,11 @@ def cmd_bench(args) -> int:
                                n_traj=args.ntraj, seed=args.seed)
             started = time.perf_counter()
             _, table = _solve(config)
+            seconds = time.perf_counter() - started
+            with np.errstate(invalid="ignore"):   # inf - inf is NaN
+                defect = table.trace_defect()
             rows.append({
-                "method": m, "n_emitters": n,
-                "seconds": time.perf_counter() - started,
-                "trace_defect": table.trace_defect(),
+                "method": m, "n_emitters": n, "seconds": seconds, "trace_defect": defect,
                 "bits": max(table.meta["bits"]) if "bits" in table.meta else None,
             })
     report = {"schema": 1, "bench": rows}
@@ -446,9 +456,7 @@ def main(argv=None) -> int:
 def _report_error(payload: dict) -> None:
     """Print an error object on stderr as strict JSON: a non-finite number
     (such as an unknown defect) is written as null."""
-    payload = {key: _finite_or_none(value) if isinstance(value, float) else value
-               for key, value in payload.items()}
-    print(json.dumps({"error": payload}, allow_nan=False), file=sys.stderr)
+    print(json.dumps({"error": _strict(payload)}, allow_nan=False), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .ladder import DickeLadder
 from .states import DiagonalState, EvolutionTable, check_time_grid
@@ -239,13 +238,17 @@ def integrate_rate_equations(ladder: DickeLadder, initial_m0: int, time_grid,
     n = ladder.n_emitters
     if not (0 <= initial_m0 <= n):
         raise ValueError(f"initial_m0 must lie in [0, N], got {initial_m0}")
+    from scipy.integrate import solve_ivp
+
     h = ladder.h_array()
     gamma = ladder.gamma
+    loss, gain = -h, h[1:]
 
     def rhs(_t, y):
-        dy = -h * y
-        dy[:-1] += h[1:] * y[1:]
-        return gamma * dy
+        dy = loss * y
+        dy[:-1] += gain * y[1:]
+        dy *= gamma
+        return dy
 
     y0 = np.zeros(n + 1)
     y0[initial_m0] = 1.0

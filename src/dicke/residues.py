@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import lshift, mul
+from operator import lshift, mul, neg
 
-import mpmath
 import numpy as np
 
 from .ladder import DickeLadder
@@ -295,8 +295,12 @@ def _ladder_exponentials(poles: list[int], doubled: list[int], gt: mpmath.mpf,
     is a product of v - poles[0] copies of q and the first value, and its
     error is below 2*(v - poles[0]) + 1 units; W adds the bit length of
     that and of g*t (the second list multiplies the error by g*t) to
-    F + GUARD_BITS, and each value is rounded to 2**-F.
+    F + GUARD_BITS, and each value is rounded to 2**-F.  Truncated
+    products of factors <= 1 and monotone rounding leave each of the two
+    lists non-increasing, which `_fixed_point_rows` relies on.
     """
+    import mpmath
+
     # g*t = man * 2**exp < 2**(bit_length(man) + exp)
     man, exp = gt.man_exp
     width = (frac_bits + GUARD_BITS + (2 * poles[-1] + 1).bit_length()
@@ -332,11 +336,11 @@ def _ladder_exponentials(poles: list[int], doubled: list[int], gt: mpmath.mpf,
 
 def _shifted_products(coeffs, frac_bits: int) -> tuple[list[int], list[int], list[int]]:
     """(value index, multiplier, left shift) of each nonzero (index, mant,
-    exp) coefficient in an F-scaled dot product: the b-bit mantissa and
-    shift e + F, or where e + F < 0 the coefficient rounded to 2**-F and
-    no shift."""
+    exp) coefficient in an F-scaled dot product, ascending in value index:
+    the b-bit mantissa and shift e + F, or where e + F < 0 the coefficient
+    rounded to 2**-F and no shift."""
     idx, mants, shifts = [], [], []
-    for i, mant, exp in coeffs:
+    for i, mant, exp in sorted(coeffs):
         if mant:
             shift = exp + frac_bits
             if shift < 0:
@@ -359,7 +363,15 @@ def _fixed_point_rows(rows: list[TermRow], gamma: float, grid: np.ndarray) -> np
     mantissa multiplies its exponential and the product is shifted left by
     e + F: the same integer as the scaled coefficient times the
     exponential, with a b-bit factor in place of an (a+F)-bit one.
+
+    The dot product runs only over the operands whose exponential is
+    nonzero.  Both groups of exponentials are non-increasing in the value
+    index, so per time a bisection finds where each group reaches zero,
+    and a row whose operands are sorted by value index sums the prefix
+    before that point; the products left out are exactly zero.
     """
+    import mpmath
+
     frac_bits = max(row.bits for row in rows) + GUARD_BITS
     poles = sorted({t.pole for row in rows for t in row})
     index = {v: i for i, v in enumerate(poles)}
@@ -368,12 +380,13 @@ def _fixed_point_rows(rows: list[TermRow], gamma: float, grid: np.ndarray) -> np
     g_index = {i: len(poles) + k for k, i in enumerate(doubled)}
     fixed = []
     for row in rows:
-        coeffs = []
+        consts, linears = [], []
         for t, c_mant, c_exp, l_mant, l_exp in zip(row, *row.mantissas):
-            coeffs.append((index[t.pole], c_mant, c_exp))
+            consts.append((index[t.pole], c_mant, c_exp))
             if l_mant:
-                coeffs.append((g_index[index[t.pole]], l_mant, l_exp))
-        fixed.append(_shifted_products(coeffs, frac_bits))
+                linears.append((g_index[index[t.pole]], l_mant, l_exp))
+        fixed.append((_shifted_products(consts, frac_bits),
+                      _shifted_products(linears, frac_bits)))
 
     out = np.empty((len(rows), grid.size))
     # g*t is exact at 106 bits (a product of two doubles)
@@ -382,8 +395,14 @@ def _fixed_point_rows(rows: list[TermRow], gamma: float, grid: np.ndarray) -> np
         gts = [gamma_mp * mpmath.mpf(float(t)) for t in grid]
     for j, gt in enumerate(gts):
         values = _ladder_exponentials(poles, doubled, gt, frac_bits)
-        for r, (idx, mants, shifts) in enumerate(fixed):
-            acc = sum(map(lshift, map(mul, mants, map(values.__getitem__, idx)), shifts))
+        # first zero of each group: key=neg makes the values ascending
+        ends = (bisect_left(values, 0, 0, len(poles), key=neg),
+                bisect_left(values, 0, len(poles), len(values), key=neg))
+        for r, groups in enumerate(fixed):
+            acc = 0
+            for (idx, mants, shifts), end in zip(groups, ends):
+                live = map(values.__getitem__, idx[:bisect_left(idx, end)])
+                acc += sum(map(lshift, map(mul, mants, live), shifts))
             out[r, j] = scaled_to_float(acc, 2 * frac_bits)
     return out
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dicke
 from dicke import cli
 from dicke.cli import main
 from dicke.io import read_json, write_json
@@ -252,6 +258,56 @@ def test_bench_command(tmp_path):
     for row in doc["bench"]:
         assert row["seconds"] >= 0.0
         assert row["trace_defect"] < 1e-9
+
+
+def test_bench_non_finite_defect_is_null(tmp_path, capsys):
+    # the float64 residue table at N = 455 overflows to inf - inf
+    out = tmp_path / "bench.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["bench", "--n-list", "455", "--methods", "residue",
+                    "--precision", "double", "--points", "3", "--out", str(out)])
+    assert code == 0
+    (row,) = strict_json(out.read_text())["bench"]
+    assert row["trace_defect"] is None and row["bits"] == 53
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned",
+                            "ignore:invalid value encountered in divide")
+def test_scan_non_finite_fit_is_null(capsys):
+    # two equal sizes leave the peak-time regression without a correlation
+    assert run(["scan", "--n-list", "16,16", "--method", "residue", "--points", "60"]) == 0
+    report = strict_json(capsys.readouterr().out)
+    assert report["time_correlation"] is None
+    assert [s["n_emitters"] for s in report["summaries"]] == [16, 16]
+
+
+def test_requests_load_only_what_they_use(tmp_path):
+    # a fresh interpreter: float64 residue and Monte Carlo requests need
+    # neither scipy nor mpmath; the ODE oracle loads scipy
+    table = tmp_path / "residue.json"
+    code = f"""
+import sys
+import dicke.cli
+def loaded():
+    return sorted({{"scipy", "mpmath"}} & set(sys.modules))
+print(loaded())
+assert dicke.cli.main(["solve", "--n", "4", "--method", "residue", "--points", "5",
+                       "--format", "json", "--out", {str(table)!r}]) == 0
+assert dicke.cli.main(["trajectories", "--n", "4", "--ntraj", "200", "--points", "5",
+                       "--format", "json", "--out", {str(tmp_path / "mc.json")!r}]) == 0
+print(loaded())
+assert dicke.cli.main(["solve", "--n", "4", "--method", "ode", "--points", "5",
+                       "--format", "json", "--out", {str(tmp_path / "ode.json")!r}]) == 0
+print(loaded())
+"""
+    src = str(Path(dicke.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["[]", "[]", "['scipy']"]
+    assert max(read_json(table)[0].meta["bits"]) == 53
 
 
 def test_log_grid_solve(tmp_path):

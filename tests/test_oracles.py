@@ -177,6 +177,30 @@ def test_ode_trace_drift_n64():
     assert table.trace_defect() < 1e-9
 
 
+def test_ode_equals_plain_rate_equation_integration():
+    # the right-hand side as first written, four temporaries per call: the
+    # oracle's table and evaluation count must not move
+    from scipy.integrate import solve_ivp
+
+    ladder = build_ladder(24, 1.5)
+    h = ladder.h_array()
+    grid = np.geomspace(1e-3, 2.0, 30)
+
+    def rhs(_t, y):
+        dy = -h * y
+        dy[:-1] += h[1:] * y[1:]
+        return 1.5 * dy
+
+    y0 = np.zeros(25)
+    y0[20] = 1.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sol = solve_ivp(rhs, (0.0, grid[-1]), y0, method="DOP853", t_eval=grid, rtol=1e-10,
+                        atol=1e-12, max_step=2.0 / (1.5 * ladder.h_max))
+    table = integrate_rate_equations(ladder, 20, grid)
+    assert np.array_equal(table.populations, sol.y)
+    assert table.meta["nfev"] == sol.nfev
+
+
 def test_ode_rejects_bad_tolerances():
     with pytest.raises(ValueError):
         integrate_rate_equations(build_ladder(2, 1.0), 2, [0.0, 1.0], rel_tol=0.0)

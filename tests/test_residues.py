@@ -497,6 +497,56 @@ def test_ladder_exponentials_within_a_unit(n, frac_bits):
         assert values[poles.index(v)] >= 255, (n, v)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 129, 256])
+@pytest.mark.parametrize("frac_bits", [117, 700])
+def test_ladder_exponentials_non_increasing_per_group(n, frac_bits):
+    # the evaluator sums each row only up to the first zero of each group
+    poles = sorted(set(build_ladder(n, 1.0).h))
+    doubled = list(range(0, len(poles), 2))
+    gts = [0.0, 1e-3, 0.37, 1.0, 5.0, 1e4, 1e9]
+    gts += [(frac_bits - 8) * math.log(2) / v for v in {poles[-1], poles[len(poles) // 2]} if v]
+    for gt in gts:
+        values = _ladder_exponentials(poles, doubled, mpmath.mpf(gt), frac_bits)
+        for group in (values[:len(poles)], values[len(poles):]):
+            assert all(a >= b for a, b in zip(group, group[1:])), (n, gt)
+
+
+def test_evaluator_equals_reference_where_most_exponentials_are_zero():
+    ladder = build_ladder(64, 1.0)
+    grid = np.geomspace(1e-3, 1e4, 16)
+    poles = sorted(set(ladder.h))
+    policy = PrecisionPolicy()
+    for m0 in (64, 40):
+        rows = {
+            "residue": [residue_terms(ladder, m, m0, policy) if m <= m0 else None
+                        for m in range(65)],
+            "laplace": [invert_laplace(ladder, m, m0, policy) if m <= m0 else None
+                        for m in range(65)],
+            "jordan": jordan_terms(jordan_decompose(ladder, policy), np.eye(65)[m0]),
+        }
+        frac_bits = max(row.bits for row in rows["residue"] if row) + 64
+        assert frac_bits > 53 + 64
+        # on most of the grid, most exponentials round to zero
+        nonzero = [sum(map(bool, _ladder_exponentials(poles, [], mpmath.mpf(t), frac_bits)))
+                   for t in grid]
+        assert sum(k < len(poles) // 4 for k in nonzero) > len(grid) // 2, nonzero
+        for method, method_rows in rows.items():
+            table = solve_populations(ladder, m0, grid, method, policy)
+            assert np.array_equal(table.populations,
+                                  reference_rows(method_rows, 1.0, grid)), (method, m0)
+
+
+def test_evaluator_takes_terms_in_any_order():
+    # the zero-prefix cut needs operands sorted by pole; a caller's list need not be
+    ladder = build_ladder(40, 1.0)
+    grid = np.geomspace(1e-3, 1e4, 12)
+    rows = [residue_terms(ladder, m, 40) for m in range(41)]
+    assert max(row.bits for row in rows) > 53
+    shuffled = [residues.TermRow(row[::-1], row.bits) for row in rows]
+    assert np.array_equal(evaluate_rows(shuffled, 1.0, grid),
+                          reference_rows(shuffled, 1.0, grid))
+
+
 def gap_product(fact, x, m, m0):
     """Product of (x - k) over k in [m, m0] with k != x, as a factorial
     quotient."""
