@@ -22,7 +22,7 @@ from .io import table_document, write_csv, write_json
 from .ladder import build_ladder
 from .methods import EXACT_METHODS, METHODS, solve_populations
 from .observables import scaling_scan
-from .oracles import StiffnessError, TruncationError
+from .oracles import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, StiffnessError, TruncationError
 from .precision import PrecisionError, PrecisionPolicy
 
 EXIT_OK = 0
@@ -42,8 +42,8 @@ class RunConfig:
     grid_spacing: str = "auto"        # "auto" | "linear" | "log"
     method: str = "residue"
     policy: PrecisionPolicy = field(default_factory=PrecisionPolicy)
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    rel_tol: float = DEFAULT_REL_TOL
+    abs_tol: float = DEFAULT_ABS_TOL
     series_order: int = 80
     delta_t: float | None = None
     n_traj: int = 100_000
@@ -366,8 +366,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target-defect", type=float, default=1e-12)
     p.add_argument("--max-bits", type=int, default=0,
                    help="precision cap (default: DICKE_MAX_BITS env or 16384)")
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL,
+                   help="ode relative tolerance (at least 100 * float64 eps)")
+    p.add_argument("--abs-tol", type=float, default=DEFAULT_ABS_TOL)
     p.add_argument("--series-order", type=int, default=80)
     p.add_argument("--delta-t", type=float, default=None)
     p.add_argument("--ntraj", type=int, default=100_000)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .ladder import DickeLadder
-from .oracles import (discrete_time_propagate, evaluate_series,
-                      integrate_rate_equations, series_coefficients)
+from .oracles import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, discrete_time_propagate,
+                      evaluate_series, integrate_rate_equations, series_coefficients)
 from .precision import PrecisionPolicy
 from .residues import ResidueTerm, assemble_table, evaluate_distribution, rows_meta
 from .states import DiagonalState, EvolutionTable, check_time_grid
@@ -19,7 +19,7 @@ EXACT_METHODS = ("residue", "jordan", "laplace", "series", "ode")
 def solve_populations(ladder: DickeLadder, initial_m0: int | None = None,
                       times=None, method: str = "residue",
                       policy: PrecisionPolicy | None = None,
-                      rel_tol: float = 1e-10, abs_tol: float = 1e-12,
+                      rel_tol: float = DEFAULT_REL_TOL, abs_tol: float = DEFAULT_ABS_TOL,
                       series_order: int = 80, series_tol: float = 1e-10,
                       delta_t: float | None = None,
                       n_traj: int = 100_000, seed: int = 0,

@@ -104,6 +104,9 @@ def scaling_scan(n_list, gamma: float, solver_choice: str = "ode",
     n_list = [int(n) for n in n_list]
     if any(n < 2 for n in n_list):
         raise ValueError("scaling scan needs N >= 2")
+    if len(set(n_list)) != len(n_list):
+        # a repeated size adds a duplicate point that makes the fits degenerate
+        raise ValueError(f"scaling scan needs distinct sizes, got {n_list}")
     summaries = []
     for n in n_list:
         ladder = build_ladder(n, gamma)

@@ -8,9 +8,9 @@ Four routes that share no code with the residue/Jordan machinery:
   residue-formula counterpart (the enumeration is the authority),
 * first-order discrete-time Markov propagation (jump probability
   h_k*g*dt per step),
-* an adaptive embedded Runge-Kutta reference integration of the
-  bidiagonal rate equations (scipy's DOP853 behind this module's
-  contract).
+* a reference integration of the bidiagonal rate equations by LSODA
+  (scipy's ODEPACK wrapper, switching between Adams and BDF as the
+  problem turns stiff) with the exact banded Jacobian.
 """
 
 from __future__ import annotations
@@ -24,6 +24,13 @@ import numpy as np
 from .ladder import DickeLadder
 from .states import DiagonalState, EvolutionTable, check_time_grid
 
+# Default tolerances of `integrate_rate_equations`, read by every caller.
+# LSODA delivers about the accuracy it is asked for, so they sit close to
+# the float64 floor; scipy clamps any rel_tol below 100 * eps.
+DEFAULT_REL_TOL = 1e-13
+DEFAULT_ABS_TOL = 1e-15
+MIN_REL_TOL = 100 * float(np.finfo(float).eps)
+
 
 class TruncationError(ArithmeticError):
     """Partial sum cannot certify the requested tolerance."""
@@ -34,7 +41,7 @@ class TruncationError(ArithmeticError):
 
 
 class StiffnessError(RuntimeError):
-    """Adaptive integrator drove the step size below usefulness."""
+    """The reference integrator reported a failure."""
 
 
 class UnsupportedDegeneracyError(ValueError):
@@ -227,13 +234,29 @@ def discrete_time_propagate(ladder: DickeLadder, initial_m0: int,
     return DiagonalState(populations=pops, time=steps * delta_t)
 
 
+def rate_band(ladder: DickeLadder) -> np.ndarray:
+    """The rate equations' Jacobian g * H in m-ordering, packed as a
+    2 x (N+1) band: H is upper-bidiagonal, so row 0 holds the gains
+    g * h_m in columns 1..N (column 0 unused) and row 1 the losses -g * h_m."""
+    h = ladder.h_array()
+    band = np.zeros((2, h.size))
+    band[0, 1:] = ladder.gamma * h[1:]
+    band[1] = -ladder.gamma * h
+    return band
+
+
 def integrate_rate_equations(ladder: DickeLadder, initial_m0: int, time_grid,
-                             rel_tol: float = 1e-10, abs_tol: float = 1e-12) -> EvolutionTable:
-    """Reference adaptive integration of rho' = g * H * rho with dense
-    output on the grid.  The step ceiling is tied to the fastest rate
-    1/(g*h_max); explicit embedded pair, no implicit machinery."""
-    if rel_tol <= 0 or abs_tol <= 0:
-        raise ValueError("tolerances must be positive")
+                             rel_tol: float = DEFAULT_REL_TOL,
+                             abs_tol: float = DEFAULT_ABS_TOL) -> EvolutionTable:
+    """Reference integration of rho' = g * H * rho by LSODA, sampled on the
+    grid.  The Jacobian is the constant band from `rate_band`, so the
+    stiff (BDF) phase factors a bidiagonal matrix and no step is capped
+    by the fastest rate; the error is about what the tolerances ask for.
+    A rel_tol below MIN_REL_TOL is refused, since scipy would silently
+    raise it."""
+    if not (MIN_REL_TOL <= rel_tol < math.inf and 0 < abs_tol < math.inf):
+        raise ValueError(f"need {MIN_REL_TOL:.3g} <= rel_tol and 0 < abs_tol, both "
+                         f"finite; got rel_tol={rel_tol}, abs_tol={abs_tol}")
     grid = check_time_grid(time_grid)
     n = ladder.n_emitters
     if not (0 <= initial_m0 <= n):
@@ -250,23 +273,20 @@ def integrate_rate_equations(ladder: DickeLadder, initial_m0: int, time_grid,
         dy *= gamma
         return dy
 
+    band = rate_band(ladder)
     y0 = np.zeros(n + 1)
     y0[initial_m0] = 1.0
+    meta = {"method": "ode", "integrator": "LSODA", "rel_tol": rel_tol, "abs_tol": abs_tol,
+            "nfev": 0, "njev": 0, "nlu": 0}
     t_end = float(grid[-1])
     if t_end == 0.0:
-        populations = y0[:, None].copy()
-        meta = {"method": "ode", "rel_tol": rel_tol, "abs_tol": abs_tol, "nfev": 0}
         return EvolutionTable(n_emitters=n, gamma=gamma, initial_m0=initial_m0,
-                              times=grid, populations=populations, method="ode", meta=meta)
+                              times=grid, populations=y0[:, None], method="ode", meta=meta)
 
-    max_step = 2.0 / (gamma * ladder.h_max)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        # the embedded error norm divides 0/0 once the state is exactly zero
-        sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853", t_eval=grid,
-                        rtol=rel_tol, atol=abs_tol, max_step=max_step)
+    sol = solve_ivp(rhs, (0.0, t_end), y0, method="LSODA", t_eval=grid,
+                    rtol=rel_tol, atol=abs_tol, jac=lambda _t, _y: band, lband=0, uband=1)
     if not sol.success:
         raise StiffnessError(f"integrator failed: {sol.message}")
-    meta = {"method": "ode", "rel_tol": rel_tol, "abs_tol": abs_tol,
-            "nfev": int(sol.nfev), "max_step": max_step}
+    meta.update(nfev=int(sol.nfev), njev=int(sol.njev), nlu=int(sol.nlu))
     return EvolutionTable(n_emitters=n, gamma=gamma, initial_m0=initial_m0,
                           times=grid, populations=sol.y, method="ode", meta=meta)

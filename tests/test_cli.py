@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from dicke.cli import main
 from dicke.io import read_json, write_json
 from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
+from dicke.observables import scaling_scan
 from dicke.precision import PrecisionPolicy
 
 
@@ -273,14 +275,37 @@ def test_bench_non_finite_defect_is_null(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned",
-                            "ignore:invalid value encountered in divide")
-def test_scan_non_finite_fit_is_null(capsys):
-    # two equal sizes leave the peak-time regression without a correlation
-    assert run(["scan", "--n-list", "16,16", "--method", "residue", "--points", "60"]) == 0
+def test_scan_non_finite_fit_is_null(monkeypatch, capsys):
+    # a fit the scan could not make is written as null, not as a bare NaN
+    def scan(n_list, *args, **kwargs):
+        return dataclasses.replace(scaling_scan(n_list, *args, **kwargs),
+                                   time_correlation=float("nan"))
+    monkeypatch.setattr(cli, "scaling_scan", scan)
+    assert run(["scan", "--n-list", "8,16", "--method", "residue", "--points", "60"]) == 0
     report = strict_json(capsys.readouterr().out)
     assert report["time_correlation"] is None
-    assert [s["n_emitters"] for s in report["summaries"]] == [16, 16]
+    assert [s["n_emitters"] for s in report["summaries"]] == [8, 16]
+
+
+def test_scan_repeated_sizes_usage_error(capsys):
+    # two equal sizes leave the scaling fits degenerate: refused before any solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["scan", "--n-list", "16,16", "--method", "ode", "--points", "60"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert strict_json(captured.err)["error"]["kind"] == "config"
+
+
+def test_ode_tolerance_below_scipy_floor_usage_error(capsys):
+    # scipy would raise such an rtol silently and the table would record the wrong one
+    assert run(["solve", "--n", "4", "--method", "ode", "--points", "5",
+                "--rel-tol", "1e-15"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = strict_json(captured.err)["error"]
+    assert error["kind"] == "config" and "rel_tol" in error["message"]
 
 
 def test_requests_load_only_what_they_use(tmp_path):

@@ -103,6 +103,11 @@ def test_scaling_scan_rejects_n1():
         scaling_scan([1, 8], 1.0)
 
 
+def test_scaling_scan_rejects_repeated_sizes():
+    with pytest.raises(ValueError, match="distinct"):
+        scaling_scan([8, 16, 8], 1.0)
+
+
 def test_photon_sum_rule_full_inversion():
     for n in (2, 5, 12):
         ladder = build_ladder(n, 1.0)

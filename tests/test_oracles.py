@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dicke.ladder import build_ladder
-from dicke.oracles import (ConstrainedSumQuery, TruncationError,
-                           UnsupportedDegeneracyError, constrained_sum_bruteforce,
-                           constrained_sum_residue, discrete_time_propagate,
-                           evaluate_series, integrate_rate_equations,
-                           series_coefficients)
-from dicke.residues import evaluate_population, residue_terms
+from dicke.ladder import build_ladder, build_rate_matrix
+from dicke.oracles import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, MIN_REL_TOL, ConstrainedSumQuery,
+                           TruncationError, UnsupportedDegeneracyError,
+                           constrained_sum_bruteforce, constrained_sum_residue,
+                           discrete_time_propagate, evaluate_series,
+                           integrate_rate_equations, rate_band, series_coefficients)
+from dicke.residues import evaluate_distribution, evaluate_population, residue_terms
 
 
 def test_top_state_coefficients_are_signed_powers():
@@ -178,8 +179,9 @@ def test_ode_trace_drift_n64():
 
 
 def test_ode_equals_plain_rate_equation_integration():
-    # the right-hand side as first written, four temporaries per call: the
-    # oracle's table and evaluation count must not move
+    # the right-hand side as first written, four temporaries per call, and
+    # the Jacobian band written out by hand: the oracle's table and
+    # evaluation count must not move
     from scipy.integrate import solve_ivp
 
     ladder = build_ladder(24, 1.5)
@@ -191,14 +193,67 @@ def test_ode_equals_plain_rate_equation_integration():
         dy[:-1] += h[1:] * y[1:]
         return 1.5 * dy
 
+    band = np.zeros((2, 25))
+    band[0, 1:] = 1.5 * h[1:]
+    band[1] = -1.5 * h
     y0 = np.zeros(25)
     y0[20] = 1.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sol = solve_ivp(rhs, (0.0, grid[-1]), y0, method="DOP853", t_eval=grid, rtol=1e-10,
-                        atol=1e-12, max_step=2.0 / (1.5 * ladder.h_max))
+    sol = solve_ivp(rhs, (0.0, grid[-1]), y0, method="LSODA", t_eval=grid, rtol=1e-13,
+                    atol=1e-15, jac=lambda _t, _y: band, lband=0, uband=1)
     table = integrate_rate_equations(ladder, 20, grid)
     assert np.array_equal(table.populations, sol.y)
     assert table.meta["nfev"] == sol.nfev
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 24])
+def test_rate_band_is_the_rate_matrix(n):
+    # expanded from its packed form (row u + i - j holds entry (i, j), u = 1),
+    # the band is g * H with the m-ordering of the state vector
+    ladder = build_ladder(n, 0.7)
+    band = rate_band(ladder)
+    assert band.shape == (2, n + 1)
+    dense = np.zeros((n + 1, n + 1))
+    for i in range(n + 1):
+        for j in (i, i + 1):
+            if j <= n:
+                dense[i, j] = band[1 + i - j, j]
+    assert band[0, 0] == 0.0
+    assert np.array_equal(dense, 0.7 * build_rate_matrix(ladder).to_dense()[::-1, ::-1])
+
+
+def test_ode_default_tolerances_n256():
+    # at the default tolerances, on the CLI's N = 256 log grid, the oracle is
+    # as accurate as residue's target and its work has a fixed ceiling
+    ladder = build_ladder(256, 1.0)
+    grid = np.geomspace(5e-3, 5.0, 50)
+    table = integrate_rate_equations(ladder, 256, grid)
+    reference = evaluate_distribution(ladder, 256, time_grid=grid)
+    assert np.abs(table.populations - reference.populations).max() < 1e-11
+    assert table.trace_defect() <= 1e-13
+    assert table.meta["nfev"] < 50_000
+
+
+def test_ode_meta_has_one_shape():
+    ladder = build_ladder(6, 1.0)
+    still = integrate_rate_equations(ladder, 6, [0.0])
+    moved = integrate_rate_equations(ladder, 6, [0.0, 1.0])
+    assert still.meta.keys() == moved.meta.keys()
+    assert still.meta["integrator"] == moved.meta["integrator"] == "LSODA"
+    assert still.meta["nfev"] == still.meta["njev"] == still.meta["nlu"] == 0
+    # a short non-stiff run stays on Adams and forms no Jacobian
+    assert moved.meta["nfev"] > 0 and "max_step" not in moved.meta
+    assert (moved.meta["rel_tol"], moved.meta["abs_tol"]) == (DEFAULT_REL_TOL, DEFAULT_ABS_TOL)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-15, MIN_REL_TOL / 2, float("nan"), float("inf")])
+def test_ode_refuses_tolerance_scipy_would_override(rel_tol):
+    # below 100 * eps scipy warns, raises rtol and runs: the recorded
+    # tolerance would not be the one used
+    with pytest.raises(ValueError, match="rel_tol"):
+        integrate_rate_equations(build_ladder(4, 1.0), 4, [0.0, 1.0], rel_tol=rel_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        integrate_rate_equations(build_ladder(4, 1.0), 4, [0.0, 1.0], rel_tol=MIN_REL_TOL)
 
 
 def test_ode_rejects_bad_tolerances():
