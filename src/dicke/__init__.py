@@ -9,7 +9,7 @@ observables (emission rate, burst height and timing) on top.
 
 __version__ = "0.1.0"
 
-from .ladder import DickeLadder, Pole, PoleSet, RateMatrix, build_ladder, build_rate_matrix, classify_poles
+from .ladder import DickeLadder, RateMatrix, build_ladder, build_rate_matrix
 from .methods import EXACT_METHODS, METHODS, solve_populations
 from .observables import (BurstSummary, EmissionCurve, ScanResult, burst_summary,
                           emission_curve, emitted_photons, scaling_scan)
@@ -22,8 +22,8 @@ from .spectral import (JordanDecomposition, ResolventElement, eigenvector,
 from .states import DiagonalState, EvolutionTable
 
 __all__ = [
-    "DickeLadder", "Pole", "PoleSet", "RateMatrix", "build_ladder",
-    "build_rate_matrix", "classify_poles", "METHODS", "EXACT_METHODS",
+    "DickeLadder", "RateMatrix", "build_ladder", "build_rate_matrix",
+    "METHODS", "EXACT_METHODS",
     "solve_populations", "BurstSummary", "EmissionCurve", "ScanResult",
     "burst_summary", "emission_curve", "emitted_photons", "scaling_scan",
     "PrecisionError", "PrecisionPolicy", "ResidueTerm",

@@ -4,9 +4,9 @@ An ensemble of N identical two-level emitters decaying through the shared
 channel stays on the ladder of symmetric states |m>, m = 0..N.  The jump
 m -> m-1 happens at rate gamma*h_m with h_m = m*(N+1-m), so everything any
 solver needs is the integer ladder h_0..h_N, the bidiagonal rate generator
-built from it, and the bookkeeping of which ladder values coincide (those
-coincidences are what produce double poles / size-2 Jordan blocks
-downstream).
+built from it.  The symmetry h_m = h_{N+1-m} makes ladder values
+coincide in pairs, and those coincidences are what produce double poles /
+size-2 Jordan blocks downstream.
 """
 
 from __future__ import annotations
@@ -40,29 +40,6 @@ class DickeLadder:
 
 
 @dataclass(frozen=True)
-class Pole:
-    """One distinct denominator root: ladder value, how often it occurs
-    inside the consumed index range, and the lowest index attaining it."""
-
-    value: int
-    multiplicity: int
-    index: int
-
-
-@dataclass(frozen=True)
-class PoleSet:
-    target_m: int
-    initial_m0: int
-    poles: tuple[Pole, ...]
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(p.value for p in self.poles)
-
-    def total_multiplicity(self) -> int:
-        return sum(p.multiplicity for p in self.poles)
-
-
-@dataclass(frozen=True)
 class RateMatrix:
     """Lower-bidiagonal generator in the top-down ordering: row/column i
     corresponds to state m = N - i, diagonal -h_m, subdiagonal feeds m-1."""
@@ -91,25 +68,6 @@ def build_ladder(n_emitters: int, gamma: float,
     n = int(n_emitters)
     h = tuple(m * (n + 1 - m) for m in range(n + 1))
     return DickeLadder(n_emitters=n, gamma=float(gamma), h=h)
-
-
-def classify_poles(ladder: DickeLadder, target_m: int, initial_m0: int) -> PoleSet:
-    """Distinct ladder values among h_target..h_m0 with their occurrence
-    count inside [target_m, m0] (the ladder structure caps the count at 2)."""
-    n = ladder.n_emitters
-    if not (0 <= target_m <= initial_m0 <= n):
-        raise ValueError(
-            f"need 0 <= target_m <= initial_m0 <= N, got m={target_m}, m0={initial_m0}, N={n}")
-    first_index: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for k in range(target_m, initial_m0 + 1):
-        v = ladder.h[k]
-        counts[v] = counts.get(v, 0) + 1
-        first_index.setdefault(v, k)
-    poles = tuple(sorted(
-        (Pole(value=v, multiplicity=c, index=first_index[v]) for v, c in counts.items()),
-        key=lambda p: p.value))
-    return PoleSet(target_m=target_m, initial_m0=initial_m0, poles=poles)
 
 
 def build_rate_matrix(ladder: DickeLadder) -> RateMatrix:

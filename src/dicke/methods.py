@@ -44,10 +44,12 @@ def solve_populations(ladder: DickeLadder, initial_m0: int | None = None,
         return evaluate_distribution(ladder, m0, policy, grid)
 
     if method == "laplace":
-        from .spectral import invert_laplace
-        rows: list[list[ResidueTerm] | None] = [
-            invert_laplace(ladder, m, m0, policy) if m <= m0 else None
-            for m in range(n + 1)]
+        from .spectral import ResolventColumn, invert_laplace
+        # a column per solve, so nothing outlives it; rows are read as it steps down
+        column = ResolventColumn(ladder, m0)
+        rows: list[list[ResidueTerm] | None] = [None] * (n + 1)
+        for m in range(m0, -1, -1):
+            rows[m] = invert_laplace(ladder, m, m0, policy, column=column)
         return assemble_table(ladder, m0, grid, rows, "laplace", policy)
 
     if method == "jordan":

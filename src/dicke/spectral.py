@@ -21,9 +21,19 @@ the residue evaluator at the residue widths, so all closed-form methods
 share one evaluation path: float64 rows in numpy, wider rows in one
 integer fixed-point pass.
 
+Each candidate column is checked against its defining equation, row m
+reading (h_j - h_m) x_m + h_{m+1} x_{m+1} = y_m (y = 0 for an eigenvector,
+y = v for its Jordan partner), by cross-multiplying the integer numerators
+and denominators of the three entries: exact, and no `Fraction` is formed.
+
 The resolvent (z*1 - H)^{-1} is evaluated from its rational closed form,
 and inverting its Laplace representation reproduces the residue expansion
-through an independent code path (poles sit at z = -h_p here).
+through an independent code path (poles sit at z = -h_p here).  A column
+R_{m,m0} is solved by the Laplace transform of the rate equation itself,
+(z + h_m) R_{m,m0} = h_{m+1} R_{m+1,m0}, stepped from row m0 down: each
+pole carries its gap product and its double-pole sum as plain integers,
+each step multiplies one gap into each, and a row builds one `Fraction`
+per coefficient it emits.  None of the binomial forms of `residues` is used.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ladder import DickeLadder, classify_poles
+from .ladder import DickeLadder
 from .precision import DOUBLE_BITS, PrecisionPolicy, fraction_to_float
 from .residues import TermRow, bounded_row, evaluate_rows
 from .states import DiagonalState
@@ -45,20 +55,6 @@ _ONE = Fraction(1)
 
 class SingularityError(ZeroDivisionError):
     """Resolvent evaluated on one of its poles."""
-
-
-def _prefix_suffix_products(values: list[int]) -> list[int]:
-    """For each k, the product of all entries except the k-th."""
-    k = len(values)
-    prefix = [1] * (k + 1)
-    for i, v in enumerate(values):
-        prefix[i + 1] = prefix[i] * v
-    suffix = 1
-    out = [0] * k
-    for i in range(k - 1, -1, -1):
-        out[i] = prefix[i] * suffix
-        suffix *= values[i]
-    return out
 
 
 def _h_ext(ladder: DickeLadder) -> list[int]:
@@ -112,28 +108,29 @@ def _w_components(h: list[int], n_emitters: int, j: int, v: list[Fraction]) -> l
     return out
 
 
-def _apply_generator(h: list[int], vec: list) -> list:
-    """(H x)_m = -h_m x_m + h_{m+1} x_{m+1} in physical ordering."""
-    n = len(vec) - 1
-    out = []
-    for m in range(n + 1):
-        val = -h[m] * vec[m]
-        if m < n:
-            val = val + h[m + 1] * vec[m + 1]
-        out.append(val)
-    return out
-
-
 def _validate_eigenpair(h, vec, j, generalized_of=None):
     """Check H v = -h_j v, or (H + h_j) w = v for generalized vectors,
-    exactly."""
-    hv = _apply_generator(h, vec)
-    if generalized_of is None:
-        resid = [hv[m] + h[j] * vec[m] for m in range(len(vec))]
-    else:
-        resid = [hv[m] + h[j] * vec[m] - generalized_of[m] for m in range(len(vec))]
-    if any(r != 0 for r in resid):
-        raise ArithmeticError(f"closed-form vector for label j={j} fails its defining equation")
+    exactly.
+
+    Row m reads (h_j - h_m) x_m + h_{m+1} x_{m+1} = y_m, with x_{N+1} = 0
+    and y = 0 or v.  With x_m = a/b and x_{m+1} = c/d it is tested as
+    (h_j - h_m)*a*d + h_{m+1}*c*b = 0, or for y_m = e/f as that left side
+    times f == e*b*d: integer products only, no intermediate `Fraction`.
+    """
+    hj = h[j]
+    c, d = 0, 1   # x_{N+1}
+    for m in range(len(vec) - 1, -1, -1):
+        a, b = vec[m].numerator, vec[m].denominator
+        lhs = (hj - h[m]) * a * d + h[m + 1] * c * b
+        if generalized_of is None:
+            ok = lhs == 0
+        else:
+            y = generalized_of[m]
+            ok = lhs * y.denominator == y.numerator * b * d
+        if not ok:
+            raise ArithmeticError(
+                f"closed-form vector for label j={j} fails its defining equation at m={m}")
+        c, d = a, b
 
 
 def eigenvector(ladder: DickeLadder, j: int) -> np.ndarray:
@@ -508,36 +505,92 @@ def resolvent_element(ladder: DickeLadder, m: int, m_prime: int, z: complex) -> 
     return resolvent_matrix_element(ladder, m, m_prime).evaluate(z)
 
 
+class ResolventColumn:
+    """Partial fractions of one resolvent column, stepped a row at a time.
+
+    Row m holds R_{m,m0}(z) = num / prod_{k=m..m0} (z + h_k) with
+    num = prod_{k=m+1..m0} h_k, which solves the Laplace-transformed rate
+    equation (z + h_m) R_{m,m0} = h_{m+1} R_{m+1,m0} from R_{m0,m0} =
+    1/(z + h_m0).  Each distinct value v among h_m..h_m0 is a pole at
+    z = -v and keeps, as plain integers, its gap product den = prod (h_k - v)
+    over the k with h_k != v and snum = den * sum 1/(h_k - v), the
+    logarithmic derivative a double pole's constant needs.  A step down to
+    row m multiplies the gap g = h_m - v into every other pole
+    (snum <- snum*g + den, den <- den*g); the pole at h_m becomes double if
+    its value is already there, and otherwise starts from its gaps to
+    h_{m+1}..h_m0.  A column lives for one solve and only moves down.
+    """
+
+    def __init__(self, ladder: DickeLadder, initial_m0: int):
+        self.ladder = ladder
+        self.initial_m0 = initial_m0
+        self.row = initial_m0 + 1          # the empty column above the start
+        self.numerator = 1
+        self._poles: dict[int, list[int]] = {}   # value -> [den, snum, multiplicity]
+
+    def step_to(self, target_m: int) -> None:
+        if not 0 <= target_m <= self.row:
+            raise ValueError(f"column is at row {self.row}; it cannot step to {target_m}")
+        while self.row > target_m:
+            self._descend()
+
+    def _descend(self) -> None:
+        h, m0 = self.ladder.h, self.initial_m0
+        self.row -= 1
+        m = self.row
+        v_new = h[m]
+        if m < m0:
+            self.numerator *= h[m + 1]
+        for v, pole in self._poles.items():
+            if v != v_new:
+                g = v_new - v
+                pole[1] = pole[1] * g + pole[0]
+                pole[0] *= g
+        if v_new in self._poles:
+            self._poles[v_new][2] = 2
+            return
+        den, snum = 1, 0
+        for k in range(m + 1, m0 + 1):
+            g = h[k] - v_new
+            snum = snum * g + den
+            den *= g
+        self._poles[v_new] = [den, snum, 1]
+
+    def terms(self) -> list[tuple[int, int, Fraction, Fraction]]:
+        """Exact (pole, multiplicity, const, linear) tuples of the current
+        row, poles ascending: num/den for a simple pole, and for a double
+        one the residue of e^{z*g*t}/(z + v)^2 times num/den, which is
+        (-num*snum/den^2, num/den)."""
+        num = self.numerator
+        out = []
+        for v in sorted(self._poles):
+            den, snum, multiplicity = self._poles[v]
+            if multiplicity == 1:
+                out.append((v, 1, Fraction(num, den), _ZERO))
+            else:
+                out.append((v, 2, Fraction(-num * snum, den * den), Fraction(num, den)))
+        return out
+
+
 def invert_laplace(ladder: DickeLadder, target_m: int, initial_m0: int,
-                   policy: PrecisionPolicy | None = None) -> TermRow:
+                   policy: PrecisionPolicy | None = None,
+                   column: ResolventColumn | None = None) -> TermRow:
     """Residue terms of the resolvent entry R_{m,m0}(z) e^{z*g*t}.
 
     The poles live at z = -h_p, so the gaps enter with the opposite sign
     from the direct expansion; after collapsing each contour the term list
-    must coincide with `residue_terms` exactly.
+    must coincide with `residue_terms` exactly.  The row is read off a
+    `ResolventColumn` stepped down to m: `column`, when a caller walks the
+    rows of one start downwards, else a fresh one stepped from m0.
     """
     policy = policy or PrecisionPolicy()
-    h = ladder.h
-    m, m0 = target_m, initial_m0
-    pole_set = classify_poles(ladder, m, m0)
-    numerator = 1
-    for k in range(m + 1, m0 + 1):
-        numerator *= h[k]
-
-    raw = []
-    for pole in pole_set.poles:
-        v = pole.value
-        gaps = [h[k] - v for k in range(m, m0 + 1) if h[k] != v]
-        den = 1
-        for g in gaps:
-            den *= g
-        if pole.multiplicity == 1:
-            raw.append((v, 1, Fraction(numerator, den), Fraction(0)))
-        else:
-            g_at = Fraction(numerator, den)
-            if gaps:
-                s = Fraction(sum(_prefix_suffix_products(gaps)), den)
-            else:
-                s = Fraction(0)
-            raw.append((v, 2, -g_at * s, g_at))
-    return bounded_row(raw, policy)
+    n = ladder.n_emitters
+    if not (0 <= target_m <= initial_m0 <= n):
+        raise ValueError(
+            f"need 0 <= target_m <= initial_m0 <= N, got m={target_m}, m0={initial_m0}, N={n}")
+    if column is None:
+        column = ResolventColumn(ladder, initial_m0)
+    elif column.initial_m0 != initial_m0 or column.ladder.h != ladder.h:
+        raise ValueError("the column belongs to another ladder or start")
+    column.step_to(target_m)
+    return bounded_row(column.terms(), policy)

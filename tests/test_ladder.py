@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dicke.ladder import build_ladder, build_rate_matrix, classify_poles
+from dicke.ladder import build_ladder, build_rate_matrix
+from pole_census import classify_poles
 
 
 def test_ladder_n4():

@@ -10,7 +10,7 @@ from mpmath.libmp import from_rational
 
 from dicke import ladder as ladder_module
 from dicke import precision, residues, spectral
-from dicke.ladder import build_ladder, classify_poles
+from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
 from dicke.oracles import integrate_rate_equations
 from dicke.precision import (PrecisionError, PrecisionPolicy, fraction_to_float, round_to_bits,
@@ -19,6 +19,7 @@ from dicke.residues import (ResidueTerm, _ladder_exponentials,
                             above_equator_closed_form, evaluate_distribution,
                             evaluate_population, evaluate_rows, exact_terms, residue_terms)
 from dicke.spectral import invert_laplace, jordan_decompose, jordan_terms
+from pole_census import classify_poles
 
 
 def closed_form_n2(gt):

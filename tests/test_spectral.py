@@ -10,10 +10,10 @@ from dicke.methods import solve_populations
 from dicke import residues, spectral
 from dicke.precision import PrecisionError, PrecisionPolicy
 from dicke.residues import ResidueTerm, exact_terms, residue_terms
-from dicke.spectral import (SingularityError, _t11_inv_row, _t22_inv_row, _v_components,
-                            _w_components, eigenvector, generalized_eigenvector,
-                            invert_laplace, jordan_decompose, jordan_terms, propagate,
-                            reconstruction_defect, resolvent_element)
+from dicke.spectral import (ResolventColumn, SingularityError, _t11_inv_row, _t22_inv_row,
+                            _v_components, _w_components, eigenvector,
+                            generalized_eigenvector, invert_laplace, jordan_decompose,
+                            jordan_terms, propagate, reconstruction_defect, resolvent_element)
 from dicke.states import DiagonalState
 
 
@@ -427,6 +427,104 @@ def test_invert_laplace_n3_ground_state():
     assert sum((t.const for t in terms), Fraction(0)) == 0  # t=0 occupation vanishes
     by_pole = {t.pole: t.multiplicity for t in terms}
     assert by_pole == {0: 1, 3: 2, 4: 1}
+
+
+def column_terms(ladder, m0):
+    """Raw (pole, multiplicity, const, linear) tuples of every row of one
+    resolvent column, stepped from m0 down."""
+    column = ResolventColumn(ladder, m0)
+    for m in range(m0, -1, -1):
+        column.step_to(m)
+        yield m, column.terms()
+
+
+def test_resolvent_column_equals_exact_terms():
+    for n in range(1, 41):
+        ladder = build_ladder(n, 1.0)
+        for m0 in sorted({n, n // 2, max(n - 3, 0)}):
+            for m, raw in column_terms(ladder, m0):
+                assert raw == exact_terms(ladder, m, m0), (n, m0, m)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_resolvent_column_equals_exact_terms_fully_inverted(n):
+    ladder = build_ladder(n, 1.0)
+    for m, raw in column_terms(ladder, n):
+        assert raw == exact_terms(ladder, m, n), (n, m)
+
+
+def test_invert_laplace_walks_one_column():
+    ladder = build_ladder(11, 1.0)
+    column = ResolventColumn(ladder, 9)
+    for m in range(9, -1, -1):
+        assert invert_laplace(ladder, m, 9, column=column) == invert_laplace(ladder, m, 9)
+    assert column.row == 0
+    # a column only moves down, and only serves its own ladder and start
+    with pytest.raises(ValueError):
+        invert_laplace(ladder, 1, 9, column=column)
+    with pytest.raises(ValueError):
+        invert_laplace(ladder, 0, 8, column=column)
+    with pytest.raises(ValueError):
+        invert_laplace(build_ladder(12, 1.0), 0, 9, column=column)
+    with pytest.raises(ValueError):
+        invert_laplace(ladder, 5, 4)
+
+
+def test_laplace_solves_share_no_column(monkeypatch):
+    rows = []
+    descend = ResolventColumn._descend
+
+    def recording(self):
+        descend(self)
+        rows.append(self.row)
+
+    monkeypatch.setattr(ResolventColumn, "_descend", recording)
+    grid = [0.0, 0.3, 1.0]
+    tables = []
+    for _ in range(2):   # equal ladders, hashed alike: each solve steps the whole column
+        rows.clear()
+        tables.append(solve_populations(build_ladder(14, 1.0), 11, grid, method="laplace"))
+        assert rows == list(range(11, -1, -1))
+    assert np.array_equal(tables[0].populations, tables[1].populations)
+
+
+def perturbed_entry(builder, label, m):
+    """`builder` with entry m of the column for `label` moved by 1e-30."""
+    def wrapper(h, n, j, *rest):
+        out = builder(h, n, j, *rest)
+        if j == label:
+            out = list(out)
+            out[m] += Fraction(1, 10**30)
+        return out
+    return wrapper
+
+
+@pytest.mark.parametrize("n", [2, 7, 8])
+def test_perturbed_v_column_is_rejected(monkeypatch, n):
+    ladder = build_ladder(n, 1.0)
+    label = n   # a doubled value, with a Jordan partner
+    for m in range(n + 1):
+        monkeypatch.setattr(spectral, "_v_components",
+                            perturbed_entry(_v_components, label, m))
+        with pytest.raises(ArithmeticError):
+            eigenvector(ladder, label)
+        with pytest.raises(ArithmeticError):
+            jordan_decompose(ladder)
+    monkeypatch.undo()
+    assert reconstruction_defect(jordan_decompose(ladder)) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 7, 8])
+def test_perturbed_w_column_is_rejected(monkeypatch, n):
+    ladder = build_ladder(n, 1.0)
+    for label in range((n + 1) // 2 + 1, n + 1):
+        for m in range(n + 1):
+            monkeypatch.setattr(spectral, "_w_components",
+                                perturbed_entry(_w_components, label, m))
+            with pytest.raises(ArithmeticError):
+                generalized_eigenvector(ladder, label)
+            with pytest.raises(ArithmeticError):
+                jordan_decompose(ladder)
 
 
 def test_jordan_policy_modes():
