@@ -186,6 +186,9 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise UsageError("compare needs at least two methods")
+    if len(set(methods)) < len(methods):
+        # a method compared with itself reports a difference of 0 and proves nothing
+        raise UsageError(f"compare needs distinct methods, got {args.methods!r}")
     if not args.tol >= 0:
         raise UsageError(f"--tol must be a nonnegative number, got {args.tol}")
     for m in methods:

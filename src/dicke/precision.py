@@ -4,7 +4,9 @@ A row sum_p (A_p + B_p*g*t) * exp(-h_p*g*t) has exact rational
 coefficients far larger than the row.  Each is rounded once, to a width
 chosen per row from an a-priori bound on the resulting error (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 4) that needs
-no grid and no trial evaluation.
+no grid and no trial evaluation.  Coefficients arrive as reduced
+(numerator, denominator) pairs of ints: the bound reads their bit lengths
+and the rounding is one integer division.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 DOUBLE_BITS = 53
 GUARD_BITS = 64   # fixed-point fraction bits beyond the widest row width
@@ -69,32 +70,51 @@ class PrecisionPolicy:
         return cls(mode="auto", target_defect=target_defect, max_bits=max_bits)
 
 
-def fraction_to_float(value: Fraction) -> float:
-    """Round an exact rational to float64; overflow maps to signed inf."""
+def reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den as its reduced pair: a positive denominator, no common
+    factor, and (0, 1) for zero."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def fraction_to_float(num: int, den: int) -> float:
+    """num/den (den > 0) correctly rounded to float64; overflow maps to
+    signed inf."""
     try:
-        return float(value)
+        return num / den
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
-def round_to_bits(value: Fraction, bits: int) -> tuple[int, int]:
-    """(mantissa, exponent) with mantissa * 2**exponent equal to `value`
-    rounded to `bits` significant bits, round-half-even; (0, 0) for zero."""
-    num, den = value.numerator, value.denominator
-    if num == 0:
+def round_to_bits(num: int, den: int, bits: int) -> tuple[int, int]:
+    """(mantissa, exponent) with mantissa * 2**exponent equal to num/den
+    (den > 0) rounded to `bits` significant bits, round-half-even; (0, 0)
+    for zero.
+
+    With d the bit-length difference, 2**(d-1) <= |num|/den < 2**(d+1), so
+    the quotient at 2**(bits-d) has bits or bits + 1 bits; in the second
+    case its last bit is the rounding bit and the remainder only breaks the
+    tie.  A tie needs a power-of-two `den`, and then |num|/den >= 2**d, so
+    no tie reaches the first case.
+    """
+    if not num:
         return 0, 0
     mag = abs(num)
-    # 2**lead <= mag/den < 2**(lead+1)
-    lead = mag.bit_length() - den.bit_length()
-    if (mag << max(0, -lead)) < (den << max(0, lead)):
-        lead -= 1
-    shift = bits - 1 - lead
+    shift = bits - mag.bit_length() + den.bit_length()
     if shift >= 0:
         mag <<= shift
     else:
         den <<= -shift
     mant, rem = divmod(mag, den)
-    if 2 * rem > den or (2 * rem == den and mant & 1):
+    if mant.bit_length() > bits:
+        half = mant & 1
+        mant >>= 1
+        shift -= 1
+        if half and (rem or mant & 1):
+            mant += 1
+    elif 2 * rem > den:
         mant += 1
     return (-mant if num < 0 else mant), -shift
 
@@ -108,9 +128,10 @@ def scaled_to_float(value: int, frac_bits: int) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def rounding_defect(consts: list[Fraction], delta: int, bits: int,
+def rounding_defect(consts: list[tuple[int, int]], delta: int, bits: int,
                     rounded: list | None = None) -> float:
-    """|sum of b-bit roundings - delta|, the rational sum taken exactly.
+    """|sum of b-bit roundings - delta|, the rational sum taken exactly, for
+    constants given as reduced (numerator, denominator) pairs.
 
     Above float64 the roundings are `round_to_bits`, the ones the
     evaluation kernel sums, so the defect is that of the evaluated
@@ -125,14 +146,14 @@ def rounding_defect(consts: list[Fraction], delta: int, bits: int,
     """
     if bits <= DOUBLE_BITS:
         if rounded is None:
-            rounded = [fraction_to_float(c) for c in consts]
+            rounded = [fraction_to_float(*c) for c in consts]
         # fsum rounds the exact sum of the doubles once, like a rational sum
         try:
             return abs(math.fsum(rounded + [-delta]))
         except (OverflowError, ValueError):
             return math.inf
     if rounded is None:
-        rounded = [round_to_bits(c, bits) for c in consts]
+        rounded = [round_to_bits(*c, bits) for c in consts]
     low = min([0] + [e for _, e in rounded])
     total = sum(mant << (e - low) for mant, e in rounded) - (delta << -low)
     return abs(scaled_to_float(total, -low))
@@ -150,12 +171,17 @@ def _log2_gains(terms) -> tuple[float, float]:
     G = (k + FLOAT_EVAL_UNITS) * S for k terms, and in fixed point
     G = S + 2**-GUARD_BITS * (2k + sum|A_p| + sum|B_p|)."""
     s_exp, t_exp = [], []
-    for pole, _, const, linear in terms:
-        # A multiplies exp(-h*g*t) <= 1, B multiplies g*t*exp(-h*g*t) <= 1/(e*h)
-        for value, log2_sup in ((const, 0.0), (linear, -math.log2(math.e * max(pole, 1)))):
-            if value:   # |value| < 2**e from bit lengths alone
-                t_exp.append(value.numerator.bit_length() - value.denominator.bit_length() + 1)
-                s_exp.append(t_exp[-1] + log2_sup)
+    for pole, _, (c_num, c_den), (l_num, l_den) in terms:
+        # |A| < 2**e from the bit lengths of its reduced pair; A multiplies
+        # exp(-h*g*t) <= 1, B multiplies g*t*exp(-h*g*t) <= 1/(e*h)
+        if c_num:
+            e = c_num.bit_length() - c_den.bit_length() + 1
+            t_exp.append(e)
+            s_exp.append(e)
+        if l_num:
+            e = l_num.bit_length() - l_den.bit_length() + 1
+            t_exp.append(e)
+            s_exp.append(e - math.log2(math.e * max(pole, 1)))
     log2_s, k = _log2_sum(s_exp), len(terms)
     return (log2_s + math.log2(k + FLOAT_EVAL_UNITS),
             _log2_sum([log2_s, _log2_sum(t_exp) - GUARD_BITS, math.log2(2 * k) - GUARD_BITS]))
@@ -171,7 +197,8 @@ def _bound(gains: tuple[float, float], bits: int) -> float:
 def error_bound(terms, bits: int) -> float:
     """Bound, at every t >= 0, on the distance of a row's entries from the
     float64 rounding of their exact values, for its nonempty (pole,
-    multiplicity, const, linear) terms rounded to `bits` (53: float64)."""
+    multiplicity, const, linear) terms, coefficients as reduced
+    (numerator, denominator) pairs, rounded to `bits` (53: float64)."""
     return _bound(_log2_gains(terms), bits)
 
 

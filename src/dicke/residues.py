@@ -7,7 +7,11 @@ residues of
 
 over the distinct ladder values h_p with p in [m, m0].  A value occurring
 twice in the range is a double pole and contributes the non-exponential
-g*t * exp(-h*g*t) piece.  Coefficients are exact rationals in closed form.
+g*t * exp(-h*g*t) piece.  Coefficients are exact rationals in closed form,
+each carried as a reduced (numerator, denominator) pair of plain ints: one
+gcd when it is derived, then its bound reads the pair's bit lengths and its
+rounding is one integer division, so no `Fraction` is built on the way
+(`ResidueTerm.const` and `.linear` build one on access, for inspection).
 With q = N+1-p every pole gap factors as h_p - h_k = (p-k)(q-k), and the
 factorial quotients this gives collapse into binomials C(a,b) of about the
 size of the reduced coefficient.  Indexing each pole by the lowest p in
@@ -34,7 +38,6 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import lshift, mul, neg
 
@@ -42,28 +45,57 @@ import numpy as np
 
 from .ladder import DickeLadder
 from .precision import (DOUBLE_BITS, GUARD_BITS, PrecisionPolicy, error_bound,
-                        fraction_to_float, resolve_bits, round_to_bits,
+                        fraction_to_float, reduced, resolve_bits, round_to_bits,
                         rounding_defect, scaled_to_float)
 from .states import EvolutionTable, check_time_grid
 
-_ZERO = Fraction(0)
+_ZERO = (0, 1)   # reduced (numerator, denominator) pairs
+_ONE = (1, 1)
 
 
-@dataclass(frozen=True)
 class ResidueTerm:
     """One pole's contribution (const + linear*g*t) * exp(-pole*g*t).
 
-    `const`/`linear` are exact rationals; `bits` is the width the policy
-    resolved, to which both are rounded before the sum is evaluated (not
-    part of equality: two derivations of the same expansion compare equal
-    regardless of the precision they were requested at).
+    The coefficients are held as reduced (numerator, denominator) pairs,
+    `const_pair` and `linear_pair`; `const`/`linear` give them as exact
+    `Fraction`s.  `bits` is the width the policy resolved, to which both
+    are rounded before the sum is evaluated (not part of equality: two
+    derivations of the same expansion compare equal regardless of the
+    precision they were requested at).
     """
 
-    pole: int
-    multiplicity: int
-    const: Fraction
-    linear: Fraction
-    bits: int = field(default=DOUBLE_BITS, compare=False)
+    __slots__ = ("pole", "multiplicity", "const_pair", "linear_pair", "bits")
+
+    def __init__(self, pole: int, multiplicity: int, const_pair: tuple[int, int],
+                 linear_pair: tuple[int, int], bits: int = DOUBLE_BITS):
+        self.pole = pole
+        self.multiplicity = multiplicity
+        self.const_pair = const_pair
+        self.linear_pair = linear_pair
+        self.bits = bits
+
+    @property
+    def const(self) -> Fraction:
+        return Fraction(*self.const_pair)
+
+    @property
+    def linear(self) -> Fraction:
+        return Fraction(*self.linear_pair)
+
+    def _key(self) -> tuple:
+        return self.pole, self.multiplicity, self.const_pair, self.linear_pair
+
+    def __eq__(self, other):
+        if not isinstance(other, ResidueTerm):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"ResidueTerm(pole={self.pole}, multiplicity={self.multiplicity}, "
+                f"const={self.const}, linear={self.linear}, bits={self.bits})")
 
 
 class TermRow(list):
@@ -83,23 +115,24 @@ class TermRow(list):
     @functools.cached_property
     def bound(self) -> float:
         """`error_bound` at the row's width."""
-        return error_bound([(t.pole, t.multiplicity, t.const, t.linear) for t in self],
-                           self.bits)
+        return error_bound([t._key() for t in self], self.bits)
 
     @functools.cached_property
     def doubles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Poles, constants and linear coefficients in float64."""
         return (np.array([t.pole for t in self], dtype=float),
-                np.array([fraction_to_float(t.const) for t in self]),
-                np.array([fraction_to_float(t.linear) for t in self]))
+                np.array([fraction_to_float(*t.const_pair) for t in self]),
+                np.array([fraction_to_float(*t.linear_pair) for t in self]))
 
     @functools.cached_property
     def mantissas(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """Mantissas and exponents of the constants, then of the linear
         coefficients, rounded to the row's width: four lists parallel to
         the terms (flat, as a wide row holds one big mantissa per term)."""
-        consts = [round_to_bits(t.const, self.bits) for t in self]
-        linears = [round_to_bits(t.linear, self.bits) for t in self]
+        def rounded(pairs):   # zero stays (0, 0) unrounded
+            return [round_to_bits(num, den, self.bits) if num else (0, 0) for num, den in pairs]
+        consts = rounded(t.const_pair for t in self)
+        linears = rounded(t.linear_pair for t in self)
         return ([m for m, _ in consts], [e for _, e in consts],
                 [m for m, _ in linears], [e for _, e in linears])
 
@@ -112,10 +145,11 @@ class TermRow(list):
 
 
 def bounded_row(raw, policy: PrecisionPolicy) -> TermRow:
-    """Exact (pole, multiplicity, const, linear) tuples as a row at the
-    width `resolve_bits` picks, keeping the bound it computed there."""
+    """Exact (pole, multiplicity, const pair, linear pair) tuples as a row
+    at the width `resolve_bits` picks, keeping the bound it computed there."""
     bits, bound = resolve_bits(raw, policy)
-    return TermRow([ResidueTerm(*term, bits=bits) for term in raw], bits, bound)
+    return TermRow([ResidueTerm(pole, mult, const, linear, bits)
+                    for pole, mult, const, linear in raw], bits, bound)
 
 
 def _as_row(terms) -> TermRow:
@@ -135,8 +169,9 @@ def _prefix_tables(n_emitters: int) -> tuple[tuple[int, ...], int]:
 
 
 def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
-                ) -> list[tuple[int, int, Fraction, Fraction]]:
-    """Exact (pole, multiplicity, const, linear) tuples, poles ascending.
+                ) -> list[tuple[int, int, tuple[int, int], tuple[int, int]]]:
+    """Exact (pole, multiplicity, const, linear) tuples, poles ascending,
+    each coefficient a reduced (numerator, denominator) pair.
 
     Each pole takes one of the four binomial forms of the module
     docstring.  h_p = p*q grows with min(p, q), so the poles whose partner
@@ -144,7 +179,7 @@ def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
     descending p, then p = m, m+1, ... up to the middle of the ladder.
     Along each run a form's numerator and denominator are running exact
     integers, each updated by one multiplication and one exact division
-    per pole.
+    per pole, and each coefficient is reduced by one gcd.
     """
     n = ladder.n_emitters
     m, m0 = target_m, initial_m0
@@ -164,7 +199,7 @@ def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
         den = math.comb(m0 - 1, m - q)
         sign = 1
         for p in range(m0, low - 1, -1):
-            out.append((h[p], 1, Fraction(sign * (p - q) * num, (m - q) * den), _ZERO))
+            out.append((h[p], 1, reduced(sign * (p - q) * num, (m - q) * den), _ZERO))
             num = num * (p - m) * (m0 - q) // ((m0 - p + 1) * (p - 1))
             den = den * (m - q) // (p - 1)
             q += 1
@@ -173,7 +208,7 @@ def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
     # q > m0, p up: num = C(m0,p) C(p,m) C(N-m,p-1), den = p C(N-m0,p)
     first = m
     if m == 0:
-        out.append((0, 1, Fraction(1), _ZERO))
+        out.append((0, 1, _ONE, _ZERO))
         first = 1
     last = min(m0, half, n - m0)
     if first <= last:
@@ -182,7 +217,7 @@ def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
         den = first * math.comb(n - m0, first)
         sign = -1 if (first - m) % 2 else 1
         for p in range(first, last + 1):
-            out.append((h[p], 1, Fraction(sign * (q - p) * num, den), _ZERO))
+            out.append((h[p], 1, reduced(sign * (q - p) * num, den), _ZERO))
             num = num * (m0 - p) * (n - m - p + 1) // ((p + 1 - m) * p)
             den = den * (n - m0 - p) // p
             q -= 1
@@ -197,18 +232,18 @@ def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
         sign = -1 if (m0 - m + n) % 2 else 1
         for p in range(first, last + 1):
             if p == q:   # odd N: (-1)^(m0-m) = -sign
-                out.append((h[p], 1, Fraction(-sign * num), _ZERO))
+                out.append((h[p], 1, (-sign * num, 1), _ZERO))
                 break
             # the residue is [c'(v) - g*t*c(v)] * exp(-v*g*t), c(z) = the
             # numerator over the non-degenerate factors of the denominator;
             # c'(v) = -c(v) * s with s = sum_k 1/((p-k)(q-k)) = (S_p - S_q)/(q-p)
             # by partial fractions, S_x = sum_k 1/(x-k), and the harmonic
-            # numbers are integers over L, so -c*s is one fraction
+            # numbers are integers over L, so -c*s is one reduced pair
             gap = q - p
             c = sign * gap * gap * num
             s_num = (harm[p - m] - harm[m0 - p] - harm[q - m] + harm[m0 - q]
                      + 2 * (lcm // gap))
-            out.append((h[p], 2, Fraction(-c * s_num, lcm * gap), Fraction(-c)))
+            out.append((h[p], 2, reduced(-c * s_num, lcm * gap), (-c, 1)))
             num = num * (m0 - p) * (n - m - p + 1) // ((p + 1 - m) * (m0 - q + 1))
             q -= 1
     return out
@@ -245,8 +280,7 @@ def above_equator_closed_form(ladder: DickeLadder, target_m: int) -> list[Residu
         for jp in range(target_m, n + 1):
             if jp != j:
                 den *= h[j] - h[jp]
-        out.append(ResidueTerm(pole=h[j], multiplicity=1,
-                               const=Fraction(signed_num, den), linear=_ZERO))
+        out.append(ResidueTerm(h[j], 1, reduced(signed_num, den), _ZERO))
     out.sort(key=lambda t: t.pole)
     return out
 
@@ -375,7 +409,7 @@ def _fixed_point_rows(rows: list[TermRow], gamma: float, grid: np.ndarray) -> np
     frac_bits = max(row.bits for row in rows) + GUARD_BITS
     poles = sorted({t.pole for row in rows for t in row})
     index = {v: i for i, v in enumerate(poles)}
-    doubled = sorted({index[t.pole] for row in rows for t in row if t.linear})
+    doubled = sorted({index[t.pole] for row in rows for t in row if t.linear_pair[0]})
     # the g*t*exp(-h*g*t) values follow the exp(-h*g*t) values in one list
     g_index = {i: len(poles) + k for k, i in enumerate(doubled)}
     fixed = []
@@ -439,8 +473,8 @@ def rows_meta(rows_terms: list[list[ResidueTerm] | None], initial_m0: int, metho
         "precision_mode": policy.mode,
         "bits": [row.bits if row else DOUBLE_BITS for row in rows],
         "error_bound": [row.bound if row else 0.0 for row in rows],
-        "t0_defect": [rounding_defect([t.const for t in row], int(m == initial_m0), row.bits,
-                                      row.rounded_consts()) if row else 0.0
+        "t0_defect": [rounding_defect([t.const_pair for t in row], int(m == initial_m0),
+                                      row.bits, row.rounded_consts()) if row else 0.0
                       for m, row in enumerate(rows)],
     }
 

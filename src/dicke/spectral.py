@@ -12,8 +12,11 @@ the block entries of its inverse are explicit products of integer ladder
 gaps.  No generic eigensolver, Jordan algorithm or LU inversion is ever
 run; candidate vectors are validated exactly against their defining
 equations instead of trusting the index windows.  The entries are exact
-rationals at every N and in every precision mode, and the inverse is
-applied by block substitution, never formed, so the build is O(N^2).
+rationals at every N and in every precision mode, each a reduced
+(numerator, denominator) pair of plain ints: a product takes the two cross
+gcds and a sum the gcd of the denominators, as `Fraction` arithmetic does,
+without building a `Fraction`.  The inverse is applied by block
+substitution, never formed, so the build is O(N^2).
 
 Propagation multiplies the decomposition out into the per-row expansion
 sum_p (A_p + B_p*g*t) * exp(-h_p*g*t) (`jordan_terms`) and sums it with
@@ -24,7 +27,7 @@ integer fixed-point pass.
 Each candidate column is checked against its defining equation, row m
 reading (h_j - h_m) x_m + h_{m+1} x_{m+1} = y_m (y = 0 for an eigenvector,
 y = v for its Jordan partner), by cross-multiplying the integer numerators
-and denominators of the three entries: exact, and no `Fraction` is formed.
+and denominators of the three entries: exact, integer products only.
 
 The resolvent (z*1 - H)^{-1} is evaluated from its rational closed form,
 and inverting its Laplace representation reproduces the residue expansion
@@ -32,8 +35,10 @@ through an independent code path (poles sit at z = -h_p here).  A column
 R_{m,m0} is solved by the Laplace transform of the rate equation itself,
 (z + h_m) R_{m,m0} = h_{m+1} R_{m+1,m0}, stepped from row m0 down: each
 pole carries its gap product and its double-pole sum as plain integers,
-each step multiplies one gap into each, and a row builds one `Fraction`
-per coefficient it emits.  None of the binomial forms of `residues` is used.
+each step multiplies one gap into each, and a row reduces each
+coefficient it emits by one gcd.  None of the binomial forms of `residues`
+is used.  Only the diagnostics (`tilde_inv`, `similarity_inverse`,
+`reconstruction_defect`) build `Fraction`s.
 """
 
 from __future__ import annotations
@@ -41,16 +46,53 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
 from .ladder import DickeLadder
-from .precision import DOUBLE_BITS, PrecisionPolicy, fraction_to_float
+from .precision import DOUBLE_BITS, PrecisionPolicy, fraction_to_float, reduced
 from .residues import TermRow, bounded_row, evaluate_rows
 from .states import DiagonalState
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Pair = tuple[int, int]   # reduced (numerator, denominator), denominator > 0
+_ZERO: Pair = (0, 1)
+_ONE: Pair = (1, 1)
+
+
+def _mul(a: Pair, b: Pair) -> Pair:
+    """Product of two reduced pairs, reduced by the two cross gcds."""
+    an, ad = a
+    bn, bd = b
+    g1, g2 = gcd(an, bd), gcd(bn, ad)
+    return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
+
+
+def _add(a: Pair, b: Pair) -> Pair:
+    """Sum of two reduced pairs, reduced through the gcd of the
+    denominators (Knuth, TAOCP vol. 2, 4.5.1)."""
+    an, ad = a
+    bn, bd = b
+    g = gcd(ad, bd)
+    if g == 1:
+        return an * bd + bn * ad, ad * bd
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g2 = gcd(t, g)
+    return t // g2, s * (bd // g2)
+
+
+def _dot(a: list[Pair], b: list[Pair]) -> Pair:
+    """Exact dot product over the common length, zero entries skipped."""
+    acc = _ZERO
+    for p, q in zip(a, b):
+        if p[0] and q[0]:
+            acc = _add(acc, _mul(p, q))
+    return acc
+
+
+def _fractions(rows: list[list[Pair]]) -> list[list[Fraction]]:
+    return [[Fraction(*x) for x in row] for row in rows]
 
 
 class SingularityError(ZeroDivisionError):
@@ -71,7 +113,7 @@ def _eigen_labels(n_emitters: int) -> list[int]:
     return list(range(n_emitters + 1 - _middle_label(n_emitters), n_emitters + 2))
 
 
-def _v_components(h: list[int], n_emitters: int, j: int) -> list[Fraction]:
+def _v_components(h: list[int], n_emitters: int, j: int) -> list[Pair]:
     """Eigenvector of eigenvalue -h_j, physical components m = 0..N.
 
     Nonzero on m <= N+1-j; the leading component (m = N+1-j) is the empty
@@ -82,12 +124,12 @@ def _v_components(h: list[int], n_emitters: int, j: int) -> list[Fraction]:
     acc = out[jbar] = _ONE
     for m in range(jbar - 1, -1, -1):
         mbar = n_emitters + 1 - m
-        acc = acc * Fraction(h[mbar - 1], h[mbar] - h[j])
+        acc = _mul(acc, reduced(h[mbar - 1], h[mbar] - h[j]))
         out[m] = acc
     return out
 
 
-def _w_components(h: list[int], n_emitters: int, j: int, v: list[Fraction]) -> list[Fraction]:
+def _w_components(h: list[int], n_emitters: int, j: int, v: list[Pair]) -> list[Pair]:
     """Generalized eigenvector solving (H + h_j*1) w = v, with v = v^{(j)}.
 
     For m <= N+1-j the entry is v_m times the running sum
@@ -98,12 +140,12 @@ def _w_components(h: list[int], n_emitters: int, j: int, v: list[Fraction]) -> l
     out = [_ZERO] * (n_emitters + 1)
     tail = _ZERO
     for m in range(1, jbar + 1):
-        tail = tail + Fraction(1, h[n_emitters + 2 - m] - h[j])
-        out[m] = v[m] * tail
-    acc = out[jbar + 1] = Fraction(1, h[j - 1])
+        tail = _add(tail, reduced(1, h[n_emitters + 2 - m] - h[j]))
+        out[m] = _mul(v[m], tail)
+    acc = out[jbar + 1] = reduced(1, h[j - 1])
     for m in range(jbar + 2, j + 1):
         mbar = n_emitters + 1 - m
-        acc = acc * Fraction(h[mbar + 1] - h[j], h[mbar])
+        acc = _mul(acc, reduced(h[mbar + 1] - h[j], h[mbar]))
         out[m] = acc
     return out
 
@@ -115,18 +157,18 @@ def _validate_eigenpair(h, vec, j, generalized_of=None):
     Row m reads (h_j - h_m) x_m + h_{m+1} x_{m+1} = y_m, with x_{N+1} = 0
     and y = 0 or v.  With x_m = a/b and x_{m+1} = c/d it is tested as
     (h_j - h_m)*a*d + h_{m+1}*c*b = 0, or for y_m = e/f as that left side
-    times f == e*b*d: integer products only, no intermediate `Fraction`.
+    times f == e*b*d: integer products only.
     """
     hj = h[j]
     c, d = 0, 1   # x_{N+1}
     for m in range(len(vec) - 1, -1, -1):
-        a, b = vec[m].numerator, vec[m].denominator
+        a, b = vec[m]
         lhs = (hj - h[m]) * a * d + h[m + 1] * c * b
         if generalized_of is None:
             ok = lhs == 0
         else:
-            y = generalized_of[m]
-            ok = lhs * y.denominator == y.numerator * b * d
+            e, f = generalized_of[m]
+            ok = lhs * f == e * b * d
         if not ok:
             raise ArithmeticError(
                 f"closed-form vector for label j={j} fails its defining equation at m={m}")
@@ -142,7 +184,7 @@ def eigenvector(ladder: DickeLadder, j: int) -> np.ndarray:
     h = _h_ext(ladder)
     vec = _v_components(h, n_emitters, j)
     _validate_eigenpair(h, vec, j)
-    return np.array([fraction_to_float(c) for c in vec])
+    return np.array([fraction_to_float(*c) for c in vec])
 
 
 def generalized_eigenvector(ladder: DickeLadder, j: int) -> np.ndarray:
@@ -157,7 +199,7 @@ def generalized_eigenvector(ladder: DickeLadder, j: int) -> np.ndarray:
     v = _v_components(h, n_emitters, j)
     vec = _w_components(h, n_emitters, j, v)
     _validate_eigenpair(h, vec, j, generalized_of=v)
-    return np.array([fraction_to_float(c) for c in vec])
+    return np.array([fraction_to_float(*c) for c in vec])
 
 
 @dataclass
@@ -168,16 +210,17 @@ class JordanDecomposition:
     state m = N - i); `permutation[c]` gives the tilde column holding the
     c-th column of the paper-ordered similarity matrix T, whose column
     blocks match `blocks`; its diagonal blocks T11 (w columns) and T22 have
-    closed-form inverses.  Entries are exact at every N and in every mode;
+    closed-form inverses.  Entries are exact reduced (numerator,
+    denominator) pairs at every N and in every mode;
     `policy` sets each propagated row's width (`bits`: that of `bits` mode,
     else 53).  `_last_terms` keeps the last start's expansion for reuse.
     """
 
     ladder: DickeLadder
     blocks: tuple[tuple[int, int], ...]          # (eigenvalue, size) in T order
-    tilde: list[list[Fraction]]                  # (N+1) x (N+1), rows top-down
-    t11_inv: list[list[Fraction]]                # nw x nw, nw = number of w columns
-    t22_inv: list[list[Fraction]]                # (N+1-nw) x (N+1-nw)
+    tilde: list[list[Pair]]                      # (N+1) x (N+1), rows top-down
+    t11_inv: list[list[Pair]]                    # nw x nw, nw = number of w columns
+    t22_inv: list[list[Pair]]                    # (N+1-nw) x (N+1-nw)
     permutation: tuple[int, ...]
     pair_positions: tuple[tuple[int, int, int], ...]   # (tilde col of v, of w, eigenvalue)
     single_positions: tuple[tuple[int, int], ...]      # (tilde col, eigenvalue)
@@ -189,24 +232,27 @@ class JordanDecomposition:
     def n_emitters(self) -> int:
         return self.ladder.n_emitters
 
-    def apply_inverse(self, x: list[Fraction]) -> list[Fraction]:
-        """tilde^-1 x for a top-down vector, exactly and in O(N^2), by block
-        substitution: c1 = T11^-1 x1, c2 = T22^-1 (x2 - T21 c1)."""
-        def dot(a, b):   # over the common length, zero entries skipped
-            return sum((p * q for p, q in zip(a, b) if p and q), _ZERO)
+    def apply_inverse(self, x: list[Pair]) -> list[Pair]:
+        """tilde^-1 x for a top-down vector of pairs, exactly and in O(N^2),
+        by block substitution: c1 = T11^-1 x1, c2 = T22^-1 (x2 - T21 c1)."""
         nw = len(self.t11_inv)
-        c1 = [dot(row, x) for row in self.t11_inv]
-        rest = [xi - dot(row, c1) for xi, row in zip(x[nw:], self.tilde[nw:])]
-        return c1 + [dot(row, rest) for row in self.t22_inv]
+        c1 = [_dot(row, x) for row in self.t11_inv]
+        rest = []
+        for xi, row in zip(x[nw:], self.tilde[nw:]):
+            num, den = _dot(row, c1)
+            rest.append(_add(xi, (-num, den)))
+        return c1 + [_dot(row, rest) for row in self.t22_inv]
 
     @functools.cached_property
     def tilde_inv(self) -> list[list[Fraction]]:
-        """[[T11^-1, 0], [-T22^-1 T21 T11^-1, T22^-1]], O(N^3), for diagnostics."""
+        """[[T11^-1, 0], [-T22^-1 T21 T11^-1, T22^-1]] as `Fraction`s, O(N^3),
+        for diagnostics."""
         nw = len(self.t11_inv)
-        lower_left = _matmul(_matmul(self.t22_inv, [row[:nw] for row in self.tilde[nw:]]),
-                             self.t11_inv)
-        return [row + [_ZERO] * len(self.t22_inv) for row in self.t11_inv] \
-            + [[-x for x in left] + right for left, right in zip(lower_left, self.t22_inv)]
+        t11_inv, t22_inv = _fractions(self.t11_inv), _fractions(self.t22_inv)
+        lower_left = _matmul(_matmul(t22_inv, _fractions(row[:nw] for row in self.tilde[nw:])),
+                             t11_inv)
+        return [row + [Fraction(0)] * len(t22_inv) for row in t11_inv] \
+            + [[-x for x in left] + right for left, right in zip(lower_left, t22_inv)]
 
     def similarity(self) -> np.ndarray:
         """Paper-ordered T as float64 (diagnostic view of the exact data)."""
@@ -215,7 +261,7 @@ class JordanDecomposition:
         for c in range(dim):
             k = self.permutation[c]
             for i in range(dim):
-                out[i, c] = fraction_to_float(self.tilde[i][k])
+                out[i, c] = fraction_to_float(*self.tilde[i][k])
         return out
 
     def similarity_inverse(self) -> np.ndarray:
@@ -224,11 +270,12 @@ class JordanDecomposition:
         for r in range(dim):
             k = self.permutation[r]
             for i in range(dim):
-                out[r, i] = fraction_to_float(self.tilde_inv[k][i])
+                value = self.tilde_inv[k][i]
+                out[r, i] = fraction_to_float(value.numerator, value.denominator)
         return out
 
 
-def _t11_inv_row(h, n_emitters, m) -> list[Fraction]:
+def _t11_inv_row(h, n_emitters, m) -> list[Pair]:
     """Row of the generalized-vector inverse block for label m, columns
     j = N..n+1 in tilde order (n = ceil(N/2)), nonzero for j >= m.
 
@@ -236,21 +283,21 @@ def _t11_inv_row(h, n_emitters, m) -> list[Fraction]:
     h_n/(h_n - h_m) for odd N; each larger j multiplies in h_j/(h_j - h_m).
     """
     n = _middle_label(n_emitters)
-    acc = Fraction(h[m])
+    acc = (h[m], 1)
     for i in range(n + 1, m):
-        ratio = Fraction(h[i], h[i] - h[m])
-        acc = acc * ratio * ratio
+        ratio = reduced(h[i], h[i] - h[m])
+        acc = _mul(_mul(acc, ratio), ratio)
     if n_emitters % 2 == 1:
-        acc = acc * Fraction(h[n], h[n] - h[m])
+        acc = _mul(acc, reduced(h[n], h[n] - h[m]))
     row = [_ZERO] * (n_emitters - n)
     row[n_emitters - m] = acc
     for j in range(m + 1, n_emitters + 1):
-        acc = acc * Fraction(h[j], h[j] - h[m])
+        acc = _mul(acc, reduced(h[j], h[j] - h[m]))
         row[n_emitters - j] = acc
     return row
 
 
-def _t22_inv_row(h, n_emitters, m) -> list[Fraction]:
+def _t22_inv_row(h, n_emitters, m) -> list[Pair]:
     """Row of the eigenvector inverse block for state m, columns over the
     eigenvector labels in ascending order, nonzero for j <= mbar = N+1-m.
 
@@ -262,7 +309,7 @@ def _t22_inv_row(h, n_emitters, m) -> list[Fraction]:
     row = [_ZERO] * (n_emitters + 2 - first)
     acc = row[mbar - first] = _ONE
     for j in range(mbar - 1, first - 1, -1):
-        acc = acc * Fraction(h[j], h[j] - h[mbar])
+        acc = _mul(acc, reduced(h[j], h[j] - h[mbar]))
         row[j - first] = acc
     return row
 
@@ -276,7 +323,7 @@ def _matmul(a, b) -> list[list[Fraction]]:
     cols = len(b[0]) if b else 0
     out = []
     for ai in a:
-        row = [_ZERO] * cols
+        row = [Fraction(0)] * cols
         for aik, bk in zip(ai, b):
             if not aik:
                 continue
@@ -291,7 +338,7 @@ def jordan_decompose(ladder: DickeLadder,
                      policy: PrecisionPolicy | None = None) -> JordanDecomposition:
     """Assemble the block decomposition from closed-form entries.
 
-    The entries are exact rationals in every mode; the policy only sets the
+    The entries are exact reduced pairs in every mode; the policy only sets the
     width of each propagated row (`jordan_terms`).
     """
     policy = policy or PrecisionPolicy()
@@ -358,9 +405,9 @@ def _build_tilde(h, n_emitters, n):
 def jordan_terms(decomp: JordanDecomposition, populations) -> list[TermRow | list]:
     """Per-row expansion of exp(H*g*t) x in the form the residue methods use.
 
-    With c = T^{-1} x (exact, by `apply_inverse`), a Jordan pair (v, w, l)
-    contributes (T_iv*c_v + T_iw*c_w + T_iv*c_w*g*t) * exp(l*g*t) to row i
-    and a single (k, l) contributes T_ik*c_k * exp(l*g*t).  Rows are indexed
+    With c = T^{-1} x (exact reduced pairs, by `apply_inverse`), a Jordan
+    pair (v, w, l) contributes (T_iv*c_v + T_iw*c_w + T_iv*c_w*g*t) *
+    exp(l*g*t) to row i and a single (k, l) contributes T_ik*c_k * exp(l*g*t).  Rows are indexed
     by the physical state m; all-zero terms are dropped, poles are
     ascending and each nonempty row is a `TermRow` at the width
     `resolve_bits` picks.  The rows, and what evaluation caches on them,
@@ -374,27 +421,28 @@ def jordan_terms(decomp: JordanDecomposition, populations) -> list[TermRow | lis
     key = x_td.tobytes()
     if decomp._last_terms is not None and decomp._last_terms[0] == key:
         return decomp._last_terms[1]
-    coeff = decomp.apply_inverse([Fraction(float(v)) for v in x_td])
+    coeff = decomp.apply_inverse([float(v).as_integer_ratio() for v in x_td])
     # blocks the start does not excite contribute nothing to any row
     blocks = sorted([(-lam, kv, kw) for kv, kw, lam in decomp.pair_positions
-                     if coeff[kv] or coeff[kw]]
-                    + [(-lam, k, None) for k, lam in decomp.single_positions if coeff[k]])
+                     if coeff[kv][0] or coeff[kw][0]]
+                    + [(-lam, k, None) for k, lam in decomp.single_positions if coeff[k][0]])
     rows: list[TermRow | list] = [[] for _ in range(dim)]
     for i in range(dim):
         row = decomp.tilde[i]
         terms = []
         for pole, kv, kw in blocks:
-            if not row[kv] and (kw is None or not row[kw]):
-                continue
             t_v = row[kv]
             if kw is None:
-                const, linear = t_v * coeff[kv], _ZERO
-            else:
-                t_w = row[kw]
-                const = t_v * coeff[kv] + t_w * coeff[kw]
-                linear = t_v * coeff[kw]
-            if const or linear:
-                terms.append((pole, 2 if linear else 1, const, linear))
+                if t_v[0]:
+                    terms.append((pole, 1, _mul(t_v, coeff[kv]), _ZERO))
+                continue
+            t_w = row[kw]
+            if not (t_v[0] or t_w[0]):
+                continue
+            const = _add(_mul(t_v, coeff[kv]), _mul(t_w, coeff[kw]))
+            linear = _mul(t_v, coeff[kw])
+            if const[0] or linear[0]:
+                terms.append((pole, 2 if linear[0] else 1, const, linear))
         if terms:
             rows[decomp.n_emitters - i] = bounded_row(terms, decomp.policy)
     decomp._last_terms = (key, rows)
@@ -428,8 +476,9 @@ def reconstruction_defect(decomp: JordanDecomposition) -> float:
     dim = decomp.n_emitters + 1
     h = _h_ext(decomp.ladder)
 
+    tilde = _fractions(decomp.tilde)
     # J in tilde ordering: diagonal eigenvalues plus a 1 coupling w -> v
-    jcol_diag = [_ZERO] * dim
+    jcol_diag = [0] * dim
     couple = {}
     for kv, kw, lam in decomp.pair_positions:
         jcol_diag[kv] = jcol_diag[kv] + lam
@@ -438,12 +487,12 @@ def reconstruction_defect(decomp: JordanDecomposition) -> float:
     for k, lam in decomp.single_positions:
         jcol_diag[k] = jcol_diag[k] + lam
 
-    tj = [[_ZERO] * dim for _ in range(dim)]
+    tj = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(dim):
         for k in range(dim):
-            val = decomp.tilde[i][k] * jcol_diag[k]
+            val = tilde[i][k] * jcol_diag[k]
             if k in couple:
-                val = val + decomp.tilde[i][couple[k]]
+                val = val + tilde[i][couple[k]]
             tj[i][k] = val
     rebuilt = _matmul(tj, decomp.tilde_inv)
 
@@ -457,7 +506,7 @@ def reconstruction_defect(decomp: JordanDecomposition) -> float:
             elif i == c + 1:
                 expected = h[decomp.n_emitters - c]
             diff = rebuilt[i][c] - expected
-            worst = max(worst, abs(fraction_to_float(diff)))
+            worst = max(worst, abs(fraction_to_float(diff.numerator, diff.denominator)))
     return worst
 
 
@@ -556,19 +605,19 @@ class ResolventColumn:
             den *= g
         self._poles[v_new] = [den, snum, 1]
 
-    def terms(self) -> list[tuple[int, int, Fraction, Fraction]]:
+    def terms(self) -> list[tuple[int, int, Pair, Pair]]:
         """Exact (pole, multiplicity, const, linear) tuples of the current
-        row, poles ascending: num/den for a simple pole, and for a double
-        one the residue of e^{z*g*t}/(z + v)^2 times num/den, which is
-        (-num*snum/den^2, num/den)."""
+        row, poles ascending, coefficients as reduced pairs: num/den for a
+        simple pole, and for a double one the residue of
+        e^{z*g*t}/(z + v)^2 times num/den, which is (-num*snum/den^2, num/den)."""
         num = self.numerator
         out = []
         for v in sorted(self._poles):
             den, snum, multiplicity = self._poles[v]
             if multiplicity == 1:
-                out.append((v, 1, Fraction(num, den), _ZERO))
+                out.append((v, 1, reduced(num, den), _ZERO))
             else:
-                out.append((v, 2, Fraction(-num * snum, den * den), Fraction(num, den)))
+                out.append((v, 2, reduced(-num * snum, den * den), reduced(num, den)))
         return out
 
 

@@ -143,6 +143,17 @@ def test_compare_single_method_usage_error(capsys):
     assert code == 2
 
 
+def test_compare_repeated_methods_usage_error(capsys):
+    # residue against itself would report 0.0 and pass: refused before any solve
+    code = run(["compare", "--n", "4", "--methods", "residue,residue"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = strict_json(captured.err)["error"]
+    assert error["kind"] == "usage" and "distinct" in error["message"]
+    assert run(["compare", "--n", "4", "--methods", "residue,jordan,residue"]) == 2
+
+
 def test_compare_tolerance_breach_exit_code(capsys):
     code = run(["compare", "--n", "6", "--methods", "residue,ode",
                 "--t-max", "2", "--points", "15", "--tol", "1e-30"])

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dicke import precision
 from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
 from dicke.precision import (DOUBLE_BITS, PrecisionError, PrecisionPolicy, default_max_bits,
                              error_bound, fraction_to_float, resolve_bits, rounding_defect)
-from dicke.residues import residue_terms
+from dicke.residues import exact_terms, residue_terms
 from dicke.states import DiagonalState
+from fraction_reference import (fraction_log2_gains, fraction_round_to_bits, fraction_terms,
+                                pair_terms)
 
 
 def test_policy_validation():
@@ -58,8 +61,8 @@ def test_policy_rejects_cap_below_double(cap, monkeypatch):
 def test_escalation_stops_at_the_cap():
     # roundings of 1/3 + 2**-60 and 2/3 - 2**-60 never sum back to 1 exactly,
     # and no finite width certifies a zero error
-    terms = [(0, 1, Fraction(1, 3) + Fraction(1, 2 ** 60), Fraction(0)),
-             (2, 1, Fraction(2, 3) - Fraction(1, 2 ** 60), Fraction(0))]
+    terms = pair_terms([(0, 1, Fraction(1, 3) + Fraction(1, 2 ** 60), 0),
+                        (2, 1, Fraction(2, 3) - Fraction(1, 2 ** 60), 0)])
     policy = PrecisionPolicy.auto(target_defect=0.0, max_bits=60)
     with pytest.raises(PrecisionError) as caught:
         resolve_bits(terms, policy)
@@ -83,16 +86,15 @@ def test_max_bits_env_override(monkeypatch):
 
 
 def test_fraction_to_float_overflow_is_signed_inf():
-    big = Fraction(10 ** 400)
-    assert fraction_to_float(big) == math.inf
-    assert fraction_to_float(-big) == -math.inf
+    big = 10 ** 400
+    assert fraction_to_float(big, 1) == math.inf
+    assert fraction_to_float(-big, 3) == -math.inf
+    assert fraction_to_float(1, 3) == 1 / 3
 
 
 def test_rounding_defect_scales_with_bits():
-    consts = [a for _, _, a, _ in
-              [(t.pole, t.multiplicity, t.const, t.linear)
-               for t in residue_terms(build_ladder(30, 1.0), 0, 30,
-                                      PrecisionPolicy.bits(300))]]
+    consts = [t.const_pair for t in residue_terms(build_ladder(30, 1.0), 0, 30,
+                                                  PrecisionPolicy.bits(300))]
     d53 = rounding_defect(consts, 0, 53)
     d106 = rounding_defect(consts, 0, 106)
     d212 = rounding_defect(consts, 0, 212)
@@ -179,7 +181,7 @@ def test_error_bound_covers_measured_error(data):
     n = data.draw(st.integers(1, 40), label="n")
     m0 = data.draw(st.integers(0, n), label="m0")
     bits = data.draw(st.sampled_from([53, 60, 80, 120]), label="bits")
-    method = data.draw(st.sampled_from(["residue", "jordan"]), label="method")
+    method = data.draw(st.sampled_from(CLOSED_FORMS), label="method")
     t_max = data.draw(st.floats(0.01, 5.0), label="t_max")
     points = data.draw(st.integers(2, 12), label="points")
     if data.draw(st.booleans(), label="log grid"):
@@ -190,3 +192,71 @@ def test_error_bound_covers_measured_error(data):
     table = solve_populations(ladder, m0, grid, method, PrecisionPolicy.bits(bits))
     error = np.abs(table.populations - wide_reference(ladder, m0, grid).populations)
     assert np.all(error.max(axis=1) <= table.meta["error_bound"])
+
+
+def assert_rows_match_fraction_reference(ladder, m0, policy, monkeypatch):
+    """Every row from start m0: the integer-pair pipeline gives the width,
+    bound and rounded coefficients of the same row run through the
+    `Fraction` reference."""
+    for m in range(m0 + 1):
+        raw = exact_terms(ladder, m, m0)
+        row = residue_terms(ladder, m, m0, policy)
+        ref = fraction_terms(raw)
+        with monkeypatch.context() as patch:
+            patch.setattr(precision, "_log2_gains", fraction_log2_gains)
+            bits, bound = resolve_bits(ref, policy)
+        where = (ladder.n_emitters, m0, m)
+        assert row.bits == bits and row.bound == bound, where
+        if bits <= DOUBLE_BITS:
+            assert row.doubles[1].tolist() == [float(c) for _, _, c, _ in ref], where
+            assert row.doubles[2].tolist() == [float(b) for _, _, _, b in ref], where
+            continue
+        consts = [fraction_round_to_bits(c, bits) for _, _, c, _ in ref]
+        linears = [fraction_round_to_bits(b, bits) for _, _, _, b in ref]
+        assert row.mantissas == ([mant for mant, _ in consts], [e for _, e in consts],
+                                 [mant for mant, _ in linears], [e for _, e in linears]), where
+
+
+def test_integer_pipeline_matches_fraction_reference_small_n(monkeypatch):
+    for n in range(1, 49):
+        ladder = build_ladder(n, 1.0)
+        for m0 in range(n + 1):
+            assert_rows_match_fraction_reference(ladder, m0, PrecisionPolicy(), monkeypatch)
+
+
+@pytest.mark.parametrize("n, m0, policy", [
+    (64, 64, PrecisionPolicy()), (128, 128, PrecisionPolicy()), (256, 256, PrecisionPolicy()),
+    (128, 64, PrecisionPolicy.bits(212))])
+def test_integer_pipeline_matches_fraction_reference_benchmark_rows(n, m0, policy, monkeypatch):
+    # the residue rows of the benchmark's residue_ladder requests
+    assert_rows_match_fraction_reference(build_ladder(n, 1.0), m0, policy, monkeypatch)
+
+
+@pytest.mark.parametrize("policy", [PrecisionPolicy.auto(), PrecisionPolicy.bits(80)])
+@pytest.mark.parametrize("method", CLOSED_FORMS)
+def test_closed_forms_build_no_fraction(method, policy, monkeypatch):
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if hasattr(Fraction, "_from_coprime_ints"):   # arithmetic bypasses __new__ from 3.12
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(cls, *args):
+            built.append(args)
+            return coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    Fraction(1, 3)
+    assert len(built) == 1   # the counter sees a construction
+    built.clear()
+    ladder = build_ladder(40, 1.0)
+    grid = np.geomspace(1e-3, 5.0, 6)
+    for m0 in (40, 21):
+        table = solve_populations(ladder, m0, grid, method, policy)
+        assert max(table.meta["bits"]) > DOUBLE_BITS
+    assert built == []

@@ -15,6 +15,11 @@ from dicke.spectral import (ResolventColumn, SingularityError, _t11_inv_row, _t2
                             generalized_eigenvector, invert_laplace, jordan_decompose,
                             jordan_terms, propagate, reconstruction_defect, resolvent_element)
 from dicke.states import DiagonalState
+from fraction_reference import pair
+
+
+def fractions(entries):
+    return [Fraction(*x) for x in entries]
 
 
 def dense_generator(ladder):
@@ -123,7 +128,7 @@ def test_tilde_is_lower_triangular():
         decomp = jordan_decompose(build_ladder(n, 1.0))
         for i in range(n + 1):
             for k in range(i + 1, n + 1):
-                assert decomp.tilde[i][k] == 0
+                assert decomp.tilde[i][k] == (0, 1)
 
 
 def test_tilde_inverse_is_exact_inverse():
@@ -134,7 +139,7 @@ def test_tilde_inverse_is_exact_inverse():
             for c in range(dim):
                 acc = Fraction(0)
                 for k in range(dim):
-                    acc += decomp.tilde[i][k] * decomp.tilde_inv[k][c]
+                    acc += Fraction(*decomp.tilde[i][k]) * decomp.tilde_inv[k][c]
                 assert acc == (1 if i == c else 0)
 
 
@@ -142,8 +147,9 @@ def test_apply_inverse_matches_full_inverse():
     for n in range(1, 33):
         decomp = jordan_decompose(build_ladder(n, 1.0))
         for i in range(n + 1):
-            unit = [Fraction(int(k == i)) for k in range(n + 1)]
-            assert decomp.apply_inverse(unit) == [row[i] for row in decomp.tilde_inv], (n, i)
+            unit = [(int(k == i), 1) for k in range(n + 1)]
+            assert fractions(decomp.apply_inverse(unit)) == \
+                [row[i] for row in decomp.tilde_inv], (n, i)
 
 
 def test_propagation_never_forms_the_inverse(monkeypatch):
@@ -163,7 +169,7 @@ def test_per_time_propagation_converts_coefficients_once(monkeypatch):
     first = propagate(decomp, 1.0, 0.5, start).populations
     conversions = []
     monkeypatch.setattr(residues, "fraction_to_float",
-                        lambda value: conversions.append(value) or float(value))
+                        lambda num, den: conversions.append((num, den)) or num / den)
     # later times reuse the rows and the float64 coefficients kept on them
     assert np.array_equal(propagate(decomp, 1.0, 0.5, start).populations, first)
     propagate(decomp, 1.0, 1.5, start)
@@ -241,15 +247,15 @@ def test_running_products_match_product_formulas():
         w_labels = range(mid + 1, n + 1)
         for j in v_labels:
             v = _v_components(h, n, j)
-            assert v == [product_v(h, n, j, m) for m in range(n + 1)], (n, j)
+            assert fractions(v) == [product_v(h, n, j, m) for m in range(n + 1)], (n, j)
             if j in w_labels:
-                assert _w_components(h, n, j, v) == \
+                assert fractions(_w_components(h, n, j, v)) == \
                     [product_w(h, n, j, m) for m in range(n + 1)], (n, j)
         for m in w_labels:  # row m, columns j = N..mid+1
-            assert _t11_inv_row(h, n, m) == [
+            assert fractions(_t11_inv_row(h, n, m)) == [
                 product_t11_inv(h, n, m, j) if j >= m else 0 for j in range(n, mid, -1)], (n, m)
         for m in range(mid + 1):  # row m, columns j ascending over v_labels
-            assert _t22_inv_row(h, n, m) == [
+            assert fractions(_t22_inv_row(h, n, m)) == [
                 product_t22_inv(h, n, m, j) if j <= n + 1 - m else 0 for j in v_labels], (n, m)
 
 
@@ -494,7 +500,7 @@ def perturbed_entry(builder, label, m):
         out = builder(h, n, j, *rest)
         if j == label:
             out = list(out)
-            out[m] += Fraction(1, 10**30)
+            out[m] = pair(Fraction(*out[m]) + Fraction(1, 10**30))
         return out
     return wrapper
 
