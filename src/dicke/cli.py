@@ -1,24 +1,22 @@
 """Command-line frontend: solve / compare / trajectories / scan / bench.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numerical or
-precision failure, 4 cross-method comparison failure.  Failures emit a
-machine-readable JSON error object on stderr.
+Exit codes: 0 success, 2 usage or configuration error (an unwritable
+--out path included), 3 numerical or precision failure, 4 cross-method
+comparison failure.  Failures emit a machine-readable JSON error object
+on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
-import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .io import table_document, write_csv, write_json
+from .io import emit_json, write_csv, write_json
 from .ladder import build_ladder
 from .methods import EXACT_METHODS, METHODS, solve_populations
 from .observables import scaling_scan
@@ -31,77 +29,6 @@ EXIT_NUMERICAL = 3
 EXIT_COMPARISON = 4
 
 
-@dataclass
-class RunConfig:
-    n_emitters: int
-    gamma: float = 1.0
-    initial_m0: int | None = None
-    t_max: float = 5.0
-    t_min: float | None = None
-    grid_points: int = 200
-    grid_spacing: str = "auto"        # "auto" | "linear" | "log"
-    method: str = "residue"
-    policy: PrecisionPolicy = field(default_factory=PrecisionPolicy)
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
-    series_order: int = 80
-    delta_t: float | None = None
-    n_traj: int = 100_000
-    seed: int = 0
-    n_workers: int = 1
-    out_format: str = "csv"
-    out_path: str | None = None
-    digits: int = 17
-
-    def __post_init__(self):
-        if self.grid_points < 2:
-            raise ValueError("grid needs at least 2 points")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
-        if self.grid_spacing not in ("auto", "linear", "log"):
-            raise ValueError(f"unknown grid spacing {self.grid_spacing!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.initial_m0 is not None and not (0 <= self.initial_m0 <= self.n_emitters):
-            raise ValueError("initial_m0 must lie in [0, N]")
-
-    def resolved_spacing(self) -> str:
-        if self.grid_spacing != "auto":
-            return self.grid_spacing
-        # large ensembles burst at t ~ ln(N)/(N*g); linear grids waste the points
-        return "log" if self.n_emitters >= 64 else "linear"
-
-    def time_grid(self) -> np.ndarray:
-        if self.resolved_spacing() == "linear":
-            start = 0.0 if self.t_min is None else self.t_min
-            return np.linspace(start, self.t_max, self.grid_points)
-        start = self.t_max * 1e-3 if self.t_min is None else self.t_min
-        if start <= 0:
-            raise ValueError("log grids need t_min > 0")
-        return np.geomspace(start, self.t_max, self.grid_points)
-
-    def describe(self) -> dict:
-        return {
-            "n_emitters": self.n_emitters,
-            "gamma": self.gamma,
-            "initial_m0": self.n_emitters if self.initial_m0 is None else self.initial_m0,
-            "t_max": self.t_max,
-            "t_min": self.t_min,
-            "grid_points": self.grid_points,
-            "grid_spacing": self.resolved_spacing(),
-            "method": self.method,
-            "precision": {
-                "mode": self.policy.mode,
-                "mantissa_bits": self.policy.mantissa_bits,
-                "target_defect": self.policy.target_defect,
-                "max_bits": self.policy.max_bits,
-            },
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "mc": {"n_traj": self.n_traj, "seed": self.seed, "n_workers": self.n_workers},
-        }
-
-
 def _policy_from_args(args) -> PrecisionPolicy:
     # --max-bits 0 leaves the cap to PrecisionPolicy's default
     if args.precision == "double":
@@ -112,49 +39,64 @@ def _policy_from_args(args) -> PrecisionPolicy:
                            max_bits=args.max_bits)
 
 
-def _config_from_args(args, method: str | None = None) -> RunConfig:
-    return RunConfig(
-        n_emitters=args.n, gamma=args.gamma, initial_m0=args.initial,
-        t_max=args.t_max, t_min=args.t_min, grid_points=args.points,
-        grid_spacing=args.grid, method=method or args.method,
-        policy=_policy_from_args(args), rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-        series_order=args.series_order, delta_t=args.delta_t,
-        n_traj=args.ntraj, seed=args.seed, n_workers=args.workers,
-        out_format=args.format, out_path=args.out, digits=args.digits)
+def _spacing(n: int, spacing: str) -> str:
+    # large ensembles burst at t ~ ln(N)/(N*g); linear grids waste the points
+    if spacing != "auto":
+        return spacing
+    return "log" if n >= 64 else "linear"
 
 
-def _solve(config: RunConfig):
-    ladder = build_ladder(config.n_emitters, config.gamma)
+def _time_grid(n: int, t_max: float, points: int, spacing: str = "auto",
+               t_min: float | None = None) -> np.ndarray:
+    """The request's time grid: linear from t_min (default 0), or log from
+    t_min (default t_max/1000); `auto` spacing is log from N = 64 up."""
+    if points < 2:
+        raise ValueError("grid needs at least 2 points")
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
+    if _spacing(n, spacing) == "linear":
+        return np.linspace(0.0 if t_min is None else t_min, t_max, points)
+    start = t_max * 1e-3 if t_min is None else t_min
+    if start <= 0:
+        raise ValueError("log grids need t_min > 0")
+    return np.geomspace(start, t_max, points)
+
+
+def _solve(args, method: str):
+    """Build the ladder, grid and policy a request's flags ask for, and
+    solve it by `method`."""
+    policy = _policy_from_args(args)
+    times = _time_grid(args.n, args.t_max, args.points, args.grid, args.t_min)
+    ladder = build_ladder(args.n, args.gamma)
     table = solve_populations(
-        ladder, initial_m0=config.initial_m0, times=config.time_grid(),
-        method=config.method, policy=config.policy,
-        rel_tol=config.rel_tol, abs_tol=config.abs_tol,
-        series_order=config.series_order, delta_t=config.delta_t,
-        n_traj=config.n_traj, seed=config.seed, n_workers=config.n_workers)
+        ladder, initial_m0=args.initial, times=times, method=method, policy=policy,
+        rel_tol=args.rel_tol, abs_tol=args.abs_tol, series_order=args.series_order,
+        delta_t=args.delta_t, n_traj=args.ntraj, seed=args.seed, n_workers=args.workers)
     return ladder, table
 
 
-def _emit(report: dict, out: str | None) -> None:
-    """Write a JSON report to `out`, or print it when no path is given, as
-    strict JSON: a non-finite number is written as null."""
-    text = json.dumps(_strict(report), indent=1, allow_nan=False)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _strict(value):
-    """`value` with each NaN or infinite float in it, at any depth of
-    dicts, lists and tuples, replaced by None."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _strict(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict(item) for item in value]
-    return value
+def _describe(args, method: str) -> dict:
+    """The `config` block of a request's output."""
+    policy = _policy_from_args(args)
+    return {
+        "n_emitters": args.n,
+        "gamma": args.gamma,
+        "initial_m0": args.n if args.initial is None else args.initial,
+        "t_max": args.t_max,
+        "t_min": args.t_min,
+        "grid_points": args.points,
+        "grid_spacing": _spacing(args.n, args.grid),
+        "method": method,
+        "precision": {
+            "mode": policy.mode,
+            "mantissa_bits": policy.mantissa_bits,
+            "target_defect": policy.target_defect,
+            "max_bits": policy.max_bits,
+        },
+        "rel_tol": args.rel_tol,
+        "abs_tol": args.abs_tol,
+        "mc": {"n_traj": args.ntraj, "seed": args.seed, "n_workers": args.workers},
+    }
 
 
 def _require_finite(table) -> None:
@@ -169,21 +111,18 @@ def _require_finite(table) -> None:
                     f"in {name}; --precision auto or more --bits avoids the overflow")
 
 
-def cmd_solve(args, method: str | None = None) -> int:
-    config = _config_from_args(args, method=method)
-    ladder, table = _solve(config)
+def cmd_solve(args) -> int:
+    ladder, table = _solve(args, args.method)
     _require_finite(table)
-    if config.out_path is None:
-        _emit(table_document(table, ladder, config.describe()), None)
-    elif config.out_format == "csv":
-        write_csv(table, ladder, config.out_path, digits=config.digits)
+    if args.out is not None and args.format == "csv":
+        write_csv(table, ladder, args.out, digits=args.digits)
     else:
-        write_json(table, ladder, config.out_path, config.describe())
+        write_json(table, ladder, args.out, _describe(args, args.method))
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = _parse_methods(args.methods)
     if len(methods) < 2:
         raise UsageError("compare needs at least two methods")
     if len(set(methods)) < len(methods):
@@ -191,18 +130,10 @@ def cmd_compare(args) -> int:
         raise UsageError(f"compare needs distinct methods, got {args.methods!r}")
     if not args.tol >= 0:
         raise UsageError(f"--tol must be a nonnegative number, got {args.tol}")
-    for m in methods:
-        if m not in METHODS:
-            raise UsageError(f"unknown method {m!r}")
 
-    tables = {}
-    ladder = None
-    for m in methods:
-        config = _config_from_args(args, method=m)
-        ladder, tables[m] = _solve(config)
-
+    tables = {m: _solve(args, m)[1] for m in methods}
     exact = [m for m in methods if m in EXACT_METHODS]
-    report = {"schema": 1, "config": _config_from_args(args, method=methods[0]).describe(),
+    report = {"schema": 1, "config": _describe(args, methods[0]),
               "methods": methods, "pairs": [], "mc": None, "tolerance": args.tol}
 
     def max_diff(a: str, b: str) -> float:
@@ -234,7 +165,7 @@ def cmd_compare(args) -> int:
             "max_abs_z": float(np.abs(z).max()),
         }
 
-    _emit(report, args.out)
+    emit_json(report, args.out)
     if worst > args.tol:
         _report_error({"kind": "comparison", "max_abs_diff": worst, "tolerance": args.tol})
         return EXIT_COMPARISON
@@ -259,7 +190,7 @@ def cmd_scan(args) -> int:
         "time_correlation": result.time_correlation,
         "excluded": list(result.excluded),
     }
-    _emit(report, args.out)
+    emit_json(report, args.out)
     return EXIT_OK
 
 
@@ -302,19 +233,16 @@ def escalation_report(n_emitters: int, gamma: float = 1.0, t_max: float = 5.0,
 
 def cmd_bench(args) -> int:
     n_list = _parse_n_list(args.n_list)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHODS:
-            raise UsageError(f"unknown method {m!r}")
+    methods = _parse_methods(args.methods)
+    policy = _policy_from_args(args)
     rows = []
     for n in n_list:
+        times = _time_grid(n, args.t_max, args.points)
+        ladder = build_ladder(n, args.gamma)
         for m in methods:
-            config = RunConfig(n_emitters=n, gamma=args.gamma, t_max=args.t_max,
-                               grid_points=args.points, method=m,
-                               policy=_policy_from_args(args),
-                               n_traj=args.ntraj, seed=args.seed)
             started = time.perf_counter()
-            _, table = _solve(config)
+            table = solve_populations(ladder, times=times, method=m, policy=policy,
+                                      n_traj=args.ntraj, seed=args.seed)
             seconds = time.perf_counter() - started
             with np.errstate(invalid="ignore"):   # inf - inf is NaN
                 defect = table.trace_defect()
@@ -328,7 +256,7 @@ def cmd_bench(args) -> int:
             args.gamma, n_cap=args.onset_cap, t_max=args.t_max)
     if args.escalate:
         report["escalation"] = escalation_report(args.escalate, args.gamma, args.t_max)
-    _emit(report, args.out)
+    emit_json(report, args.out)
     return EXIT_OK
 
 
@@ -352,7 +280,24 @@ def _parse_n_list(text: str) -> list[int]:
     return out
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _parse_methods(text: str) -> list[str]:
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    for m in methods:
+        if m not in METHODS:
+            raise UsageError(f"unknown method {m!r}")
+    return methods
+
+
+def _add_precision(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--precision", choices=("auto", "double", "bits"), default="auto")
+    p.add_argument("--bits", type=int, default=113, help="mantissa bits for --precision bits")
+    p.add_argument("--target-defect", type=float, default=1e-12)
+    p.add_argument("--max-bits", type=int, default=0,
+                   help="precision cap (default: DICKE_MAX_BITS env or 16384)")
+
+
+def _add_request(p: argparse.ArgumentParser) -> None:
+    """The flags of one solve request, shared by solve, trajectories and compare."""
     p.add_argument("--n", type=int, required=True, help="number of emitters")
     p.add_argument("--gamma", type=float, default=1.0, help="single-emitter decay rate")
     p.add_argument("--initial", type=int, default=None,
@@ -363,12 +308,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", choices=("auto", "linear", "log"), default="auto",
                    help="auto picks log spacing from N = 64 up (the burst sits "
                         "at short times there), linear below")
-    p.add_argument("--method", choices=METHODS, default="residue")
-    p.add_argument("--precision", choices=("auto", "double", "bits"), default="auto")
-    p.add_argument("--bits", type=int, default=113, help="mantissa bits for --precision bits")
-    p.add_argument("--target-defect", type=float, default=1e-12)
-    p.add_argument("--max-bits", type=int, default=0,
-                   help="precision cap (default: DICKE_MAX_BITS env or 16384)")
+    _add_precision(p)
     p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL,
                    help="ode relative tolerance (at least 100 * float64 eps)")
     p.add_argument("--abs-tol", type=float, default=DEFAULT_ABS_TOL)
@@ -377,9 +317,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ntraj", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--digits", type=int, default=17)
+
+
+def _add_table_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="format of the --out file; without --out the table prints as JSON")
+    p.add_argument("--digits", type=int, default=17, help="significant digits in CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,15 +334,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="populations and emission rate on a time grid")
-    _add_common(p_solve)
+    _add_request(p_solve)
+    p_solve.add_argument("--method", choices=METHODS, default="residue")
+    _add_table_output(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_traj = sub.add_parser("trajectories", help="Monte Carlo estimate with standard errors")
-    _add_common(p_traj)
-    p_traj.set_defaults(func=functools.partial(cmd_solve, method="mc"))
+    _add_request(p_traj)
+    _add_table_output(p_traj)
+    p_traj.set_defaults(func=cmd_solve, method="mc")
 
     p_cmp = sub.add_parser("compare", help="cross-validate several methods on one grid")
-    _add_common(p_cmp)
+    _add_request(p_cmp)
     p_cmp.add_argument("--methods", type=str, required=True,
                        help="comma-separated list, e.g. residue,jordan,ode")
     p_cmp.add_argument("--tol", type=float, default=1e-8,
@@ -420,10 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--gamma", type=float, default=1.0)
     p_bench.add_argument("--t-max", type=float, default=5.0)
     p_bench.add_argument("--points", type=int, default=50)
-    p_bench.add_argument("--precision", choices=("auto", "double", "bits"), default="auto")
-    p_bench.add_argument("--bits", type=int, default=113)
-    p_bench.add_argument("--target-defect", type=float, default=1e-12)
-    p_bench.add_argument("--max-bits", type=int, default=0)
+    _add_precision(p_bench)
     p_bench.add_argument("--ntraj", type=int, default=20_000)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--find-onset", action="store_true",
@@ -455,12 +399,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _report_error({"kind": "config", "message": str(exc)})
         return EXIT_USAGE
+    except OSError as exc:
+        # an --out path that cannot be written
+        _report_error({"kind": "io", "message": str(exc), "path": exc.filename})
+        return EXIT_USAGE
 
 
 def _report_error(payload: dict) -> None:
-    """Print an error object on stderr as strict JSON: a non-finite number
-    (such as an unknown defect) is written as null."""
-    print(json.dumps({"error": _strict(payload)}, allow_nan=False), file=sys.stderr)
+    """Print an error object on stderr, on one line."""
+    emit_json({"error": payload}, indent=None, file=sys.stderr)
 
 
 if __name__ == "__main__":

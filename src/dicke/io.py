@@ -3,12 +3,15 @@
 CSV columns are fixed as t, rho_0..rho_N, rate with populations clamped
 to [0, 1] for presentation.  JSON keeps the raw (unclamped) values so a
 round trip through `read_json` is bit-exact, and its metadata records
-every tolerance that was in force.
+every tolerance that was in force.  Every JSON output, tables, reports
+and error objects alike, goes through `emit_json`: strict JSON, with a
+number that is not finite written as null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -63,10 +66,33 @@ def table_document(table: EvolutionTable, ladder: DickeLadder, config: dict | No
     }
 
 
+def emit_json(value, path=None, indent: int | None = 1, file=None) -> None:
+    """Write `value` to `path` as strict JSON, or print it to `file`
+    (stdout by default) when no path is given."""
+    text = json.dumps(_finite_or_null(value), indent=indent, allow_nan=False)
+    if path is None:
+        print(text, file=file)
+    else:
+        Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+
+
+def _finite_or_null(value):
+    """`value` with each NaN or infinite float in it, at any depth of
+    dicts, lists and tuples, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def write_json(table: EvolutionTable, ladder: DickeLadder, path,
                config: dict | None = None) -> None:
-    doc = table_document(table, ladder, config)
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8", newline="\n")
+    """Write the table's JSON document to `path`, or print it when `path`
+    is None."""
+    emit_json(table_document(table, ladder, config), path)
 
 
 def read_json(path) -> tuple[EvolutionTable, DickeLadder]:

@@ -28,10 +28,6 @@ class DickeLadder:
     h: tuple[int, ...]
 
     @property
-    def n(self) -> int:
-        return self.n_emitters
-
-    @property
     def h_max(self) -> int:
         return max(self.h)
 

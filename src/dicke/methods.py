@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ladder import DickeLadder
-from .oracles import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, discrete_time_propagate,
+from .oracles import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, discrete_time_table,
                       evaluate_series, integrate_rate_equations, series_coefficients)
 from .precision import PrecisionPolicy
 from .residues import ResidueTerm, assemble_table, evaluate_distribution, rows_meta
@@ -79,10 +79,8 @@ def solve_populations(ladder: DickeLadder, initial_m0: int | None = None,
 
     if method == "discrete":
         dt = delta_t if delta_t is not None else 0.1 / (ladder.gamma * ladder.h_max)
-        populations = np.empty((n + 1, grid.size))
-        for j, t in enumerate(grid):
-            steps = int(round(float(t) / dt))
-            populations[:, j] = discrete_time_propagate(ladder, m0, dt, steps).populations
+        steps = [int(round(float(t) / dt)) for t in grid]
+        populations = discrete_time_table(ladder, m0, dt, steps)
         meta = {"method": "discrete", "delta_t": dt}
         return EvolutionTable(n_emitters=n, gamma=ladder.gamma, initial_m0=m0,
                               times=grid, populations=populations, method="discrete",

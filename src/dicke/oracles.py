@@ -214,11 +214,20 @@ def discrete_time_propagate(ladder: DickeLadder, initial_m0: int,
                             delta_t: float, steps: int) -> DiagonalState:
     """First-order Markov chain: per step, jump probability h_k*g*dt and
     survival 1 - h_k*g*dt.  O(dt) accurate at fixed t = steps*dt."""
+    populations = discrete_time_table(ladder, initial_m0, delta_t, [steps])[:, 0]
+    return DiagonalState(populations=populations, time=steps * delta_t)
+
+
+def discrete_time_table(ladder: DickeLadder, initial_m0: int, delta_t: float,
+                        steps) -> np.ndarray:
+    """The chain of `discrete_time_propagate` after each of the
+    nondecreasing step counts `steps`, one column each, from one pass."""
     n = ladder.n_emitters
     if not (0 <= initial_m0 <= n):
         raise ValueError(f"initial_m0 must lie in [0, N], got {initial_m0}")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    counts = np.diff([0, *steps])   # steps to take before each column
+    if (counts < 0).any():
+        raise ValueError("steps must be nonnegative and nondecreasing")
     d = ladder.gamma * delta_t * ladder.h_array()
     if delta_t <= 0 or d.max() >= 1.0:
         raise ValueError(
@@ -227,11 +236,14 @@ def discrete_time_propagate(ladder: DickeLadder, initial_m0: int,
     s = 1.0 - d
     pops = np.zeros(n + 1)
     pops[initial_m0] = 1.0
-    for _ in range(steps):
-        jumped = d * pops
-        pops = s * pops
-        pops[:-1] += jumped[1:]
-    return DiagonalState(populations=pops, time=steps * delta_t)
+    table = np.empty((n + 1, counts.size))
+    for j, count in enumerate(counts):
+        for _ in range(count):
+            jumped = d * pops
+            pops = s * pops
+            pops[:-1] += jumped[1:]
+        table[:, j] = pops
+    return table
 
 
 def rate_band(ladder: DickeLadder) -> np.ndarray:

@@ -76,7 +76,3 @@ class EvolutionTable:
 
     def min_population(self) -> float:
         return float(self.populations.min())
-
-    def state_at(self, index: int) -> DiagonalState:
-        return DiagonalState(populations=self.populations[:, index].copy(),
-                             time=float(self.times[index]))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -431,3 +432,116 @@ def test_width_below_double_reported_as_used(method, tmp_path):
                 "--out", str(out)]) == 0
     bits = json.loads(out.read_text())["metadata"]["bits"]
     assert bits == [53] * 9
+
+
+def solve_config(capsys, *flags):
+    """The `config` block that `solve` prints for these flags."""
+    assert run(["solve", *flags, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["config"]
+
+
+REQUEST_DEFAULTS = {
+    "gamma": 1.0, "t_max": 5.0, "t_min": None, "rel_tol": 1e-13, "abs_tol": 1e-15,
+    "mc": {"n_traj": 100_000, "seed": 0, "n_workers": 1},
+}
+
+
+def test_solve_config_block_auto_log_grid(monkeypatch, capsys):
+    monkeypatch.delenv("DICKE_MAX_BITS", raising=False)
+    assert solve_config(capsys, "--n", "70", "--points", "20") == {
+        **REQUEST_DEFAULTS, "n_emitters": 70, "initial_m0": 70, "grid_points": 20,
+        "grid_spacing": "log", "method": "residue",
+        "precision": {"mode": "auto", "mantissa_bits": 53, "target_defect": 1e-12,
+                      "max_bits": 16384}}
+
+
+def test_solve_config_block_double_precision(monkeypatch, capsys):
+    monkeypatch.delenv("DICKE_MAX_BITS", raising=False)
+    assert solve_config(capsys, "--n", "6", "--initial", "4", "--points", "5",
+                        "--precision", "double", "--max-bits", "200", "--seed", "3") == {
+        **REQUEST_DEFAULTS, "n_emitters": 6, "initial_m0": 4, "grid_points": 5,
+        "grid_spacing": "linear", "method": "residue",
+        "precision": {"mode": "double", "mantissa_bits": 53, "target_defect": 1e-12,
+                      "max_bits": 200},
+        "mc": {"n_traj": 100_000, "seed": 3, "n_workers": 1}}
+
+
+def test_solve_config_block_log_grid_t_min(monkeypatch, capsys):
+    monkeypatch.setenv("DICKE_MAX_BITS", "4096")
+    assert solve_config(capsys, "--n", "10", "--grid", "log", "--t-min", "0.01",
+                        "--points", "7", "--method", "laplace", "--precision", "bits",
+                        "--bits", "90", "--rel-tol", "1e-10") == {
+        **REQUEST_DEFAULTS, "n_emitters": 10, "initial_m0": 10, "t_min": 0.01,
+        "grid_points": 7, "grid_spacing": "log", "method": "laplace", "rel_tol": 1e-10,
+        "precision": {"mode": "bits", "mantissa_bits": 90, "target_defect": 1e-12,
+                      "max_bits": 4096}}
+
+
+def test_compare_config_is_first_methods(capsys):
+    flags = ["--n", "6", "--points", "5", "--t-max", "2", "--ntraj", "500"]
+    assert run(["compare", *flags, "--methods", "jordan,residue"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"] == solve_config(capsys, *flags, "--method", "jordan")
+    assert report["config"]["method"] == "jordan"
+
+
+def test_bench_row_solves_the_auto_log_grid(capsys):
+    assert run(["bench", "--n-list", "64", "--methods", "residue", "--points", "20"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["bench"]
+    table = solve_populations(build_ladder(64, 1.0), times=np.geomspace(5e-3, 5, 20))
+    assert row["trace_defect"] == table.trace_defect()
+    assert row["bits"] == max(table.meta["bits"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["trajectories", "--n", "4", "--method", "ode"],
+    ["compare", "--n", "4", "--methods", "residue,ode", "--format", "csv"],
+    ["compare", "--n", "4", "--methods", "residue,ode", "--digits", "3"]])
+def test_flags_a_subcommand_ignores_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+def test_write_json_writes_non_finite_as_null(tmp_path):
+    ladder = build_ladder(3, 1.0)
+    table = solve_populations(ladder, times=np.linspace(0, 1, 4))
+    table.populations[1, 2] = np.nan
+    path = tmp_path / "nan.json"
+    write_json(table, ladder, path)
+    doc = strict_json(path.read_text())
+    assert doc["populations"][1][2] is None
+    assert doc["populations"][1][1] == table.populations[1, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "4", "--points", "3"],
+    ["solve", "--n", "4", "--points", "3", "--format", "json"],
+    ["compare", "--n", "4", "--points", "3", "--methods", "residue,jordan"]])
+def test_unwritable_out_is_an_io_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "report"
+    assert run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = strict_json(captured.err)["error"]
+    assert error["kind"] == "io" and error["path"] == str(out)
+
+
+def readme_cli_examples():
+    """The `dicke ...` lines of the sh block under `## CLI` in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("dicke ")]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    examples = readme_cli_examples()
+    assert len(examples) >= 5
+    for argv in examples:
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert run(argv) == 0, argv

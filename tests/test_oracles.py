@@ -11,8 +11,9 @@ from dicke.ladder import build_ladder, build_rate_matrix
 from dicke.oracles import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, MIN_REL_TOL, ConstrainedSumQuery,
                            TruncationError, UnsupportedDegeneracyError,
                            constrained_sum_bruteforce, constrained_sum_residue,
-                           discrete_time_propagate, evaluate_series,
+                           discrete_time_propagate, discrete_time_table, evaluate_series,
                            integrate_rate_equations, rate_band, series_coefficients)
+from dicke.methods import solve_populations
 from dicke.residues import evaluate_distribution, evaluate_population, residue_terms
 
 
@@ -144,6 +145,30 @@ def test_discrete_richardson_extrapolation():
     coarse = discrete_time_propagate(ladder, 2, dt, round(target / dt)).populations[1]
     fine = discrete_time_propagate(ladder, 2, dt / 2, round(2 * target / dt)).populations[1]
     assert abs(2 * fine - coarse - exact) < 1e-6
+
+
+def test_discrete_table_is_one_pass_of_the_chain():
+    # the table steps the chain once along the grid; each column equals a
+    # chain restarted from t = 0 for that column's step count
+    for n, m0, dt, steps in ((5, 5, 1e-3, [0, 0, 3, 40, 41, 500]),
+                             (12, 7, 2e-3, list(range(0, 600, 37)))):
+        ladder = build_ladder(n, 1.0)
+        table = discrete_time_table(ladder, m0, dt, steps)
+        restarted = np.stack([discrete_time_propagate(ladder, m0, dt, k).populations
+                              for k in steps], axis=1)
+        assert np.array_equal(table, restarted)
+    with pytest.raises(ValueError):
+        discrete_time_table(build_ladder(4, 1.0), 4, 1e-3, [5, 3])
+
+
+def test_discrete_method_steps_once_along_the_grid():
+    ladder = build_ladder(64, 1.0)
+    grid = np.geomspace(5e-3, 5.0, 200)
+    table = solve_populations(ladder, times=grid, method="discrete")
+    dt = table.meta["delta_t"]
+    for j in (0, 57, 199):
+        state = discrete_time_propagate(ladder, 64, dt, int(round(grid[j] / dt)))
+        assert np.array_equal(table.populations[:, j], state.populations)
 
 
 def test_discrete_convergence_order_is_one():
