@@ -22,6 +22,7 @@ from .methods import EXACT_METHODS, METHODS, solve_populations
 from .observables import scaling_scan
 from .oracles import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, StiffnessError, TruncationError
 from .precision import PrecisionError, PrecisionPolicy
+from .residues import shared_evaluation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -131,7 +132,9 @@ def cmd_compare(args) -> int:
     if not args.tol >= 0:
         raise UsageError(f"--tol must be a nonnegative number, got {args.tol}")
 
-    tables = {m: _solve(args, m)[1] for m in methods}
+    # residue, laplace and jordan rows that are `==` share one evaluation
+    with shared_evaluation():
+        tables = {m: _solve(args, m)[1] for m in methods}
     exact = [m for m in methods if m in EXACT_METHODS]
     report = {"schema": 1, "config": _describe(args, methods[0]),
               "methods": methods, "pairs": [], "mc": None, "tolerance": args.tol}
@@ -234,6 +237,8 @@ def escalation_report(n_emitters: int, gamma: float = 1.0, t_max: float = 5.0,
 def cmd_bench(args) -> int:
     n_list = _parse_n_list(args.n_list)
     methods = _parse_methods(args.methods)
+    if not methods:
+        raise UsageError("bench needs at least one method")
     policy = _policy_from_args(args)
     rows = []
     for n in n_list:
@@ -308,16 +313,20 @@ def _add_request(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", choices=("auto", "linear", "log"), default="auto",
                    help="auto picks log spacing from N = 64 up (the burst sits "
                         "at short times there), linear below")
+    p.add_argument("--ntraj", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--out", type=str, default=None)
+
+
+def _add_exact(p: argparse.ArgumentParser) -> None:
+    """The settings of the exact methods, read by solve and compare."""
     _add_precision(p)
     p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL,
                    help="ode relative tolerance (at least 100 * float64 eps)")
     p.add_argument("--abs-tol", type=float, default=DEFAULT_ABS_TOL)
     p.add_argument("--series-order", type=int, default=80)
     p.add_argument("--delta-t", type=float, default=None)
-    p.add_argument("--ntraj", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", type=str, default=None)
 
 
 def _add_table_output(p: argparse.ArgumentParser) -> None:
@@ -327,32 +336,42 @@ def _add_table_output(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: a mistyped or removed flag must not parse as another
     parser = argparse.ArgumentParser(
-        prog="dicke",
+        prog="dicke", allow_abbrev=False,
         description="Exact and stochastic solvers for collective-decay ladder populations")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="populations and emission rate on a time grid")
+    p_solve = sub.add_parser("solve", allow_abbrev=False,
+                             help="populations and emission rate on a time grid")
     _add_request(p_solve)
+    _add_exact(p_solve)
     p_solve.add_argument("--method", choices=METHODS, default="residue")
     _add_table_output(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
-    p_traj = sub.add_parser("trajectories", help="Monte Carlo estimate with standard errors")
+    p_traj = sub.add_parser("trajectories", allow_abbrev=False,
+                            help="Monte Carlo estimate with standard errors")
     _add_request(p_traj)
     _add_table_output(p_traj)
-    p_traj.set_defaults(func=cmd_solve, method="mc")
+    # Monte Carlo reads no exact-method setting; the config block reports their defaults
+    exact_defaults = argparse.ArgumentParser(add_help=False)
+    _add_exact(exact_defaults)
+    p_traj.set_defaults(func=cmd_solve, method="mc", **vars(exact_defaults.parse_args([])))
 
-    p_cmp = sub.add_parser("compare", help="cross-validate several methods on one grid")
+    p_cmp = sub.add_parser("compare", allow_abbrev=False,
+                           help="cross-validate several methods on one grid")
     _add_request(p_cmp)
+    _add_exact(p_cmp)
     p_cmp.add_argument("--methods", type=str, required=True,
                        help="comma-separated list, e.g. residue,jordan,ode")
     p_cmp.add_argument("--tol", type=float, default=1e-8,
                        help="gate for exact-method pairwise differences")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_scan = sub.add_parser("scan", help="burst summaries and scaling fits across N")
+    p_scan = sub.add_parser("scan", allow_abbrev=False,
+                            help="burst summaries and scaling fits across N")
     p_scan.add_argument("--n-list", type=str, required=True,
                         help="comma separated, ranges as a:b, e.g. 8,16,32:64")
     p_scan.add_argument("--gamma", type=float, default=1.0)
@@ -361,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", type=str, default=None)
     p_scan.set_defaults(func=cmd_scan)
 
-    p_bench = sub.add_parser("bench", help="wall time per method and precision diagnostics")
+    p_bench = sub.add_parser("bench", allow_abbrev=False,
+                             help="wall time per method and precision diagnostics")
     p_bench.add_argument("--n-list", type=str, required=True)
     p_bench.add_argument("--methods", type=str, default="residue,ode")
     p_bench.add_argument("--gamma", type=float, default=1.0)

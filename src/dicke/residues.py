@@ -35,6 +35,7 @@ a product recurrence along the ladder.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from bisect import bisect_left
@@ -441,17 +442,45 @@ def _fixed_point_rows(rows: list[TermRow], gamma: float, grid: np.ndarray) -> np
     return out
 
 
+_shared = None   # the memo of the innermost open `shared_evaluation`, else None
+
+
+@contextlib.contextmanager
+def shared_evaluation():
+    """Within this scope `evaluate_rows` evaluates each distinct row list
+    once: a call whose rows, widths included, grid and gamma equal an
+    earlier call's gets a copy of that call's values.  Derivations that
+    agree exactly (residue, Laplace and Jordan) then share one pass, while
+    any difference in a coefficient or a width is evaluated on its own.
+    Nothing is kept after the scope closes."""
+    global _shared
+    outer, _shared = _shared, {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
 def evaluate_rows(rows: list[list[ResidueTerm] | None], gamma: float,
                   grid: np.ndarray) -> np.ndarray:
     """(len(rows), |grid|) values of per-row term lists: rows at float64
     width in numpy, wider rows together in one fixed-point pass, empty rows
-    zero."""
+    zero; inside `shared_evaluation`, once per distinct row list."""
+    rows = [_as_row(row) if row else None for row in rows]
+    memo = _shared
+    if memo is not None:
+        # `ResidueTerm` equality ignores `bits`, so the width is keyed too
+        key = (gamma, grid.tobytes(),
+               tuple(None if row is None else (row.bits, tuple(t._key() for t in row))
+                     for row in rows))
+        seen = memo.get(key)
+        if seen is not None:
+            return seen.copy()
     out = np.zeros((len(rows), grid.size))
     wide, wide_rows = [], []
     for r, row in enumerate(rows):
-        if not row:
+        if row is None:
             continue
-        row = _as_row(row)
         if row.bits <= DOUBLE_BITS:
             out[r] = _row_eval_double(row, gamma, grid)
         else:
@@ -459,6 +488,8 @@ def evaluate_rows(rows: list[list[ResidueTerm] | None], gamma: float,
             wide_rows.append(row)
     if wide:
         out[wide] = _fixed_point_rows(wide_rows, gamma, grid)
+    if memo is not None:
+        memo[key] = out.copy()   # each caller owns its array
     return out
 
 

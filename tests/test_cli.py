@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 import dicke
-from dicke import cli
+from dicke import cli, spectral
 from dicke.cli import main
 from dicke.io import read_json, write_json
 from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
 from dicke.observables import scaling_scan
 from dicke.precision import PrecisionPolicy
+from dicke.residues import ResidueTerm, TermRow
 
 
 def run(argv):
@@ -496,13 +497,96 @@ def test_bench_row_solves_the_auto_log_grid(capsys):
 @pytest.mark.parametrize("argv", [
     ["trajectories", "--n", "4", "--method", "ode"],
     ["compare", "--n", "4", "--methods", "residue,ode", "--format", "csv"],
-    ["compare", "--n", "4", "--methods", "residue,ode", "--digits", "3"]])
+    ["compare", "--n", "4", "--methods", "residue,ode", "--digits", "3"],
+    # a prefix of a flag is not that flag
+    ["solve", "--n", "4", "--prec", "double"],
+    # settings Monte Carlo never reads
+    *[["trajectories", "--n", "4", "--ntraj", "100", "--points", "3", flag, value]
+      for flag, value in [("--series-order", "5"), ("--delta-t", "7"),
+                          ("--precision", "double"), ("--bits", "90"),
+                          ("--target-defect", "1e-9"), ("--max-bits", "200"),
+                          ("--rel-tol", "1e-3"), ("--abs-tol", "1e-9")]]])
 def test_flags_a_subcommand_ignores_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         run(argv)
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+def test_flag_prefix_does_not_stand_for_the_flag(capsys):
+    # with prefix matching, --method parsed as --methods and this request ran
+    with pytest.raises(SystemExit) as exit_info:
+        run(["compare", "--n", "4", "--points", "3", "--method", "residue,ode"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "required: --methods" in captured.err
+
+
+def test_trajectories_config_block(monkeypatch, capsys):
+    # the exact-method settings keep their defaults though trajectories has no flags for them
+    monkeypatch.delenv("DICKE_MAX_BITS", raising=False)
+    assert run(["trajectories", "--n", "8", "--ntraj", "3000", "--seed", "5",
+                "--points", "11", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == {
+        "n_emitters": 8, "gamma": 1.0, "initial_m0": 8, "t_max": 5.0, "t_min": None,
+        "grid_points": 11, "grid_spacing": "linear", "method": "mc",
+        "precision": {"mode": "auto", "mantissa_bits": 53, "target_defect": 1e-12,
+                      "max_bits": 16384},
+        "rel_tol": 1e-13, "abs_tol": 1e-15,
+        "mc": {"n_traj": 3000, "seed": 5, "n_workers": 1}}
+
+
+def test_bench_without_methods_usage_error(capsys):
+    assert run(["bench", "--n-list", "4", "--methods", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = strict_json(captured.err)["error"]
+    assert error == {"kind": "usage", "message": "bench needs at least one method"}
+
+
+EXACT_COMPARE = ["compare", "--n", "40", "--points", "20",
+                 "--methods", "residue,laplace,jordan", "--tol", "0"]
+
+
+def test_compare_evaluates_equal_expansions_once(fixed_point_passes, capsys):
+    assert run(EXACT_COMPARE) == 0
+    assert len(fixed_point_passes) == 1
+    report = strict_json(capsys.readouterr().out)
+    assert [p["max_abs_diff"] for p in report["pairs"]] == [0.0, 0.0, 0.0]
+
+
+def test_compare_evaluates_a_disagreeing_expansion_on_its_own(monkeypatch, fixed_point_passes,
+                                                              capsys):
+    # the memo must never hide a difference: one laplace coefficient off by 2^-30
+    invert = spectral.invert_laplace
+
+    def perturbed(ladder, target_m, initial_m0, policy=None, column=None):
+        row = invert(ladder, target_m, initial_m0, policy, column=column)
+        if target_m:
+            return row
+        first, *rest = row
+        num, den = first.const_pair
+        nudged = ResidueTerm(first.pole, first.multiplicity,
+                             ((num << 30) + den, den << 30), first.linear_pair, first.bits)
+        return TermRow([nudged, *rest], row.bits, row.bound)
+
+    monkeypatch.setattr(spectral, "invert_laplace", perturbed)
+    assert run(EXACT_COMPARE) == 4
+    assert len(fixed_point_passes) == 2
+    captured = capsys.readouterr()
+    pairs = {(p["a"], p["b"]): p["max_abs_diff"] for p in strict_json(captured.out)["pairs"]}
+    assert pairs[("residue", "jordan")] == 0.0
+    assert pairs[("residue", "laplace")] > 0 and pairs[("laplace", "jordan")] > 0
+    assert strict_json(captured.err)["error"]["kind"] == "comparison"
+
+
+def test_bench_evaluates_every_method(fixed_point_passes, capsys):
+    # bench reports seconds per method, so no method may reuse another's pass
+    assert run(["bench", "--n-list", "40", "--methods", "residue,laplace,jordan",
+                "--points", "20"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["bench"]) == 3
+    assert len(fixed_point_passes) == 3
 
 
 def test_write_json_writes_non_finite_as_null(tmp_path):

@@ -649,3 +649,51 @@ def test_one_exact_terms_call_per_row_and_no_pole_classification(monkeypatch):
         calls.update(exact_terms=0, classify_poles=0)
         evaluate_distribution(build_ladder(n, 1.0), m0, time_grid=[0.0, 0.5])
         assert calls == {"exact_terms": m0 + 1, "classify_poles": 0}, (n, m0)
+
+
+def test_shared_evaluation_reuses_equal_rows_as_copies(fixed_point_passes):
+    ladder, grid = build_ladder(30, 1.0), np.linspace(0.0, 2.0, 7)
+    policy = PrecisionPolicy.bits(120)
+    with residues.shared_evaluation():
+        first = solve_populations(ladder, times=grid, method="residue", policy=policy)
+        second = solve_populations(ladder, times=grid, method="laplace", policy=policy)
+    assert len(fixed_point_passes) == 1
+    assert np.array_equal(first.populations, second.populations)
+    # each table owns its array: editing one leaves the other as evaluated
+    first.populations[3, 2] = np.nan
+    assert np.isfinite(second.populations).all()
+    assert residues._shared is None
+
+
+def test_shared_evaluation_keys_on_the_width(fixed_point_passes):
+    # `ResidueTerm` equality ignores `bits`: equal terms at two widths are two passes
+    ladder, grid = build_ladder(30, 1.0), np.linspace(0.0, 2.0, 7)
+    with residues.shared_evaluation():
+        narrow = evaluate_distribution(ladder, 30, PrecisionPolicy.bits(120), grid)
+        wide = evaluate_distribution(ladder, 30, PrecisionPolicy.bits(200), grid)
+    assert len(fixed_point_passes) == 2
+    assert max(narrow.meta["bits"]) == 120 and max(wide.meta["bits"]) == 200
+
+
+def test_no_sharing_outside_the_scope(fixed_point_passes):
+    ladder, grid = build_ladder(30, 1.0), np.linspace(0.0, 2.0, 7)
+    policy = PrecisionPolicy.bits(120)
+    for _ in range(2):
+        solve_populations(ladder, times=grid, method="residue", policy=policy)
+    assert len(fixed_point_passes) == 2
+    assert residues._shared is None
+
+
+def test_nested_shared_evaluation_restores_the_outer_memo(fixed_point_passes):
+    ladder, grid = build_ladder(30, 1.0), np.linspace(0.0, 2.0, 7)
+    policy = PrecisionPolicy.bits(120)
+    with residues.shared_evaluation():
+        outer = residues._shared
+        evaluate_distribution(ladder, 30, policy, grid)
+        with residues.shared_evaluation():
+            assert residues._shared is not outer
+            evaluate_distribution(ladder, 30, policy, grid)   # a fresh memo
+        assert residues._shared is outer
+        evaluate_distribution(ladder, 30, policy, grid)       # the outer one's entry
+    assert len(fixed_point_passes) == 2
+    assert residues._shared is None
