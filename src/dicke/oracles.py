@@ -4,8 +4,8 @@ Four routes that share no code with the residue/Jordan machinery:
 
 * the exact integer recursion for the power-series coefficients of each
   population, summed with a rigorous truncation certificate,
-* brute-force enumeration of the constrained monomial sums plus their
-  residue-formula counterpart (the enumeration is the authority),
+* the residue formula for the constrained monomial sums (the tests
+  check it against a brute-force enumeration),
 * first-order discrete-time Markov propagation (jump probability
   h_k*g*dt per step),
 * a reference integration of the bidiagonal rate equations by LSODA
@@ -139,25 +139,6 @@ class ConstrainedSumQuery:
         if self.total_degree < 0:
             raise ValueError("total degree must be nonnegative")
         object.__setattr__(self, "terms", tuple(Fraction(a) for a in self.terms))
-
-
-def constrained_sum_bruteforce(query: ConstrainedSumQuery,
-                               enumeration_cap: int = 10 ** 7) -> Fraction:
-    """Exact nested enumeration over all exponent compositions."""
-    n_t = len(query.terms)
-    size = math.comb(query.total_degree + n_t - 1, n_t - 1)
-    if size > enumeration_cap:
-        raise ValueError(f"enumeration size {size} exceeds cap {enumeration_cap}")
-
-    def rec(idx: int, remaining: int) -> Fraction:
-        if idx == n_t - 1:
-            return query.terms[idx] ** remaining
-        total = Fraction(0)
-        for e in range(remaining + 1):
-            total += query.terms[idx] ** e * rec(idx + 1, remaining - e)
-        return total
-
-    return rec(0, query.total_degree)
 
 
 def constrained_sum_residue(query: ConstrainedSumQuery) -> Fraction:

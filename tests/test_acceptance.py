@@ -12,12 +12,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from constrained_sums import constrained_sum_bruteforce
 from dicke.cli import double_precision_onset, escalation_report, main
 from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
 from dicke.observables import burst_time_grid, emitted_photons, scaling_scan
-from dicke.oracles import (ConstrainedSumQuery, constrained_sum_bruteforce,
-                           constrained_sum_residue, integrate_rate_equations)
+from dicke.oracles import ConstrainedSumQuery, constrained_sum_residue, integrate_rate_equations
 from dicke.precision import PrecisionPolicy
 from dicke.residues import evaluate_population, residue_terms
 from dicke.spectral import (invert_laplace, jordan_decompose, propagate,

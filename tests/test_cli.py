@@ -12,7 +12,7 @@ import pytest
 
 import dicke
 from dicke import cli, spectral
-from dicke.cli import main
+from dicke.cli import build_parser, main
 from dicke.io import read_json, write_json
 from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
@@ -29,6 +29,22 @@ def strict_json(text):
     def reject(constant):
         raise ValueError(f"{constant} is not valid JSON")
     return json.loads(text, parse_constant=reject)
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    # the second request must not see the first one's flags
+    for extra, seed in ((["--seed", "5"], 5), ([], 0)):
+        assert run(["trajectories", "--n", "2", "--ntraj", "10", "--points", "3", *extra]) == 0
+        assert strict_json(capsys.readouterr().out)["config"]["mc"]["seed"] == seed
+    assert len(builds) == 1
 
 
 def test_solve_csv_contract(tmp_path):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constrained_sums import constrained_sum_bruteforce
 from dicke.ladder import build_ladder, build_rate_matrix
 from dicke.oracles import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, MIN_REL_TOL, ConstrainedSumQuery,
-                           TruncationError, UnsupportedDegeneracyError,
-                           constrained_sum_bruteforce, constrained_sum_residue,
+                           TruncationError, UnsupportedDegeneracyError, constrained_sum_residue,
                            discrete_time_propagate, discrete_time_table, evaluate_series,
                            integrate_rate_equations, rate_band, series_coefficients)
 from dicke.methods import solve_populations

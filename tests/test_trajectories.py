@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -61,18 +62,23 @@ def test_jump_times_strictly_increasing():
         assert (np.diff(record.jump_times) > 0).all()
 
 
+def indicators(states, m0):
+    """(m0 + 1) x grid occupation counts of one trajectory in `states`."""
+    return (np.arange(m0 + 1)[:, None] == np.asarray(states)).astype(np.int64)
+
+
 def test_binning_before_first_and_after_last_jump():
     ladder = build_ladder(2, 1.0)
     record = sample_trajectory(ladder, 2, ScriptedRng([math.exp(-1), math.exp(-1)]))
-    states = bin_trajectory(record, [0.1, 0.75, 5.0])
-    assert list(states) == [2, 1, 0]
+    counts = bin_trajectory(record, [0.1, 0.75, 5.0])
+    assert np.array_equal(counts, indicators([2, 1, 0], 2))
 
 
 def test_binning_right_continuous_at_jump():
     ladder = build_ladder(2, 1.0)
     record = sample_trajectory(ladder, 2, ScriptedRng([math.exp(-1), math.exp(-1)]))
-    states = bin_trajectory(record, [0.5, 1.0])
-    assert list(states) == [1, 0]
+    counts = bin_trajectory(record, [0.5, 1.0])
+    assert np.array_equal(counts, indicators([1, 0], 2))
 
 
 def test_single_trajectory_estimate_is_indicator():
@@ -184,7 +190,7 @@ def library_rows(seed, start, stop, size):
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_streams_equal_library_generator(seed, size):
     # also catches a numpy release that changes the stream (NEP 19 allows it)
-    chunk = chunk_size(8, 50)
+    chunk = chunk_size(8)
     picks = np.random.default_rng(seed % 2 ** 32).integers(0, 10 ** 6, 6)
     for index in [0, 1, chunk - 1, chunk, *picks.tolist()]:
         draws, rebuilt = _uniform_streams(seed, index, index + 1, size)
@@ -200,6 +206,14 @@ def test_indices_above_32_bits_and_long_streams_use_library(start, size):
     draws, rebuilt = _uniform_streams(5, start, start + 3, size)
     assert rebuilt == 3
     assert np.array_equal(draws, library_rows(5, start, start + 3, size))
+
+
+def test_benchmark_request_counts_are_pinned():
+    # the stream contract as a fixed value: any numpy release, any chunking
+    ladder = build_ladder(8, 1.0)
+    result = estimate(ladder, 8, np.linspace(0, 2, 50), n_traj=100_000, root_seed=7000)
+    digest = hashlib.sha256(result.counts.astype("<i8").tobytes()).hexdigest()
+    assert digest == "02fb87d14fb8e3313a162da9c4145445eeb1d59bd5de5eee06981fc594eb43cf"
 
 
 # --- chunked counts against the per-trajectory loop --------------------------
@@ -221,24 +235,30 @@ def loop_counts(ladder, m0, grid, n_traj, seed):
     return counts
 
 
+@pytest.fixture
+def short_chunks(monkeypatch):
+    """A small chunk budget, so that the loop runs across chunk edges at
+    every start state in a few thousand trajectories."""
+    monkeypatch.setattr(trajectories, "CHUNK_ENTRIES", 1 << 11)
+
+
 @pytest.mark.parametrize("seed", [0, 21, 2 ** 40])
 @pytest.mark.parametrize("n, m0", [(8, 8), (6, 3), (5, 0), (1, 1), (150, 150)])
-def test_chunked_counts_equal_per_trajectory_loop(n, m0, seed):
+def test_chunked_counts_equal_per_trajectory_loop(n, m0, seed, short_chunks):
     ladder = build_ladder(n, 1.0)
-    # 200 points keep the chunks short: a few hundred trajectories
     grid = np.linspace(0.0, 1.5, 200)
     if m0:
         # a grid time exactly on a jump: the post-jump state is occupied there
         rates = ladder.h_array()[m0:0:-1]
         jump = np.cumsum(-np.log(np.random.default_rng((seed, 2)).random(m0)) / rates)[-1]
         grid = np.sort(np.append(grid, jump))
-    chunk = chunk_size(m0, grid.size)
+    chunk = chunk_size(m0)
     for n_traj in (1, chunk - 1, chunk, chunk + 1):
         result = estimate(ladder, m0, grid, n_traj=n_traj, root_seed=seed)
         assert np.array_equal(result.counts, loop_counts(ladder, m0, grid, n_traj, seed))
 
 
-def test_zero_draw_row_is_rebuilt_by_library(monkeypatch):
+def test_zero_draw_row_is_rebuilt_by_library(monkeypatch, short_chunks):
     pcg_uniforms = trajectories._pcg_uniforms
 
     def with_zero(root_seed, start, stop, size):
@@ -253,7 +273,7 @@ def test_zero_draw_row_is_rebuilt_by_library(monkeypatch):
     assert np.array_equal(draws[[0, 2, 3]], library_rows(21, 40, 44, 5)[[0, 2, 3]])
     # one row per chunk goes to the library; counts match the per-trajectory loop
     grid = np.linspace(0.0, 2.0, 200)
-    n_traj = chunk_size(5, grid.size) + 7
+    n_traj = chunk_size(5) + 7
     result = estimate(build_ladder(5, 1.0), 5, grid, n_traj=n_traj, root_seed=21)
     assert result.library_streams == 2
     assert np.array_equal(result.counts, loop_counts(build_ladder(5, 1.0), 5, grid, n_traj, 21))
@@ -264,24 +284,34 @@ def test_chunk_record_matches_single_trajectories():
     grid = np.linspace(0.0, 1.0, 7)
     draws, _ = _uniform_streams(3, 10, 15, 6)
     chunk = sample_trajectory(ladder, 6, draws, seed_index=10)
-    states = bin_trajectory(chunk, grid)
-    assert states.shape == (5, 7)
+    total = np.zeros((7, 7), dtype=np.int64)
     for row in range(5):
         single = sample_trajectory(ladder, 6, np.random.default_rng((3, 10 + row)))
         assert np.array_equal(chunk.jump_times[row], single.jump_times)
-        assert np.array_equal(states[row], bin_trajectory(single, grid))
+        total += bin_trajectory(single, grid)
+    assert np.array_equal(bin_trajectory(chunk, grid), total)
 
 
 def test_chunk_size_bounds_every_chunk_array():
-    assert chunk_size(8, 50) * 51 <= trajectories.CHUNK_ENTRIES
-    assert chunk_size(4000, 50) * 4000 <= trajectories.CHUNK_ENTRIES
-    assert chunk_size(8, 10 ** 6) == 1
+    for m0 in (0, 1, 8, 150, 4096):
+        assert chunk_size(m0) >= 1
+        assert chunk_size(m0) * m0 <= trajectories.CHUNK_ENTRIES
+    assert chunk_size(8) == trajectories.CHUNK_ENTRIES // 8
+
+
+def test_chunk_size_does_not_depend_on_grid():
+    ladder = build_ladder(8, 1.0)
+    n_traj = 2 * chunk_size(8) + 1
+    metas = [solve_populations(ladder, times=np.linspace(0.0, 2.0, points), method="mc",
+                               n_traj=n_traj, seed=5).meta for points in (50, 1000)]
+    assert [m["chunk_size"] for m in metas] == [chunk_size(8)] * 2
+    assert [m["chunks"] for m in metas] == [3, 3]
 
 
 def test_mc_meta_records_chunk_statistics():
     ladder = build_ladder(3, 1.0)
     grid = np.linspace(0.01, 1.0, 200)
-    chunk = chunk_size(3, grid.size)
+    chunk = chunk_size(3)
     table = solve_populations(ladder, times=grid, method="mc",
                               n_traj=2 * chunk + 1, seed=4, n_workers=2)
     assert table.meta["chunk_size"] == chunk
