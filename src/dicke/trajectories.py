@@ -19,7 +19,7 @@ with array arithmetic.  `SeedSequence((s, i))` hashes every entropy word
 with the same sequence of constants, whatever the words are, so its pool
 and its `generate_state(4, uint64)` vectorise over i in wrapping uint32
 arithmetic.  PCG64 is seeded from that state and stepped as a 128-bit
-LCG held in four 32-bit limbs, and each draw is the XSL-RR output
+LCG held in two uint64 words, and each draw is the XSL-RR output
 `(x >> 11) * 2**-53`, as in `Generator.random` (O'Neill, "PCG: a family
 of simple fast space-efficient statistically good algorithms for random
 number generation", 2014).  The library generator, with the usual
@@ -90,18 +90,19 @@ _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-# PCG64's 128-bit LCG multiplier as four 32-bit limbs, least significant first
-_PCG_MULT = tuple(np.uint64((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k)) & _MASK32)
-                  for k in range(4))
+# PCG64's 128-bit LCG multiplier as (high, low) uint64 words, and the low
+# word's 32-bit halves for the high word of its product
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MULT_LO_HI, _MULT_LO_LO = np.uint64(0x4385DF64), np.uint64(0x9FCCF645)
 # explicit unsigned shift counts and masks: no operand ever promotes to float64
-_U16, _U1, _U11, _U26, _U31, _U32 = (np.uint32(16), np.uint64(1), np.uint64(11),
-                                     np.uint64(26), np.uint64(31), np.uint64(32))
-_U63, _U64, _LOW = np.uint64(63), np.uint64(64), np.uint64(_MASK32)
+_U16, _U1, _U11 = np.uint32(16), np.uint64(1), np.uint64(11)
+_U32, _U58, _U63, _LOW = np.uint64(32), np.uint64(58), np.uint64(63), np.uint64(_MASK32)
 _INDEX_LIMIT = 1 << 32   # a larger stream index is two entropy words
 # Longer streams go to the library generator: its per-stream setup is then
-# cheaper than stepping small chunks (5000 streams at m0 = 128: 0.12 s in
-# chunks, 0.13 s by the library; at m0 = 256: 0.30 s against 0.13 s).
-_VECTOR_DRAWS = 128
+# cheaper than stepping small chunks.  5000 streams on a 2-core Xeon took
+# 0.15 s in chunks and 0.18 s by the library at m0 = 128, 0.18 s each at
+# 144, 0.20 s against 0.17 s at 160, and 0.52 s against 0.18 s at 256.
+_VECTOR_DRAWS = 144
 
 
 def _entropy_words(value: int) -> list[int]:
@@ -126,8 +127,7 @@ def _hash_constants(const: int, mult: int):
 
 def _seed_state(root_seed: int, index: np.ndarray) -> list[np.ndarray]:
     """`SeedSequence((root_seed, i)).generate_state(4, uint64)` for every i
-    in `index` (all below 2**32), as eight uint32 words per stream, least
-    significant first, widened to uint64."""
+    in `index` (all below 2**32), as four uint64 words per stream."""
     entropy = ([np.full(index.shape, w, dtype=np.uint32) for w in _entropy_words(root_seed)]
                + [index.astype(np.uint32)])
     consts = _hash_constants(_INIT_A, _MULT_A)
@@ -150,56 +150,90 @@ def _seed_state(root_seed: int, index: np.ndarray) -> list[np.ndarray]:
     for src in range(_POOL, len(entropy)):
         for dst in range(_POOL):
             pool[dst] = mix(pool[dst], hashmix(entropy[src]))
-    state = []
+    halves = []
     for k, (xor, mult) in zip(range(2 * _POOL), _hash_constants(_INIT_B, _MULT_B)):
         value = (pool[k % _POOL] ^ xor) * mult
-        state.append((value ^ (value >> _U16)).astype(np.uint64))
-    return state
+        halves.append((value ^ (value >> _U16)).astype(np.uint64))
+    # uint32 words, least significant first, pair into uint64 words
+    return [halves[k] | (halves[k + 1] << _U32) for k in range(0, 2 * _POOL, 2)]
 
 
-def _lcg_step(state: list[np.ndarray], inc: list[np.ndarray]) -> list[np.ndarray]:
-    """state * multiplier + inc mod 2**128, on 32-bit limbs in uint64.
+def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray,
+              work: np.ndarray, carry: np.ndarray) -> None:
+    """(hi, lo) <- (hi, lo) * multiplier + (inc_hi, inc_lo) mod 2**128 in
+    place, with four uint64 rows of scratch in `work` and a bool array.
 
-    Limb products are exact in uint64, and the lower three columns sum
-    at most seven 32-bit values.  The top column is only needed mod
-    2**32, so its full products may wrap."""
-    s0, s1, s2, s3 = state
-    m0, m1, m2, m3 = _PCG_MULT
-    p00, p01, p10 = s0 * m0, s0 * m1, s1 * m0
-    p02, p11, p20 = s0 * m2, s1 * m1, s2 * m0
-    col0 = (p00 & _LOW) + inc[0]
-    col1 = (p00 >> _U32) + (p01 & _LOW) + (p10 & _LOW) + inc[1] + (col0 >> _U32)
-    col2 = ((p01 >> _U32) + (p10 >> _U32) + (p02 & _LOW) + (p11 & _LOW) + (p20 & _LOW)
-            + inc[2] + (col1 >> _U32))
-    col3 = ((p02 >> _U32) + (p11 >> _U32) + (p20 >> _U32)
-            + s0 * m3 + s1 * m2 + s2 * m1 + s3 * m0 + inc[3] + (col2 >> _U32))
-    return [col0 & _LOW, col1 & _LOW, col2 & _LOW, col3 & _LOW]
+    Wrapping uint64 products give the low word and the cross terms
+    hi * _MULT_LO + lo * _MULT_HI.  The high word of lo * _MULT_LO comes
+    from 32-bit halves, lo = a * 2**32 + b and _MULT_LO = c * 2**32 + d:
+    the middle column (b*d >> 32) + (a*d & _LOW) + (b*c & _LOW) sums three
+    32-bit values, and it is added as t = a*d + (b*d >> 32) and
+    u = (t & _LOW) + b*c, neither above 2**64 - 2**32."""
+    a, b, t, u = work
+    np.right_shift(lo, _U32, out=a)
+    np.bitwise_and(lo, _LOW, out=b)
+    # the wrapping terms, the increment and its carry into hi
+    np.multiply(hi, _MULT_LO, out=hi)
+    np.multiply(lo, _MULT_HI, out=t)
+    np.add(hi, t, out=hi)
+    np.multiply(lo, _MULT_LO, out=lo)
+    np.add(lo, inc_lo, out=lo)
+    np.less(lo, inc_lo, out=carry)
+    np.add(hi, carry, out=hi)
+    np.add(hi, inc_hi, out=hi)
+    # hi += a*c + (t >> 32) + (u >> 32), the high word of lo * _MULT_LO
+    np.multiply(b, _MULT_LO_LO, out=t)
+    np.right_shift(t, _U32, out=t)
+    np.multiply(a, _MULT_LO_LO, out=u)
+    np.add(t, u, out=t)
+    np.multiply(b, _MULT_LO_HI, out=b)
+    np.bitwise_and(t, _LOW, out=u)
+    np.add(u, b, out=u)
+    np.right_shift(t, _U32, out=t)
+    np.add(hi, t, out=hi)
+    np.right_shift(u, _U32, out=u)
+    np.add(hi, u, out=hi)
+    np.multiply(a, _MULT_LO_HI, out=a)
+    np.add(hi, a, out=hi)
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """PCG64's 64-bit output of the state (hi, lo) into `out`: hi ^ lo
+    rotated right by hi >> 58 (XSL-RR), with two uint64 rows of `work`."""
+    x, rot = work[:2]
+    np.bitwise_xor(hi, lo, out=x)
+    np.right_shift(hi, _U58, out=rot)
+    np.right_shift(x, rot, out=out)
+    # x << (64 - rot) as (x << 1) << (63 - rot): no shift by 64
+    np.bitwise_xor(rot, _U63, out=rot)
+    np.left_shift(x, _U1, out=x)
+    np.left_shift(x, rot, out=x)
+    np.bitwise_or(out, x, out=out)
 
 
 def _pcg_uniforms(root_seed: int, start: int, stop: int, size: int) -> np.ndarray:
     """Row i is the first `size` draws of `default_rng((root_seed, start + i))
     .random`, before any redraw of an exact zero; stop must not exceed 2**32."""
-    words = _seed_state(root_seed, np.arange(start, stop, dtype=np.uint64))
-    # generate_state gives (v0, v1, v2, v3); initstate = v0*2**64 + v1 and
-    # inc = 2*(v2*2**64 + v3) + 1, as limbs least significant first
-    init = [words[2], words[3], words[0], words[1]]
-    seq = [words[6], words[7], words[4], words[5]]
-    inc = [((seq[0] << _U1) & _LOW) | _U1]
-    inc += [((seq[k] << _U1) & _LOW) | (seq[k - 1] >> _U31) for k in range(1, 4)]
-    # state = 0; step; state += initstate; step
-    state = _lcg_step([np.zeros_like(init[0])] * 4, inc)
-    carry = np.zeros_like(init[0])
-    for k in range(4):
-        total = state[k] + init[k] + carry
-        state[k], carry = total & _LOW, total >> _U32
-    state = _lcg_step(state, inc)
+    v0, v1, v2, v3 = _seed_state(root_seed, np.arange(start, stop, dtype=np.uint64))
+    # initstate = v0*2**64 + v1 and inc = 2*(v2*2**64 + v3) + 1.  Seeding
+    # steps from state 0, which gives inc, adds initstate and steps again.
+    inc_hi = (v2 << _U1) | (v3 >> _U63)
+    inc_lo = (v3 << _U1) | _U1
+    lo = inc_lo + v1
+    hi = inc_hi + v0 + (lo < inc_lo)
+    work = np.empty((4, stop - start), dtype=np.uint64)
+    carry = np.empty(stop - start, dtype=bool)
+    _lcg_step(hi, lo, inc_hi, inc_lo, work, carry)
+    outputs = np.empty((size, stop - start), dtype=np.uint64)
+    for row in outputs:
+        _lcg_step(hi, lo, inc_hi, inc_lo, work, carry)
+        _xsl_rr(hi, lo, row, work)
+    # Generator.random keeps the top 53 bits: (output >> 11) * 2**-53.  Below
+    # 2**63, int64 converts to float64 like uint64, only faster; writing
+    # the transpose puts each trajectory's draws in one row.
+    np.right_shift(outputs, _U11, out=outputs)
     draws = np.empty((stop - start, size))
-    for j in range(size):
-        state = _lcg_step(state, inc)
-        x = ((state[3] << _U32) | state[2]) ^ ((state[1] << _U32) | state[0])
-        rot = state[3] >> _U26
-        x = (x >> rot) | (x << ((_U64 - rot) & _U63))
-        draws[:, j] = (x >> _U11) * 2.0 ** -53
+    np.multiply(outputs.T.view(np.int64), 2.0 ** -53, out=draws)
     return draws
 
 

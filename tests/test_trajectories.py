@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -208,6 +209,61 @@ def test_indices_above_32_bits_and_long_streams_use_library(start, size):
     assert np.array_equal(draws, library_rows(5, start, start + 3, size))
 
 
+# --- the 128-bit LCG on two uint64 words against Python ints ----------------
+
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG64's LCG multiplier
+MASK64 = 2 ** 64 - 1
+LO_INV = pow(PCG_MULT & MASK64, -1, 2 ** 64)     # lo * low multiplier word = 1
+HI = 0x0123456789ABCDEF << 64
+RANDOM = random.Random(17)
+# (state, increment) pairs; increments are odd, as PCG64's are
+LCG_CASES = [
+    (2 ** 128 - 1, 2 ** 128 - 1),                    # every word 2**64 - 1
+    (HI | (MASK64 * LO_INV) & MASK64, 1),            # lo * M + inc_lo wraps to 0
+    (HI | LO_INV, MASK64),                           # 1 + inc_lo wraps to 0
+    (HI | ((MASK64 - 1) * LO_INV) & MASK64, 1),      # reaches 2**64 - 1, no carry
+    (HI, MASK64),                                    # lo = 0
+    (HI | 0xFFFFFFFF00000000, 3),                    # 32-bit halves at 0xFFFFFFFF:
+    (HI | 0x00000000FFFFFFFF, 5),                    # the middle column at its
+    (HI | MASK64, 7),                                # largest
+] + [(RANDOM.getrandbits(128), RANDOM.getrandbits(128) | 1) for _ in range(64)]
+# those states, and states whose rotation hi >> 58 is 0 and 63
+XSL_RR_STATES = [s for s, _ in LCG_CASES] + [
+    (2 ** 58 - 1) << 64 | 0x0F0F0F0F0F0F0F0F, 0x0123 << 64 | MASK64,
+    (MASK64 ^ (2 ** 58 - 1)) << 64 | 0x0F0F0F0F0F0F0F0F, (63 << 122) | 1]
+
+
+def as_words(values):
+    """(hi, lo) uint64 arrays of 128-bit Python ints."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & MASK64 for v in values], dtype=np.uint64))
+
+
+def test_lcg_step_equals_python_ints():
+    states, incs = zip(*LCG_CASES)
+    # with and without a carry out of the low word
+    assert {((s & MASK64) * PCG_MULT & MASK64) + (i & MASK64) > MASK64
+            for s, i in LCG_CASES} == {False, True}
+    hi, lo = as_words(states)
+    inc_hi, inc_lo = as_words(incs)
+    work = np.empty((4, len(states)), dtype=np.uint64)
+    trajectories._lcg_step(hi, lo, inc_hi, inc_lo, work, np.empty(len(states), dtype=bool))
+    stepped = [(int(h) << 64) | int(w) for h, w in zip(hi, lo)]
+    assert stepped == [(s * PCG_MULT + i) % 2 ** 128 for s, i in zip(states, incs)]
+
+
+def test_xsl_rr_output_equals_python_ints():
+    def xsl_rr(state):
+        x, rot = (state >> 64) ^ (state & MASK64), state >> 122
+        return ((x >> rot) | (x << (64 - rot))) & MASK64
+
+    assert {s >> 122 for s in XSL_RR_STATES} >= {0, 63}
+    hi, lo = as_words(XSL_RR_STATES)
+    out = np.empty(len(XSL_RR_STATES), dtype=np.uint64)
+    trajectories._xsl_rr(hi, lo, out, np.empty((2, len(XSL_RR_STATES)), dtype=np.uint64))
+    assert out.tolist() == [xsl_rr(s) for s in XSL_RR_STATES]
+
+
 def test_benchmark_request_counts_are_pinned():
     # the stream contract as a fixed value: any numpy release, any chunking
     ladder = build_ladder(8, 1.0)
@@ -242,8 +298,14 @@ def short_chunks(monkeypatch):
     monkeypatch.setattr(trajectories, "CHUNK_ENTRIES", 1 << 11)
 
 
+VECTOR_DRAWS = trajectories._VECTOR_DRAWS
+
+
 @pytest.mark.parametrize("seed", [0, 21, 2 ** 40])
-@pytest.mark.parametrize("n, m0", [(8, 8), (6, 3), (5, 0), (1, 1), (150, 150)])
+@pytest.mark.parametrize("n, m0", [(8, 8), (6, 3), (5, 0), (1, 1), (150, 150),
+                                   # the longest chunked streams, the shortest library ones
+                                   (VECTOR_DRAWS, VECTOR_DRAWS),
+                                   (VECTOR_DRAWS + 1, VECTOR_DRAWS + 1)])
 def test_chunked_counts_equal_per_trajectory_loop(n, m0, seed, short_chunks):
     ladder = build_ladder(n, 1.0)
     grid = np.linspace(0.0, 1.5, 200)
