@@ -8,7 +8,7 @@ from .ladder import DickeLadder
 from .oracles import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, discrete_time_table,
                       evaluate_series, integrate_rate_equations, series_coefficients)
 from .precision import PrecisionPolicy
-from .residues import ResidueTerm, assemble_table, evaluate_distribution, rows_meta
+from .residues import RoundedRow, assemble_table, evaluate_distribution, rows_meta
 from .states import DiagonalState, EvolutionTable, check_time_grid
 from .trajectories import estimate
 
@@ -45,11 +45,12 @@ def solve_populations(ladder: DickeLadder, initial_m0: int | None = None,
 
     if method == "laplace":
         from .spectral import ResolventColumn, invert_laplace
-        # a column per solve, so nothing outlives it; rows are read as it steps down
+        # a column per solve, so nothing outlives it; rows are read as it
+        # steps down, and each keeps only its rounded operands
         column = ResolventColumn(ladder, m0)
-        rows: list[list[ResidueTerm] | None] = [None] * (n + 1)
+        rows: list[RoundedRow | None] = [None] * (n + 1)
         for m in range(m0, -1, -1):
-            rows[m] = invert_laplace(ladder, m, m0, policy, column=column)
+            rows[m] = invert_laplace(ladder, m, m0, policy, column=column).rounded
         return assemble_table(ladder, m0, grid, rows, "laplace", policy)
 
     if method == "jordan":

@@ -128,7 +128,7 @@ def scaled_to_float(value: int, frac_bits: int) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def rounding_defect(consts: list[tuple[int, int]], delta: int, bits: int,
+def rounding_defect(consts: list[tuple[int, int]] | None, delta: int, bits: int,
                     rounded: list | None = None) -> float:
     """|sum of b-bit roundings - delta|, the rational sum taken exactly, for
     constants given as reduced (numerator, denominator) pairs.
@@ -137,7 +137,7 @@ def rounding_defect(consts: list[tuple[int, int]], delta: int, bits: int,
     evaluation kernel sums, so the defect is that of the evaluated
     coefficients.  A caller that already holds them passes them as
     `rounded` (float64 values at 53 bits, `round_to_bits` pairs above) and
-    `consts` is not rounded again.
+    `consts` is not read (it may be None).
 
     Summing the rounded values in working precision can absorb the
     residual entirely (the largest near-cancelling pair may round to the

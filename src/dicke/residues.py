@@ -28,9 +28,11 @@ size of the reduced coefficient.  Indexing each pole by the lowest p in
                                / ((m-q) C(p-1,m-q))
 
 Evaluation rounds each coefficient once, at the width chosen per
-`PrecisionPolicy`, and sums the rounded values exactly in integer fixed
-point, against exponentials built per time from two `mpmath.exp` calls and
-a product recurrence along the ladder.
+`PrecisionPolicy`, into a `RoundedRow` that keeps no exact pair, and sums
+the rounded values exactly in integer fixed point, against exponentials
+built per time from two `mpmath.exp` calls and a product recurrence along
+the ladder.  `evaluate_distribution` rounds each row before it derives the
+next, so only one row's exact pairs are alive at a time.
 """
 
 from __future__ import annotations
@@ -38,9 +40,11 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+from array import array
 from bisect import bisect_left
 from fractions import Fraction
-from operator import lshift, mul, neg
+from operator import itemgetter, lshift, mul, neg
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,11 +104,11 @@ class ResidueTerm:
 
 
 class TermRow(list):
-    """One row's `ResidueTerm`s, the width and a-priori bound they were
-    resolved to, and what evaluating them needs, each computed once:
-    float64 coefficients for a float64 row, `round_to_bits` mantissas and
-    exponents for a wider one.  The evaluation, `rows_meta` and the later
-    times of a propagation all read these, so a row must not be mutated.
+    """One row's `ResidueTerm`s with the width and a-priori bound they were
+    resolved to.  `rounded` is the row as evaluation reads it, built once:
+    the evaluation, `rows_meta` and the later times of a propagation all
+    read it, so a row must not be mutated.  `doubles` and `mantissas` give
+    the float64 and the `bits`-wide roundings of the terms for inspection.
     """
 
     def __init__(self, terms, bits: int, bound: float | None = None):
@@ -118,31 +122,105 @@ class TermRow(list):
         """`error_bound` at the row's width."""
         return error_bound([t._key() for t in self], self.bits)
 
-    @functools.cached_property
+    @property
     def doubles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Poles, constants and linear coefficients in float64."""
         return (np.array([t.pole for t in self], dtype=float),
-                np.array([fraction_to_float(*t.const_pair) for t in self]),
-                np.array([fraction_to_float(*t.linear_pair) for t in self]))
+                _doubles(t.const_pair for t in self), _doubles(t.linear_pair for t in self))
 
-    @functools.cached_property
+    @property
     def mantissas(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """Mantissas and exponents of the constants, then of the linear
         coefficients, rounded to the row's width: four lists parallel to
-        the terms (flat, as a wide row holds one big mantissa per term)."""
-        def rounded(pairs):   # zero stays (0, 0) unrounded
-            return [round_to_bits(num, den, self.bits) if num else (0, 0) for num, den in pairs]
-        consts = rounded(t.const_pair for t in self)
-        linears = rounded(t.linear_pair for t in self)
-        return ([m for m, _ in consts], [e for _, e in consts],
-                [m for m, _ in linears], [e for _, e in linears])
+        the terms."""
+        return (*_mantissas((t.const_pair for t in self), self.bits),
+                *_mantissas((t.linear_pair for t in self), self.bits))
+
+    @functools.cached_property
+    def rounded(self) -> RoundedRow:
+        return RoundedRow([t._key() for t in self], self.bits, self.bound)
+
+
+def _doubles(pairs) -> np.ndarray:
+    return np.array([fraction_to_float(*pair) for pair in pairs], dtype=float)
+
+
+def _mantissas(pairs, bits: int) -> tuple[list[int], list[int]]:
+    """`round_to_bits` mantissas and exponents of exact pairs, flat (a wide
+    row holds one big mantissa per term); zero stays (0, 0) unrounded."""
+    mants, exps = [], []
+    for num, den in pairs:
+        mant, exp = round_to_bits(num, den, bits) if num else (0, 0)
+        mants.append(mant)
+        exps.append(exp)
+    return mants, exps
+
+
+class RoundedTerm(NamedTuple):
+    """One term of a `RoundedRow`: each coefficient a float64 value at 53
+    bits or fewer, else a `round_to_bits` (mantissa, exponent) pair."""
+
+    pole: int
+    const: float | tuple[int, int]
+    linear: float | tuple[int, int]
+    bits: int
+
+
+class RoundedRow:
+    """One row as evaluation reads it: the poles, each coefficient rounded
+    once to the row's width `bits`, and the a-priori `bound` there; no
+    exact pair is kept.
+
+    `raw` is the row's exact (pole, multiplicity, const, linear) tuples,
+    read here and not kept.  At 53 bits or fewer `consts` and `linears` are
+    float64 arrays and the terms keep their order, which the float sum
+    depends on.  A wider row holds each as the `round_to_bits` mantissas (a
+    list) and exponents (an int64 array), zero as (0, 0), with the terms
+    sorted by pole, the order the fixed-point pass reads.  Iterating gives
+    the terms as `RoundedTerm`s.
+    """
+
+    __slots__ = ("poles", "bits", "bound", "consts", "linears")
+
+    def __init__(self, raw, bits: int, bound: float):
+        self.bits = bits
+        self.bound = bound
+        if bits <= DOUBLE_BITS:
+            self.consts = _doubles(term[2] for term in raw)
+            self.linears = _doubles(term[3] for term in raw)
+        else:
+            raw = sorted(raw, key=itemgetter(0))
+            mants, exps = _mantissas((term[2] for term in raw), bits)
+            self.consts = mants, array("q", exps)
+            mants, exps = _mantissas((term[3] for term in raw), bits)
+            self.linears = mants, array("q", exps)
+        self.poles = [term[0] for term in raw]
+
+    def __len__(self) -> int:
+        return len(self.poles)
+
+    def __iter__(self):
+        if self.bits <= DOUBLE_BITS:
+            consts, linears = self.consts.tolist(), self.linears.tolist()
+        else:
+            consts, linears = zip(*self.consts), zip(*self.linears)
+        for pole, const, linear in zip(self.poles, consts, linears):
+            yield RoundedTerm(pole, const, linear, self.bits)
 
     def rounded_consts(self) -> list:
-        """The constants as evaluated: float64 values at 53 bits, else
-        `round_to_bits` pairs."""
+        """The constants as `rounding_defect` takes them: float64 values at
+        53 bits, else (mantissa, exponent) pairs."""
         if self.bits <= DOUBLE_BITS:
-            return self.doubles[1].tolist()
-        return list(zip(*self.mantissas[:2]))
+            return self.consts.tolist()
+        return list(zip(*self.consts))
+
+    def key(self) -> tuple:
+        """The width and the rounded operands, which together fix the values."""
+        if self.bits <= DOUBLE_BITS:
+            operands = (self.consts.tobytes(), self.linears.tobytes())
+        else:
+            operands = tuple(map(tuple, (*self.consts, *self.linears)))
+        return (self.bits, tuple(self.poles), *operands)
 
 
 def bounded_row(raw, policy: PrecisionPolicy) -> TermRow:
@@ -153,9 +231,14 @@ def bounded_row(raw, policy: PrecisionPolicy) -> TermRow:
                     for pole, mult, const, linear in raw], bits, bound)
 
 
-def _as_row(terms) -> TermRow:
-    """A term list as a `TermRow` at its widest term's width."""
-    return terms if isinstance(terms, TermRow) else TermRow(terms, max(t.bits for t in terms))
+def _rounded(row) -> RoundedRow:
+    """A row as evaluated: a `RoundedRow` as it is, a term list through its
+    `TermRow` (at its widest term's width)."""
+    if isinstance(row, RoundedRow):
+        return row
+    if not isinstance(row, TermRow):
+        row = TermRow(row, max(t.bits for t in row))
+    return row.rounded
 
 
 @functools.lru_cache(maxsize=4)
@@ -293,11 +376,11 @@ def evaluate_population(terms: list[ResidueTerm], gamma: float, t: float) -> flo
     return float(evaluate_rows([terms], gamma, np.array([float(t)]))[0, 0])
 
 
-def _row_eval_double(row: TermRow, gamma: float, grid: np.ndarray) -> np.ndarray:
-    poles, consts, linears = row.doubles
+def _row_eval_double(row: RoundedRow, gamma: float, grid: np.ndarray) -> np.ndarray:
+    poles = np.array(row.poles, dtype=float)
     gt = gamma * grid
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        weights = consts[:, None] + linears[:, None] * gt[None, :]
+        weights = row.consts[:, None] + row.linears[:, None] * gt[None, :]
         return (weights * np.exp(-poles[:, None] * gt[None, :])).sum(axis=0)
 
 
@@ -369,25 +452,27 @@ def _ladder_exponentials(poles: list[int], doubled: list[int], gt: mpmath.mpf,
             + [(man * wide[i] + (1 << (shift - 1))) >> shift for i in doubled])
 
 
-def _shifted_products(coeffs, frac_bits: int) -> tuple[list[int], list[int], list[int]]:
-    """(value index, multiplier, left shift) of each nonzero (index, mant,
-    exp) coefficient in an F-scaled dot product, ascending in value index:
-    the b-bit mantissa and shift e + F, or where e + F < 0 the coefficient
-    rounded to 2**-F and no shift."""
-    idx, mants, shifts = [], [], []
-    for i, mant, exp in sorted(coeffs):
+def _shifted_products(indices, mants: list[int], exps, frac_bits: int,
+                      shift_ints: dict) -> tuple[list[int], list[int], list[int]]:
+    """(value index, multiplier, left shift) of each nonzero coefficient of
+    a row in an F-scaled dot product, in the row's order: the b-bit
+    mantissa and shift e + F, or where e + F < 0 the coefficient rounded to
+    2**-F and no shift.  `indices` is parallel to the mantissas; each shift
+    is the int kept for its value in `shift_ints`, so that rows share it."""
+    idx, mults, shifts = [], [], []
+    for i, mant, exp in zip(indices, mants, exps):
         if mant:
             shift = exp + frac_bits
             if shift < 0:
                 mant, shift = _to_fixed(mant, exp, frac_bits), 0
             idx.append(i)
-            mants.append(mant)
-            shifts.append(shift)
-    return idx, mants, shifts
+            mults.append(mant)
+            shifts.append(shift_ints.setdefault(shift, shift))
+    return idx, mults, shifts
 
 
-def _fixed_point_rows(rows: list[TermRow], gamma: float, grid: np.ndarray) -> np.ndarray:
-    """Evaluate term lists wider than float64 in integer fixed point.
+def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) -> np.ndarray:
+    """Evaluate rows wider than float64 in integer fixed point.
 
     Each coefficient is its row's `round_to_bits` pair at width b, a value
     taken at the scale 2**F, F = widest width + GUARD_BITS (one below
@@ -402,26 +487,26 @@ def _fixed_point_rows(rows: list[TermRow], gamma: float, grid: np.ndarray) -> np
     The dot product runs only over the operands whose exponential is
     nonzero.  Both groups of exponentials are non-increasing in the value
     index, so per time a bisection finds where each group reaches zero,
-    and a row whose operands are sorted by value index sums the prefix
-    before that point; the products left out are exactly zero.
+    and a row, whose operands are sorted by pole and so by value index,
+    sums the prefix before that point; the products left out are exactly
+    zero.
     """
     import mpmath
 
     frac_bits = max(row.bits for row in rows) + GUARD_BITS
-    poles = sorted({t.pole for row in rows for t in row})
+    poles = sorted({v for row in rows for v in row.poles})
     index = {v: i for i, v in enumerate(poles)}
-    doubled = sorted({index[t.pole] for row in rows for t in row if t.linear_pair[0]})
-    # the g*t*exp(-h*g*t) values follow the exp(-h*g*t) values in one list
-    g_index = {i: len(poles) + k for k, i in enumerate(doubled)}
-    fixed = []
-    for row in rows:
-        consts, linears = [], []
-        for t, c_mant, c_exp, l_mant, l_exp in zip(row, *row.mantissas):
-            consts.append((index[t.pole], c_mant, c_exp))
-            if l_mant:
-                linears.append((g_index[index[t.pole]], l_mant, l_exp))
-        fixed.append((_shifted_products(consts, frac_bits),
-                      _shifted_products(linears, frac_bits)))
+    doubled = sorted({index[v] for row in rows
+                      for v, mant in zip(row.poles, row.linears[0]) if mant})
+    # the g*t*exp(-h*g*t) values follow the exp(-h*g*t) values in one list;
+    # a pole with no linear term in a row has a zero mantissa there
+    g_index = {poles[i]: len(poles) + k for k, i in enumerate(doubled)}
+    shift_ints = {}
+    fixed = [(_shifted_products(map(index.__getitem__, row.poles), *row.consts, frac_bits,
+                                shift_ints),
+              _shifted_products(map(g_index.get, row.poles), *row.linears, frac_bits,
+                                shift_ints))
+             for row in rows]
 
     out = np.empty((len(rows), grid.size))
     # g*t is exact at 106 bits (a product of two doubles)
@@ -448,11 +533,12 @@ _shared = None   # the memo of the innermost open `shared_evaluation`, else None
 @contextlib.contextmanager
 def shared_evaluation():
     """Within this scope `evaluate_rows` evaluates each distinct row list
-    once: a call whose rows, widths included, grid and gamma equal an
-    earlier call's gets a copy of that call's values.  Derivations that
-    agree exactly (residue, Laplace and Jordan) then share one pass, while
-    any difference in a coefficient or a width is evaluated on its own.
-    Nothing is kept after the scope closes."""
+    once: a call whose rows, as `RoundedRow.key` gives them (widths and
+    rounded operands), grid and gamma equal an earlier call's gets a copy of
+    that call's values.  Derivations that agree exactly (residue, Laplace
+    and Jordan) then share one pass, while any difference in a rounded
+    coefficient or a width is evaluated on its own.  Nothing is kept after
+    the scope closes."""
     global _shared
     outer, _shared = _shared, {}
     try:
@@ -461,18 +547,17 @@ def shared_evaluation():
         _shared = outer
 
 
-def evaluate_rows(rows: list[list[ResidueTerm] | None], gamma: float,
+def evaluate_rows(rows: list[RoundedRow | list[ResidueTerm] | None], gamma: float,
                   grid: np.ndarray) -> np.ndarray:
-    """(len(rows), |grid|) values of per-row term lists: rows at float64
-    width in numpy, wider rows together in one fixed-point pass, empty rows
-    zero; inside `shared_evaluation`, once per distinct row list."""
-    rows = [_as_row(row) if row else None for row in rows]
+    """(len(rows), |grid|) values of per-row term lists, each as its
+    `RoundedRow`: rows at float64 width in numpy, wider rows together in one
+    fixed-point pass, empty rows zero; inside `shared_evaluation`, once per
+    distinct row list."""
+    rows = [_rounded(row) if row else None for row in rows]
     memo = _shared
     if memo is not None:
-        # `ResidueTerm` equality ignores `bits`, so the width is keyed too
         key = (gamma, grid.tobytes(),
-               tuple(None if row is None else (row.bits, tuple(t._key() for t in row))
-                     for row in rows))
+               tuple(None if row is None else row.key() for row in rows))
         seen = memo.get(key)
         if seen is not None:
             return seen.copy()
@@ -493,25 +578,25 @@ def evaluate_rows(rows: list[list[ResidueTerm] | None], gamma: float,
     return out
 
 
-def rows_meta(rows_terms: list[list[ResidueTerm] | None], initial_m0: int, method: str,
-              policy: PrecisionPolicy) -> dict:
+def rows_meta(rows_terms: list[RoundedRow | list[ResidueTerm] | None], initial_m0: int,
+              method: str, policy: PrecisionPolicy) -> dict:
     """Provenance of a table evaluated from per-row term lists: the width of
     every row, its a-priori error bound at that width and the t=0
     reconstruction defect of its coefficients as evaluated."""
-    rows = [_as_row(row) if row else None for row in rows_terms]
+    rows = [_rounded(row) if row else None for row in rows_terms]
     return {
         "method": method,
         "precision_mode": policy.mode,
         "bits": [row.bits if row else DOUBLE_BITS for row in rows],
         "error_bound": [row.bound if row else 0.0 for row in rows],
-        "t0_defect": [rounding_defect([t.const_pair for t in row], int(m == initial_m0),
-                                      row.bits, row.rounded_consts()) if row else 0.0
+        "t0_defect": [rounding_defect(None, int(m == initial_m0), row.bits,
+                                      row.rounded_consts()) if row else 0.0
                       for m, row in enumerate(rows)],
     }
 
 
 def assemble_table(ladder: DickeLadder, initial_m0: int, grid: np.ndarray,
-                   rows_terms: list[list[ResidueTerm] | None], method: str,
+                   rows_terms: list[RoundedRow | list[ResidueTerm] | None], method: str,
                    policy: PrecisionPolicy) -> EvolutionTable:
     """Evaluate per-row term lists over a grid into a table with
     `rows_meta` provenance."""
@@ -528,7 +613,8 @@ def evaluate_distribution(ladder: DickeLadder, initial_m0: int,
     """Full (N+1) x |grid| population table from start state m0.
 
     Rows above m0 are exactly zero (decay only lowers the excitation
-    number).  Per-row metadata is that of `rows_meta`.
+    number).  Each row is derived, resolved and rounded before the next, and
+    only its `RoundedRow` is kept.  Per-row metadata is that of `rows_meta`.
     """
     policy = policy or PrecisionPolicy()
     grid = check_time_grid(time_grid)
@@ -536,6 +622,8 @@ def evaluate_distribution(ladder: DickeLadder, initial_m0: int,
     if not (0 <= initial_m0 <= n):
         raise ValueError(f"initial_m0 must lie in [0, N], got {initial_m0}")
 
-    rows_terms = [residue_terms(ladder, m, initial_m0, policy) if m <= initial_m0 else None
-                  for m in range(n + 1)]
-    return assemble_table(ladder, initial_m0, grid, rows_terms, "residue", policy)
+    rows: list[RoundedRow | None] = [None] * (n + 1)
+    for m in range(initial_m0 + 1):
+        raw = exact_terms(ladder, m, initial_m0)
+        rows[m] = RoundedRow(raw, *resolve_bits(raw, policy))
+    return assemble_table(ladder, initial_m0, grid, rows, "residue", policy)

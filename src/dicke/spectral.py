@@ -37,15 +37,12 @@ R_{m,m0} is solved by the Laplace transform of the rate equation itself,
 pole carries its gap product and its double-pole sum as plain integers,
 each step multiplies one gap into each, and a row reduces each
 coefficient it emits by one gcd.  None of the binomial forms of `residues`
-is used.  Only the diagnostics (`tilde_inv`, `similarity_inverse`,
-`reconstruction_defect`) build `Fraction`s.
+is used, and no `Fraction` is built.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -89,10 +86,6 @@ def _dot(a: list[Pair], b: list[Pair]) -> Pair:
         if p[0] and q[0]:
             acc = _add(acc, _mul(p, q))
     return acc
-
-
-def _fractions(rows: list[list[Pair]]) -> list[list[Fraction]]:
-    return [[Fraction(*x) for x in row] for row in rows]
 
 
 class SingularityError(ZeroDivisionError):
@@ -243,37 +236,6 @@ class JordanDecomposition:
             rest.append(_add(xi, (-num, den)))
         return c1 + [_dot(row, rest) for row in self.t22_inv]
 
-    @functools.cached_property
-    def tilde_inv(self) -> list[list[Fraction]]:
-        """[[T11^-1, 0], [-T22^-1 T21 T11^-1, T22^-1]] as `Fraction`s, O(N^3),
-        for diagnostics."""
-        nw = len(self.t11_inv)
-        t11_inv, t22_inv = _fractions(self.t11_inv), _fractions(self.t22_inv)
-        lower_left = _matmul(_matmul(t22_inv, _fractions(row[:nw] for row in self.tilde[nw:])),
-                             t11_inv)
-        return [row + [Fraction(0)] * len(t22_inv) for row in t11_inv] \
-            + [[-x for x in left] + right for left, right in zip(lower_left, t22_inv)]
-
-    def similarity(self) -> np.ndarray:
-        """Paper-ordered T as float64 (diagnostic view of the exact data)."""
-        dim = self.n_emitters + 1
-        out = np.zeros((dim, dim))
-        for c in range(dim):
-            k = self.permutation[c]
-            for i in range(dim):
-                out[i, c] = fraction_to_float(*self.tilde[i][k])
-        return out
-
-    def similarity_inverse(self) -> np.ndarray:
-        dim = self.n_emitters + 1
-        out = np.zeros((dim, dim))
-        for r in range(dim):
-            k = self.permutation[r]
-            for i in range(dim):
-                value = self.tilde_inv[k][i]
-                out[r, i] = fraction_to_float(value.numerator, value.denominator)
-        return out
-
 
 def _t11_inv_row(h, n_emitters, m) -> list[Pair]:
     """Row of the generalized-vector inverse block for label m, columns
@@ -312,26 +274,6 @@ def _t22_inv_row(h, n_emitters, m) -> list[Pair]:
         acc = _mul(acc, reduced(h[j], h[j] - h[mbar]))
         row[j - first] = acc
     return row
-
-
-def _matmul(a, b) -> list[list[Fraction]]:
-    """Exact product of two matrices of rationals given as row lists.
-
-    A zero a[i][k] skips row k of b before the inner loop and zero entries
-    of b are skipped inside it, so triangular and sparse factors are cheap.
-    """
-    cols = len(b[0]) if b else 0
-    out = []
-    for ai in a:
-        row = [Fraction(0)] * cols
-        for aik, bk in zip(ai, b):
-            if not aik:
-                continue
-            for c, bkc in enumerate(bk):
-                if bkc:
-                    row[c] = row[c] + aik * bkc
-        out.append(row)
-    return out
 
 
 def jordan_decompose(ladder: DickeLadder,
@@ -468,46 +410,6 @@ def propagate(decomp: JordanDecomposition, gamma: float, t,
     if times.ndim:
         return out
     return DiagonalState(populations=out[:, 0], time=float(initial.time) + float(t))
-
-
-def reconstruction_defect(decomp: JordanDecomposition) -> float:
-    """max-entry error of rebuilding H from the decomposition.  Exact
-    entries give an identically zero defect."""
-    dim = decomp.n_emitters + 1
-    h = _h_ext(decomp.ladder)
-
-    tilde = _fractions(decomp.tilde)
-    # J in tilde ordering: diagonal eigenvalues plus a 1 coupling w -> v
-    jcol_diag = [0] * dim
-    couple = {}
-    for kv, kw, lam in decomp.pair_positions:
-        jcol_diag[kv] = jcol_diag[kv] + lam
-        jcol_diag[kw] = jcol_diag[kw] + lam
-        couple[kw] = kv
-    for k, lam in decomp.single_positions:
-        jcol_diag[k] = jcol_diag[k] + lam
-
-    tj = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for k in range(dim):
-            val = tilde[i][k] * jcol_diag[k]
-            if k in couple:
-                val = val + tilde[i][couple[k]]
-            tj[i][k] = val
-    rebuilt = _matmul(tj, decomp.tilde_inv)
-
-    worst = 0.0
-    for i in range(dim):
-        for c in range(dim):
-            m_row = decomp.n_emitters - i
-            expected = 0
-            if i == c:
-                expected = -h[m_row]
-            elif i == c + 1:
-                expected = h[decomp.n_emitters - c]
-            diff = rebuilt[i][c] - expected
-            worst = max(worst, abs(fraction_to_float(diff.numerator, diff.denominator)))
-    return worst
 
 
 @dataclass(frozen=True)

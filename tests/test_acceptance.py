@@ -20,10 +20,10 @@ from dicke.observables import burst_time_grid, emitted_photons, scaling_scan
 from dicke.oracles import ConstrainedSumQuery, constrained_sum_residue, integrate_rate_equations
 from dicke.precision import PrecisionPolicy
 from dicke.residues import evaluate_population, residue_terms
-from dicke.spectral import (invert_laplace, jordan_decompose, propagate,
-                            reconstruction_defect, resolvent_element)
+from dicke.spectral import invert_laplace, jordan_decompose, propagate, resolvent_element
 from dicke.states import DiagonalState
 from dicke.trajectories import estimate
+from jordan_diagnostics import reconstruction_defect
 
 GRID = np.linspace(0.0, 5.0, 41)
 TOP_TIMES = np.array([0.0, 0.5, 1.25, 2.5, 3.75, 5.0])

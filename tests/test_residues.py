@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -14,8 +15,8 @@ from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
 from dicke.oracles import integrate_rate_equations
 from dicke.precision import PrecisionError, PrecisionPolicy, round_to_bits, scaled_to_float
-from dicke.residues import (ResidueTerm, _ladder_exponentials,
-                            above_equator_closed_form, evaluate_distribution,
+from dicke.residues import (ResidueTerm, RoundedRow, _ladder_exponentials,
+                            above_equator_closed_form, assemble_table, evaluate_distribution,
                             evaluate_population, evaluate_rows, exact_terms, residue_terms)
 from dicke.spectral import invert_laplace, jordan_decompose, jordan_terms
 from fraction_reference import fraction_round_to_bits, fraction_terms, pair, pair_terms
@@ -697,3 +698,63 @@ def test_nested_shared_evaluation_restores_the_outer_memo(fixed_point_passes):
         evaluate_distribution(ladder, 30, policy, grid)       # the outer one's entry
     assert len(fixed_point_passes) == 2
     assert residues._shared is None
+
+
+# --- rows rounded as they are derived ----------------------------------------
+
+@pytest.mark.parametrize("n, m0, policy", [
+    (1, 1, PrecisionPolicy()), (2, 2, PrecisionPolicy()), (2, 1, PrecisionPolicy()),
+    (7, 7, PrecisionPolicy()), (7, 4, PrecisionPolicy()),
+    (33, 20, PrecisionPolicy.bits(212)), (128, 64, PrecisionPolicy.bits(212)),
+    (40, 40, PrecisionPolicy.double()), (40, 40, PrecisionPolicy.bits(60)),
+    (64, 64, PrecisionPolicy()),
+])
+def test_streamed_table_equals_table_of_exact_rows(n, m0, policy):
+    ladder = build_ladder(n, 1.0)
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 24), [1e4]])
+    streamed = evaluate_distribution(ladder, m0, policy, grid)
+    rows = [residue_terms(ladder, m, m0, policy) if m <= m0 else None for m in range(n + 1)]
+    exact = assemble_table(ladder, m0, grid, rows, "residue", policy)
+    assert np.array_equal(streamed.populations, exact.populations)
+    for key in ("bits", "error_bound", "t0_defect"):
+        assert streamed.meta[key] == exact.meta[key], key
+
+
+def test_rounded_row_keeps_the_roundings_of_its_term_row():
+    ladder = build_ladder(40, 1.0)
+    for policy in (PrecisionPolicy.double(), PrecisionPolicy.bits(120)):
+        row = residue_terms(ladder, 3, 40, policy)
+        rounded = row.rounded
+        assert isinstance(rounded, RoundedRow)
+        assert (len(rounded), rounded.bits, rounded.bound) == (len(row), row.bits, row.bound)
+        assert [t.pole for t in rounded] == [t.pole for t in row]
+        assert {t.bits for t in rounded} == {row.bits}
+        if row.bits <= 53:
+            _, consts, linears = row.doubles
+            assert [t.const for t in rounded] == consts.tolist()
+            assert [t.linear for t in rounded] == linears.tolist()
+        else:
+            c_mants, c_exps, l_mants, l_exps = row.mantissas
+            assert [t.const for t in rounded] == list(zip(c_mants, c_exps))
+            assert [t.linear for t in rounded] == list(zip(l_mants, l_exps))
+
+
+def test_streamed_table_peak_memory_below_exact_rows():
+    # the table keeps each row's rounded operands only, never every row's
+    # exact pairs: its peak, evaluation included, measured 0.48 of what the
+    # exact rows with their mantissas hold (1.25 when all rows were kept)
+    ladder, grid = build_ladder(160, 1.0), np.geomspace(0.005, 5.0, 50)
+    evaluate_distribution(ladder, 160, time_grid=grid[:1])   # per-N caches, mpmath
+    tracemalloc.start()
+    try:
+        evaluate_distribution(ladder, 160, time_grid=grid)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.clear_traces()
+        rows = [residue_terms(ladder, m, 160) for m in range(161)]
+        held_rows = [(row, row.mantissas) for row in rows]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(held_rows) == 161
+    assert peak < 0.6 * held, (peak, held)
+

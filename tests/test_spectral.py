@@ -13,9 +13,11 @@ from dicke.residues import ResidueTerm, exact_terms, residue_terms
 from dicke.spectral import (ResolventColumn, SingularityError, _t11_inv_row, _t22_inv_row,
                             _v_components, _w_components, eigenvector,
                             generalized_eigenvector, invert_laplace, jordan_decompose,
-                            jordan_terms, propagate, reconstruction_defect, resolvent_element)
+                            jordan_terms, propagate, resolvent_element)
 from dicke.states import DiagonalState
 from fraction_reference import pair
+from jordan_diagnostics import (reconstruction_defect, similarity, similarity_inverse,
+                                tilde_inv)
 
 
 def fractions(entries):
@@ -134,33 +136,35 @@ def test_tilde_is_lower_triangular():
 def test_tilde_inverse_is_exact_inverse():
     for n in (1, 2, 3, 4, 7, 10, 16):
         decomp = jordan_decompose(build_ladder(n, 1.0))
+        inverse = tilde_inv(decomp)
         dim = n + 1
         for i in range(dim):
             for c in range(dim):
                 acc = Fraction(0)
                 for k in range(dim):
-                    acc += Fraction(*decomp.tilde[i][k]) * decomp.tilde_inv[k][c]
+                    acc += Fraction(*decomp.tilde[i][k]) * inverse[k][c]
                 assert acc == (1 if i == c else 0)
 
 
 def test_apply_inverse_matches_full_inverse():
     for n in range(1, 33):
         decomp = jordan_decompose(build_ladder(n, 1.0))
+        inverse = tilde_inv(decomp)
         for i in range(n + 1):
             unit = [(int(k == i), 1) for k in range(n + 1)]
             assert fractions(decomp.apply_inverse(unit)) == \
-                [row[i] for row in decomp.tilde_inv], (n, i)
+                [row[i] for row in inverse], (n, i)
 
 
 def test_propagation_never_forms_the_inverse(monkeypatch):
-    def forbidden(a, b):
-        raise AssertionError("matrix product outside the diagnostics")
-    monkeypatch.setattr(spectral, "_matmul", forbidden)
+    # the inverse is formed only with `Fraction`s, in the diagnostics
+    def forbidden(cls, *args, **kwargs):
+        raise AssertionError("Fraction built outside the diagnostics")
+    monkeypatch.setattr(Fraction, "__new__", forbidden)
     decomp = jordan_decompose(build_ladder(24, 1.0))
     out = propagate(decomp, 1.0, np.array([0.0, 0.3]),
                     DiagonalState(populations=np.eye(25)[12], time=0.0))
     assert np.abs(out.sum(axis=0) - 1).max() < 1e-12
-    assert "tilde_inv" not in vars(decomp)
 
 
 def test_per_time_propagation_converts_coefficients_once(monkeypatch):
@@ -178,16 +182,16 @@ def test_per_time_propagation_converts_coefficients_once(monkeypatch):
 
 def test_similarity_permutation_consistency():
     decomp = jordan_decompose(build_ladder(6, 1.0))
-    t = decomp.similarity()
-    tinv = decomp.similarity_inverse()
+    t = similarity(decomp)
+    tinv = similarity_inverse(decomp)
     assert np.abs(t @ tinv - np.eye(7)).max() < 1e-9
 
 
 def test_reconstruction_defect_exact_zero():
     for n in range(1, 33):
-        decomp = jordan_decompose(build_ladder(n, 1.0))
-        assert reconstruction_defect(decomp) <= 1e-10  # exact entries: identically 0
-        assert reconstruction_defect(decomp) == 0.0
+        defect = reconstruction_defect(jordan_decompose(build_ladder(n, 1.0)))
+        assert defect <= 1e-10  # exact entries: identically 0
+        assert defect == 0.0
 
 
 def product_v(h, n, j, m):
@@ -538,7 +542,7 @@ def test_jordan_policy_modes():
     auto = jordan_decompose(ladder)
     double = jordan_decompose(ladder, PrecisionPolicy.double())
     # the mode sets only the propagation widths, never the entries
-    assert double.tilde == auto.tilde and double.tilde_inv == auto.tilde_inv
+    assert double.tilde == auto.tilde and tilde_inv(double) == tilde_inv(auto)
     assert double.t11_inv == auto.t11_inv and double.t22_inv == auto.t22_inv
     assert double.bits == auto.bits == 53
     start = DiagonalState(populations=np.eye(41)[40], time=0.0)
