@@ -50,15 +50,15 @@ def solve_populations(ladder: DickeLadder, initial_m0: int | None = None,
         column = ResolventColumn(ladder, m0)
         rows: list[RoundedRow | None] = [None] * (n + 1)
         for m in range(m0, -1, -1):
-            rows[m] = invert_laplace(ladder, m, m0, policy, column=column).rounded
+            rows[m] = RoundedRow(invert_laplace(ladder, m, m0, column=column), policy)
         return assemble_table(ladder, m0, grid, rows, "laplace", policy)
 
     if method == "jordan":
-        from .spectral import jordan_decompose, jordan_terms, propagate
+        from .spectral import jordan_decompose, jordan_rows, propagate
         decomp = jordan_decompose(ladder, policy)
         initial = DiagonalState(populations=np.eye(n + 1)[m0], time=0.0)
         populations = propagate(decomp, ladder.gamma, grid, initial)
-        meta = rows_meta(jordan_terms(decomp, initial.populations), m0, "jordan", policy)
+        meta = rows_meta(jordan_rows(decomp, initial.populations), m0, "jordan", policy)
         return EvolutionTable(n_emitters=n, gamma=ladder.gamma, initial_m0=m0, times=grid,
                               populations=populations, method="jordan", meta=meta)
 

@@ -128,16 +128,12 @@ def scaled_to_float(value: int, frac_bits: int) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def rounding_defect(consts: list[tuple[int, int]] | None, delta: int, bits: int,
-                    rounded: list | None = None) -> float:
-    """|sum of b-bit roundings - delta|, the rational sum taken exactly, for
-    constants given as reduced (numerator, denominator) pairs.
+def rounding_defect(rounded: list, delta: int, bits: int) -> float:
+    """|sum of a row's rounded constants - delta|, the sum taken exactly.
 
-    Above float64 the roundings are `round_to_bits`, the ones the
-    evaluation kernel sums, so the defect is that of the evaluated
-    coefficients.  A caller that already holds them passes them as
-    `rounded` (float64 values at 53 bits, `round_to_bits` pairs above) and
-    `consts` is not read (it may be None).
+    `rounded` holds the values the evaluation kernel sums: float64 values
+    at 53 bits or fewer, `round_to_bits` (mantissa, exponent) pairs above,
+    so the defect is that of the evaluated coefficients.
 
     Summing the rounded values in working precision can absorb the
     residual entirely (the largest near-cancelling pair may round to the
@@ -145,15 +141,11 @@ def rounding_defect(consts: list[tuple[int, int]] | None, delta: int, bits: int,
     stay a faithful gauge of the per-coefficient rounding loss.
     """
     if bits <= DOUBLE_BITS:
-        if rounded is None:
-            rounded = [fraction_to_float(*c) for c in consts]
         # fsum rounds the exact sum of the doubles once, like a rational sum
         try:
             return abs(math.fsum(rounded + [-delta]))
         except (OverflowError, ValueError):
             return math.inf
-    if rounded is None:
-        rounded = [round_to_bits(*c, bits) for c in consts]
     low = min([0] + [e for _, e in rounded])
     total = sum(mant << (e - low) for mant, e in rounded) - (delta << -low)
     return abs(scaled_to_float(total, -low))

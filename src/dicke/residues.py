@@ -27,12 +27,13 @@ size of the reduced coefficient.  Indexing each pole by the lowest p in
     simple, q < m              (-1)^(m0-p) (p-q) B C(p-1,m0-q)
                                / ((m-q) C(p-1,m-q))
 
-Evaluation rounds each coefficient once, at the width chosen per
-`PrecisionPolicy`, into a `RoundedRow` that keeps no exact pair, and sums
-the rounded values exactly in integer fixed point, against exponentials
-built per time from two `mpmath.exp` calls and a product recurrence along
-the ladder.  `evaluate_distribution` rounds each row before it derives the
-next, so only one row's exact pairs are alive at a time.
+Exact terms carry no width.  `RoundedRow(terms, policy)` resolves a row's
+width and bound under its `PrecisionPolicy` and rounds each coefficient
+once, keeping no exact pair; evaluation sums the rounded values exactly in
+integer fixed point, against exponentials built per time from two
+`mpmath.exp` calls and a product recurrence along the ladder.
+`evaluate_distribution` rounds each row before it derives the next, so
+only one row's exact pairs are alive at a time.
 """
 
 from __future__ import annotations
@@ -49,35 +50,28 @@ from typing import NamedTuple
 import numpy as np
 
 from .ladder import DickeLadder
-from .precision import (DOUBLE_BITS, GUARD_BITS, PrecisionPolicy, error_bound,
-                        fraction_to_float, reduced, resolve_bits, round_to_bits,
-                        rounding_defect, scaled_to_float)
+from .precision import (DOUBLE_BITS, GUARD_BITS, PrecisionPolicy, fraction_to_float,
+                        reduced, resolve_bits, round_to_bits, rounding_defect,
+                        scaled_to_float)
 from .states import EvolutionTable, check_time_grid
 
 _ZERO = (0, 1)   # reduced (numerator, denominator) pairs
 _ONE = (1, 1)
 
 
-class ResidueTerm:
+class ResidueTerm(NamedTuple):
     """One pole's contribution (const + linear*g*t) * exp(-pole*g*t).
 
     The coefficients are held as reduced (numerator, denominator) pairs,
     `const_pair` and `linear_pair`; `const`/`linear` give them as exact
-    `Fraction`s.  `bits` is the width the policy resolved, to which both
-    are rounded before the sum is evaluated (not part of equality: two
-    derivations of the same expansion compare equal regardless of the
-    precision they were requested at).
+    `Fraction`s.  A term is exact and carries no width: it equals the plain
+    tuple `exact_terms` makes for it, and `RoundedRow` rounds it.
     """
 
-    __slots__ = ("pole", "multiplicity", "const_pair", "linear_pair", "bits")
-
-    def __init__(self, pole: int, multiplicity: int, const_pair: tuple[int, int],
-                 linear_pair: tuple[int, int], bits: int = DOUBLE_BITS):
-        self.pole = pole
-        self.multiplicity = multiplicity
-        self.const_pair = const_pair
-        self.linear_pair = linear_pair
-        self.bits = bits
+    pole: int
+    multiplicity: int
+    const_pair: tuple[int, int]
+    linear_pair: tuple[int, int]
 
     @property
     def const(self) -> Fraction:
@@ -87,65 +81,12 @@ class ResidueTerm:
     def linear(self) -> Fraction:
         return Fraction(*self.linear_pair)
 
-    def _key(self) -> tuple:
-        return self.pole, self.multiplicity, self.const_pair, self.linear_pair
-
-    def __eq__(self, other):
-        if not isinstance(other, ResidueTerm):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"ResidueTerm(pole={self.pole}, multiplicity={self.multiplicity}, "
-                f"const={self.const}, linear={self.linear}, bits={self.bits})")
-
-
-class TermRow(list):
-    """One row's `ResidueTerm`s with the width and a-priori bound they were
-    resolved to.  `rounded` is the row as evaluation reads it, built once:
-    the evaluation, `rows_meta` and the later times of a propagation all
-    read it, so a row must not be mutated.  `doubles` and `mantissas` give
-    the float64 and the `bits`-wide roundings of the terms for inspection.
-    """
-
-    def __init__(self, terms, bits: int, bound: float | None = None):
-        super().__init__(terms)
-        self.bits = bits
-        if bound is not None:   # else `error_bound`, on first use
-            self.bound = bound
-
-    @functools.cached_property
-    def bound(self) -> float:
-        """`error_bound` at the row's width."""
-        return error_bound([t._key() for t in self], self.bits)
-
-    @property
-    def doubles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Poles, constants and linear coefficients in float64."""
-        return (np.array([t.pole for t in self], dtype=float),
-                _doubles(t.const_pair for t in self), _doubles(t.linear_pair for t in self))
-
-    @property
-    def mantissas(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Mantissas and exponents of the constants, then of the linear
-        coefficients, rounded to the row's width: four lists parallel to
-        the terms."""
-        return (*_mantissas((t.const_pair for t in self), self.bits),
-                *_mantissas((t.linear_pair for t in self), self.bits))
-
-    @functools.cached_property
-    def rounded(self) -> RoundedRow:
-        return RoundedRow([t._key() for t in self], self.bits, self.bound)
-
 
 def _doubles(pairs) -> np.ndarray:
     return np.array([fraction_to_float(*pair) for pair in pairs], dtype=float)
 
 
-def _mantissas(pairs, bits: int) -> tuple[list[int], list[int]]:
+def _mantissas(pairs, bits: int) -> tuple[list[int], array]:
     """`round_to_bits` mantissas and exponents of exact pairs, flat (a wide
     row holds one big mantissa per term); zero stays (0, 0) unrounded."""
     mants, exps = [], []
@@ -153,7 +94,7 @@ def _mantissas(pairs, bits: int) -> tuple[list[int], list[int]]:
         mant, exp = round_to_bits(num, den, bits) if num else (0, 0)
         mants.append(mant)
         exps.append(exp)
-    return mants, exps
+    return mants, array("q", exps)
 
 
 class RoundedTerm(NamedTuple):
@@ -167,34 +108,32 @@ class RoundedTerm(NamedTuple):
 
 
 class RoundedRow:
-    """One row as evaluation reads it: the poles, each coefficient rounded
-    once to the row's width `bits`, and the a-priori `bound` there; no
-    exact pair is kept.
+    """One row as evaluation reads it, and the one place a row gets its
+    width: `resolve_bits` picks the width `bits` for the row's exact terms
+    under `policy`, with the a-priori `bound` there, and each coefficient
+    is rounded once to it.  No exact pair is kept.
 
-    `raw` is the row's exact (pole, multiplicity, const, linear) tuples,
-    read here and not kept.  At 53 bits or fewer `consts` and `linears` are
-    float64 arrays and the terms keep their order, which the float sum
-    depends on.  A wider row holds each as the `round_to_bits` mantissas (a
-    list) and exponents (an int64 array), zero as (0, 0), with the terms
-    sorted by pole, the order the fixed-point pass reads.  Iterating gives
-    the terms as `RoundedTerm`s.
+    `terms` is the row's exact (pole, multiplicity, const, linear) terms,
+    at least one, read here and not kept.  At 53 bits or fewer `consts` and
+    `linears` are float64 arrays and the terms keep their order, which the
+    float sum depends on.  A wider row holds each as the `round_to_bits`
+    mantissas (a list) and exponents (an int64 array), zero as (0, 0), with
+    the terms sorted by pole, the order the fixed-point pass reads.
+    Iterating gives the terms as `RoundedTerm`s.
     """
 
     __slots__ = ("poles", "bits", "bound", "consts", "linears")
 
-    def __init__(self, raw, bits: int, bound: float):
-        self.bits = bits
-        self.bound = bound
-        if bits <= DOUBLE_BITS:
-            self.consts = _doubles(term[2] for term in raw)
-            self.linears = _doubles(term[3] for term in raw)
+    def __init__(self, terms, policy: PrecisionPolicy):
+        self.bits, self.bound = resolve_bits(terms, policy)
+        if self.bits <= DOUBLE_BITS:
+            self.consts = _doubles(term[2] for term in terms)
+            self.linears = _doubles(term[3] for term in terms)
         else:
-            raw = sorted(raw, key=itemgetter(0))
-            mants, exps = _mantissas((term[2] for term in raw), bits)
-            self.consts = mants, array("q", exps)
-            mants, exps = _mantissas((term[3] for term in raw), bits)
-            self.linears = mants, array("q", exps)
-        self.poles = [term[0] for term in raw]
+            terms = sorted(terms, key=itemgetter(0))
+            self.consts = _mantissas((term[2] for term in terms), self.bits)
+            self.linears = _mantissas((term[3] for term in terms), self.bits)
+        self.poles = [term[0] for term in terms]
 
     def __len__(self) -> int:
         return len(self.poles)
@@ -221,24 +160,6 @@ class RoundedRow:
         else:
             operands = tuple(map(tuple, (*self.consts, *self.linears)))
         return (self.bits, tuple(self.poles), *operands)
-
-
-def bounded_row(raw, policy: PrecisionPolicy) -> TermRow:
-    """Exact (pole, multiplicity, const pair, linear pair) tuples as a row
-    at the width `resolve_bits` picks, keeping the bound it computed there."""
-    bits, bound = resolve_bits(raw, policy)
-    return TermRow([ResidueTerm(pole, mult, const, linear, bits)
-                    for pole, mult, const, linear in raw], bits, bound)
-
-
-def _rounded(row) -> RoundedRow:
-    """A row as evaluated: a `RoundedRow` as it is, a term list through its
-    `TermRow` (at its widest term's width)."""
-    if isinstance(row, RoundedRow):
-        return row
-    if not isinstance(row, TermRow):
-        row = TermRow(row, max(t.bits for t in row))
-    return row.rounded
 
 
 @functools.lru_cache(maxsize=4)
@@ -333,11 +254,9 @@ def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
     return out
 
 
-def residue_terms(ladder: DickeLadder, target_m: int, initial_m0: int,
-                  policy: PrecisionPolicy | None = None) -> TermRow:
-    """Term list for rho_m(t) from start state m0, rounded to the width
-    `resolve_bits` picks for it."""
-    return bounded_row(exact_terms(ladder, target_m, initial_m0), policy or PrecisionPolicy())
+def residue_terms(ladder: DickeLadder, target_m: int, initial_m0: int) -> list[ResidueTerm]:
+    """Exact term list for rho_m(t) from start state m0, poles ascending."""
+    return [ResidueTerm(*term) for term in exact_terms(ladder, target_m, initial_m0)]
 
 
 def above_equator_closed_form(ladder: DickeLadder, target_m: int) -> list[ResidueTerm]:
@@ -369,11 +288,14 @@ def above_equator_closed_form(ladder: DickeLadder, target_m: int) -> list[Residu
     return out
 
 
-def evaluate_population(terms: list[ResidueTerm], gamma: float, t: float) -> float:
-    """Sum the expansion at one time; result downgraded to float64."""
+def evaluate_population(terms: list[ResidueTerm], gamma: float, t: float,
+                        policy: PrecisionPolicy | None = None) -> float:
+    """Sum the expansion at one time, its `RoundedRow` under `policy`
+    (default auto); result downgraded to float64."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    return float(evaluate_rows([terms], gamma, np.array([float(t)]))[0, 0])
+    row = RoundedRow(terms, policy or PrecisionPolicy()) if terms else None
+    return float(evaluate_rows([row], gamma, np.array([float(t)]))[0, 0])
 
 
 def _row_eval_double(row: RoundedRow, gamma: float, grid: np.ndarray) -> np.ndarray:
@@ -547,13 +469,11 @@ def shared_evaluation():
         _shared = outer
 
 
-def evaluate_rows(rows: list[RoundedRow | list[ResidueTerm] | None], gamma: float,
+def evaluate_rows(rows: list[RoundedRow | None], gamma: float,
                   grid: np.ndarray) -> np.ndarray:
-    """(len(rows), |grid|) values of per-row term lists, each as its
-    `RoundedRow`: rows at float64 width in numpy, wider rows together in one
-    fixed-point pass, empty rows zero; inside `shared_evaluation`, once per
-    distinct row list."""
-    rows = [_rounded(row) if row else None for row in rows]
+    """(len(rows), |grid|) values of rounded rows: rows at float64 width in
+    numpy, wider rows together in one fixed-point pass, None rows zero;
+    inside `shared_evaluation`, once per distinct row list."""
     memo = _shared
     if memo is not None:
         key = (gamma, grid.tobytes(),
@@ -578,28 +498,26 @@ def evaluate_rows(rows: list[RoundedRow | list[ResidueTerm] | None], gamma: floa
     return out
 
 
-def rows_meta(rows_terms: list[RoundedRow | list[ResidueTerm] | None], initial_m0: int,
-              method: str, policy: PrecisionPolicy) -> dict:
-    """Provenance of a table evaluated from per-row term lists: the width of
-    every row, its a-priori error bound at that width and the t=0
-    reconstruction defect of its coefficients as evaluated."""
-    rows = [_rounded(row) if row else None for row in rows_terms]
+def rows_meta(rows: list[RoundedRow | None], initial_m0: int, method: str,
+              policy: PrecisionPolicy) -> dict:
+    """Provenance of a table evaluated from rounded rows: the width of every
+    row, its a-priori error bound at that width and the t=0 reconstruction
+    defect of its coefficients as evaluated."""
     return {
         "method": method,
         "precision_mode": policy.mode,
         "bits": [row.bits if row else DOUBLE_BITS for row in rows],
         "error_bound": [row.bound if row else 0.0 for row in rows],
-        "t0_defect": [rounding_defect(None, int(m == initial_m0), row.bits,
-                                      row.rounded_consts()) if row else 0.0
-                      for m, row in enumerate(rows)],
+        "t0_defect": [rounding_defect(row.rounded_consts(), int(m == initial_m0), row.bits)
+                      if row else 0.0 for m, row in enumerate(rows)],
     }
 
 
 def assemble_table(ladder: DickeLadder, initial_m0: int, grid: np.ndarray,
-                   rows_terms: list[RoundedRow | list[ResidueTerm] | None], method: str,
+                   rows_terms: list[RoundedRow | None], method: str,
                    policy: PrecisionPolicy) -> EvolutionTable:
-    """Evaluate per-row term lists over a grid into a table with
-    `rows_meta` provenance."""
+    """Evaluate rounded rows over a grid into a table with `rows_meta`
+    provenance."""
     populations = evaluate_rows(rows_terms, ladder.gamma, grid)
     return EvolutionTable(n_emitters=ladder.n_emitters, gamma=ladder.gamma,
                           initial_m0=initial_m0, times=grid, populations=populations,
@@ -624,6 +542,5 @@ def evaluate_distribution(ladder: DickeLadder, initial_m0: int,
 
     rows: list[RoundedRow | None] = [None] * (n + 1)
     for m in range(initial_m0 + 1):
-        raw = exact_terms(ladder, m, initial_m0)
-        rows[m] = RoundedRow(raw, *resolve_bits(raw, policy))
+        rows[m] = RoundedRow(exact_terms(ladder, m, initial_m0), policy)
     return assemble_table(ladder, initial_m0, grid, rows, "residue", policy)

@@ -18,11 +18,12 @@ gcds and a sum the gcd of the denominators, as `Fraction` arithmetic does,
 without building a `Fraction`.  The inverse is applied by block
 substitution, never formed, so the build is O(N^2).
 
-Propagation multiplies the decomposition out into the per-row expansion
-sum_p (A_p + B_p*g*t) * exp(-h_p*g*t) (`jordan_terms`) and sums it with
-the residue evaluator at the residue widths, so all closed-form methods
-share one evaluation path: float64 rows in numpy, wider rows in one
-integer fixed-point pass.
+Propagation multiplies the decomposition out into the exact per-row
+expansion sum_p (A_p + B_p*g*t) * exp(-h_p*g*t) (`jordan_terms`), rounds
+each row as a `RoundedRow` under the decomposition's policy
+(`jordan_rows`), and sums it with the residue evaluator, so all
+closed-form methods share one width decision and one evaluation path:
+float64 rows in numpy, wider rows in one integer fixed-point pass.
 
 Each candidate column is checked against its defining equation, row m
 reading (h_j - h_m) x_m + h_{m+1} x_{m+1} = y_m (y = 0 for an eigenvector,
@@ -37,7 +38,8 @@ R_{m,m0} is solved by the Laplace transform of the rate equation itself,
 pole carries its gap product and its double-pole sum as plain integers,
 each step multiplies one gap into each, and a row reduces each
 coefficient it emits by one gcd.  None of the binomial forms of `residues`
-is used, and no `Fraction` is built.
+is used, and no `Fraction` is built.  `invert_laplace` returns the exact
+terms; the caller rounds them.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 
 from .ladder import DickeLadder
 from .precision import DOUBLE_BITS, PrecisionPolicy, fraction_to_float, reduced
-from .residues import TermRow, bounded_row, evaluate_rows
+from .residues import ResidueTerm, RoundedRow, evaluate_rows
 from .states import DiagonalState
 
 Pair = tuple[int, int]   # reduced (numerator, denominator), denominator > 0
@@ -204,9 +206,11 @@ class JordanDecomposition:
     c-th column of the paper-ordered similarity matrix T, whose column
     blocks match `blocks`; its diagonal blocks T11 (w columns) and T22 have
     closed-form inverses.  Entries are exact reduced (numerator,
-    denominator) pairs at every N and in every mode;
-    `policy` sets each propagated row's width (`bits`: that of `bits` mode,
-    else 53).  `_last_terms` keeps the last start's expansion for reuse.
+    denominator) pairs at every N and in every mode.  `policy` is the one
+    under which `jordan_rows` rounds each propagated row; the per-row widths
+    live on those `RoundedRow`s.  `bits` only records the policy's fixed
+    width (that of `bits` mode, else 53), which the benchmark tracer reads.
+    `_last_rows` keeps the last start's rounded rows for reuse.
     """
 
     ladder: DickeLadder
@@ -219,7 +223,7 @@ class JordanDecomposition:
     single_positions: tuple[tuple[int, int], ...]      # (tilde col, eigenvalue)
     policy: PrecisionPolicy
     bits: int
-    _last_terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _last_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_emitters(self) -> int:
@@ -281,7 +285,7 @@ def jordan_decompose(ladder: DickeLadder,
     """Assemble the block decomposition from closed-form entries.
 
     The entries are exact reduced pairs in every mode; the policy only sets the
-    width of each propagated row (`jordan_terms`).
+    width of each propagated row (`jordan_rows`).
     """
     policy = policy or PrecisionPolicy()
     n_emitters = ladder.n_emitters
@@ -344,39 +348,34 @@ def _build_tilde(h, n_emitters, n):
     return tilde, t11_inv, t22_inv, tilde_labels
 
 
-def jordan_terms(decomp: JordanDecomposition, populations) -> list[TermRow | list]:
-    """Per-row expansion of exp(H*g*t) x in the form the residue methods use.
+def jordan_terms(decomp: JordanDecomposition, populations) -> list[list[ResidueTerm]]:
+    """Exact per-row expansion of exp(H*g*t) x in the form the residue
+    methods use.
 
     With c = T^{-1} x (exact reduced pairs, by `apply_inverse`), a Jordan
     pair (v, w, l) contributes (T_iv*c_v + T_iw*c_w + T_iv*c_w*g*t) *
     exp(l*g*t) to row i and a single (k, l) contributes T_ik*c_k * exp(l*g*t).  Rows are indexed
     by the physical state m; all-zero terms are dropped, poles are
-    ascending and each nonempty row is a `TermRow` at the width
-    `resolve_bits` picks.  The rows, and what evaluation caches on them,
-    are shared with later calls for the same start and must not be
-    mutated.
+    ascending, and a row the start does not reach is empty.
     """
     dim = decomp.n_emitters + 1
     x_td = np.asarray(populations, dtype=float)[::-1]
     if x_td.shape != (dim,):
         raise ValueError(f"initial state has wrong length {x_td.shape}")
-    key = x_td.tobytes()
-    if decomp._last_terms is not None and decomp._last_terms[0] == key:
-        return decomp._last_terms[1]
     coeff = decomp.apply_inverse([float(v).as_integer_ratio() for v in x_td])
     # blocks the start does not excite contribute nothing to any row
     blocks = sorted([(-lam, kv, kw) for kv, kw, lam in decomp.pair_positions
                      if coeff[kv][0] or coeff[kw][0]]
                     + [(-lam, k, None) for k, lam in decomp.single_positions if coeff[k][0]])
-    rows: list[TermRow | list] = [[] for _ in range(dim)]
+    rows: list[list[ResidueTerm]] = [[] for _ in range(dim)]
     for i in range(dim):
         row = decomp.tilde[i]
-        terms = []
+        terms = rows[decomp.n_emitters - i]
         for pole, kv, kw in blocks:
             t_v = row[kv]
             if kw is None:
                 if t_v[0]:
-                    terms.append((pole, 1, _mul(t_v, coeff[kv]), _ZERO))
+                    terms.append(ResidueTerm(pole, 1, _mul(t_v, coeff[kv]), _ZERO))
                 continue
             t_w = row[kw]
             if not (t_v[0] or t_w[0]):
@@ -384,10 +383,22 @@ def jordan_terms(decomp: JordanDecomposition, populations) -> list[TermRow | lis
             const = _add(_mul(t_v, coeff[kv]), _mul(t_w, coeff[kw]))
             linear = _mul(t_v, coeff[kw])
             if const[0] or linear[0]:
-                terms.append((pole, 2 if linear[0] else 1, const, linear))
-        if terms:
-            rows[decomp.n_emitters - i] = bounded_row(terms, decomp.policy)
-    decomp._last_terms = (key, rows)
+                terms.append(ResidueTerm(pole, 2 if linear[0] else 1, const, linear))
+    return rows
+
+
+def jordan_rows(decomp: JordanDecomposition, populations) -> list[RoundedRow | None]:
+    """`jordan_terms` as evaluation reads them: each nonempty row a
+    `RoundedRow` under `decomp.policy`, each empty one None.  The last
+    start's rows are kept on the decomposition, so later propagations of
+    that start and its `rows_meta` reuse them; they must not be mutated."""
+    x = np.asarray(populations, dtype=float)
+    key = (x.shape, x.tobytes())
+    if decomp._last_rows is not None and decomp._last_rows[0] == key:
+        return decomp._last_rows[1]
+    rows = [RoundedRow(terms, decomp.policy) if terms else None
+            for terms in jordan_terms(decomp, x)]
+    decomp._last_rows = (key, rows)
     return rows
 
 
@@ -396,7 +407,7 @@ def propagate(decomp: JordanDecomposition, gamma: float, t,
     """Apply the block-structured exponential: coefficients of singles are
     scaled by exp(l*g*t); a Jordan pair (v, w) mixes as
     (cv + g*t*cw, cw) * exp(l*g*t).  Never a dense matrix exponential; the
-    expansion from `jordan_terms` is summed by the residue evaluator.
+    rows from `jordan_rows` are summed by the residue evaluator.
 
     `t` is one time, giving the state at initial.time + t, or a 1-d grid
     of times, giving the (N+1, |grid|) populations from one evaluation
@@ -405,8 +416,7 @@ def propagate(decomp: JordanDecomposition, gamma: float, t,
     times = np.asarray(t, dtype=float)
     if times.ndim > 1 or np.any(times < 0):
         raise ValueError(f"t must be a nonnegative time or 1-d grid, got {t}")
-    rows = jordan_terms(decomp, initial.populations)
-    out = evaluate_rows(rows, gamma, times.reshape(-1))
+    out = evaluate_rows(jordan_rows(decomp, initial.populations), gamma, times.reshape(-1))
     if times.ndim:
         return out
     return DiagonalState(populations=out[:, 0], time=float(initial.time) + float(t))
@@ -507,25 +517,24 @@ class ResolventColumn:
             den *= g
         self._poles[v_new] = [den, snum, 1]
 
-    def terms(self) -> list[tuple[int, int, Pair, Pair]]:
-        """Exact (pole, multiplicity, const, linear) tuples of the current
-        row, poles ascending, coefficients as reduced pairs: num/den for a
-        simple pole, and for a double one the residue of
-        e^{z*g*t}/(z + v)^2 times num/den, which is (-num*snum/den^2, num/den)."""
+    def terms(self) -> list[ResidueTerm]:
+        """Exact terms of the current row, poles ascending, coefficients as
+        reduced pairs: num/den for a simple pole, and for a double one the
+        residue of e^{z*g*t}/(z + v)^2 times num/den, which is
+        (-num*snum/den^2, num/den)."""
         num = self.numerator
         out = []
         for v in sorted(self._poles):
             den, snum, multiplicity = self._poles[v]
             if multiplicity == 1:
-                out.append((v, 1, reduced(num, den), _ZERO))
+                out.append(ResidueTerm(v, 1, reduced(num, den), _ZERO))
             else:
-                out.append((v, 2, reduced(-num * snum, den * den), reduced(num, den)))
+                out.append(ResidueTerm(v, 2, reduced(-num * snum, den * den), reduced(num, den)))
         return out
 
 
 def invert_laplace(ladder: DickeLadder, target_m: int, initial_m0: int,
-                   policy: PrecisionPolicy | None = None,
-                   column: ResolventColumn | None = None) -> TermRow:
+                   column: ResolventColumn | None = None) -> list[ResidueTerm]:
     """Residue terms of the resolvent entry R_{m,m0}(z) e^{z*g*t}.
 
     The poles live at z = -h_p, so the gaps enter with the opposite sign
@@ -534,7 +543,6 @@ def invert_laplace(ladder: DickeLadder, target_m: int, initial_m0: int,
     `ResolventColumn` stepped down to m: `column`, when a caller walks the
     rows of one start downwards, else a fresh one stepped from m0.
     """
-    policy = policy or PrecisionPolicy()
     n = ladder.n_emitters
     if not (0 <= target_m <= initial_m0 <= n):
         raise ValueError(
@@ -544,4 +552,4 @@ def invert_laplace(ladder: DickeLadder, target_m: int, initial_m0: int,
     elif column.initial_m0 != initial_m0 or column.ladder.h != ladder.h:
         raise ValueError("the column belongs to another ladder or start")
     column.step_to(target_m)
-    return bounded_row(column.terms(), policy)
+    return column.terms()

@@ -18,7 +18,7 @@ from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
 from dicke.observables import scaling_scan
 from dicke.precision import PrecisionPolicy
-from dicke.residues import ResidueTerm, TermRow
+from dicke.residues import ResidueTerm
 
 
 def run(argv):
@@ -577,15 +577,15 @@ def test_compare_evaluates_a_disagreeing_expansion_on_its_own(monkeypatch, fixed
     # the memo must never hide a difference: one laplace coefficient off by 2^-30
     invert = spectral.invert_laplace
 
-    def perturbed(ladder, target_m, initial_m0, policy=None, column=None):
-        row = invert(ladder, target_m, initial_m0, policy, column=column)
+    def perturbed(ladder, target_m, initial_m0, column=None):
+        terms = invert(ladder, target_m, initial_m0, column=column)
         if target_m:
-            return row
-        first, *rest = row
+            return terms
+        first, *rest = terms
         num, den = first.const_pair
         nudged = ResidueTerm(first.pole, first.multiplicity,
-                             ((num << 30) + den, den << 30), first.linear_pair, first.bits)
-        return TermRow([nudged, *rest], row.bits, row.bound)
+                             ((num << 30) + den, den << 30), first.linear_pair)
+        return [nudged, *rest]
 
     monkeypatch.setattr(spectral, "invert_laplace", perturbed)
     assert run(EXACT_COMPARE) == 4

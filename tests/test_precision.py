@@ -12,7 +12,7 @@ from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
 from dicke.precision import (DOUBLE_BITS, PrecisionError, PrecisionPolicy, default_max_bits,
                              error_bound, fraction_to_float, resolve_bits, rounding_defect)
-from dicke.residues import exact_terms, residue_terms
+from dicke.residues import RoundedRow, exact_terms, residue_terms
 from dicke.states import DiagonalState
 from fraction_reference import (fraction_log2_gains, fraction_round_to_bits, fraction_terms,
                                 pair_terms)
@@ -93,11 +93,10 @@ def test_fraction_to_float_overflow_is_signed_inf():
 
 
 def test_rounding_defect_scales_with_bits():
-    consts = [t.const_pair for t in residue_terms(build_ladder(30, 1.0), 0, 30,
-                                                  PrecisionPolicy.bits(300))]
-    d53 = rounding_defect(consts, 0, 53)
-    d106 = rounding_defect(consts, 0, 106)
-    d212 = rounding_defect(consts, 0, 212)
+    terms = residue_terms(build_ladder(30, 1.0), 0, 30)
+    d53, d106, d212 = (
+        rounding_defect(RoundedRow(terms, PrecisionPolicy.bits(bits)).rounded_consts(), 0, bits)
+        for bits in (53, 106, 212))
     assert d53 > d106 > d212
     assert d106 < d53 * 2.0 ** -40  # roughly 2^-bits scaling
 
@@ -105,8 +104,7 @@ def test_rounding_defect_scales_with_bits():
 def test_working_precision_trace_is_tiny():
     # the expansion itself conserves the trace far below float64 output noise
     ladder = build_ladder(32, 1.0)
-    rows = [residue_terms(ladder, m, 32, PrecisionPolicy.bits(192))
-            for m in range(33)]
+    rows = [residue_terms(ladder, m, 32) for m in range(33)]
     with mpmath.workprec(192):
         for gt in (0.05, 0.7, 2.0):
             gt_mp = mpmath.mpf(gt)
@@ -175,6 +173,29 @@ def test_closed_forms_share_widths_bounds_and_tables(policy):
             assert max(residue.meta["error_bound"]) <= policy.target_defect
 
 
+POLICIES = st.one_of(st.just(PrecisionPolicy.double()),
+                     st.builds(PrecisionPolicy.bits, st.integers(53, 300)),
+                     st.just(PrecisionPolicy.auto()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_closed_forms_equal_under_any_policy(data):
+    # three derivations of one exact expansion, each row rounded once by
+    # `RoundedRow` under the same policy: equal tables and provenance
+    n = data.draw(st.integers(1, 24), label="n")
+    m0 = data.draw(st.integers(0, n), label="m0")
+    policy = data.draw(POLICIES, label="policy")
+    ladder = build_ladder(n, 1.0)
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 8), [1e4]])
+    residue, laplace, jordan = (solve_populations(ladder, m0, grid, method, policy)
+                                for method in CLOSED_FORMS)
+    for table in (laplace, jordan):
+        assert np.array_equal(table.populations, residue.populations), table.method
+        for key in ("bits", "error_bound", "t0_defect"):
+            assert table.meta[key] == residue.meta[key], (table.method, key)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_error_bound_covers_measured_error(data):
@@ -200,21 +221,24 @@ def assert_rows_match_fraction_reference(ladder, m0, policy, monkeypatch):
     `Fraction` reference."""
     for m in range(m0 + 1):
         raw = exact_terms(ladder, m, m0)
-        row = residue_terms(ladder, m, m0, policy)
+        row = RoundedRow(raw, policy)
         ref = fraction_terms(raw)
         with monkeypatch.context() as patch:
             patch.setattr(precision, "_log2_gains", fraction_log2_gains)
             bits, bound = resolve_bits(ref, policy)
         where = (ladder.n_emitters, m0, m)
         assert row.bits == bits and row.bound == bound, where
+        assert row.poles == [v for v, _, _, _ in ref], where
         if bits <= DOUBLE_BITS:
-            assert row.doubles[1].tolist() == [float(c) for _, _, c, _ in ref], where
-            assert row.doubles[2].tolist() == [float(b) for _, _, _, b in ref], where
+            assert row.consts.tolist() == [float(c) for _, _, c, _ in ref], where
+            assert row.linears.tolist() == [float(b) for _, _, _, b in ref], where
             continue
         consts = [fraction_round_to_bits(c, bits) for _, _, c, _ in ref]
         linears = [fraction_round_to_bits(b, bits) for _, _, _, b in ref]
-        assert row.mantissas == ([mant for mant, _ in consts], [e for _, e in consts],
-                                 [mant for mant, _ in linears], [e for _, e in linears]), where
+        assert (row.consts[0], row.consts[1].tolist()) == \
+            ([mant for mant, _ in consts], [e for _, e in consts]), where
+        assert (row.linears[0], row.linears[1].tolist()) == \
+            ([mant for mant, _ in linears], [e for _, e in linears]), where
 
 
 def test_integer_pipeline_matches_fraction_reference_small_n(monkeypatch):

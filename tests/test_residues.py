@@ -14,7 +14,8 @@ from dicke import precision, residues, spectral
 from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
 from dicke.oracles import integrate_rate_equations
-from dicke.precision import PrecisionError, PrecisionPolicy, round_to_bits, scaled_to_float
+from dicke.precision import (PrecisionError, PrecisionPolicy, fraction_to_float, resolve_bits,
+                             round_to_bits, scaled_to_float)
 from dicke.residues import (ResidueTerm, RoundedRow, _ladder_exponentials,
                             above_equator_closed_form, assemble_table, evaluate_distribution,
                             evaluate_population, evaluate_rows, exact_terms, residue_terms)
@@ -171,7 +172,7 @@ def test_rows_above_initial_state_are_zero():
 def test_auto_policy_escalates_below_equator():
     ladder = build_ladder(40, 1.0)
     terms = residue_terms(ladder, 0, 40)
-    assert terms[0].bits > 53
+    assert RoundedRow(terms, PrecisionPolicy()).bits > 53
     table = evaluate_distribution(ladder, 40, time_grid=np.linspace(0, 2, 9))
     assert max(table.meta["bits"]) > 53
     assert table.trace_defect() < 1e-10
@@ -188,7 +189,7 @@ def test_precision_error_on_tiny_cap():
     ladder = build_ladder(40, 1.0)
     policy = PrecisionPolicy(mode="auto", target_defect=1e-30, max_bits=60)
     with pytest.raises(PrecisionError) as excinfo:
-        residue_terms(ladder, 0, 40, policy)
+        RoundedRow(residue_terms(ladder, 0, 40), policy)
     assert excinfo.value.defect > 0
 
 
@@ -354,7 +355,7 @@ def test_fixed_point_population_matches_table():
     table = evaluate_distribution(ladder, 30, time_grid=grid)
     for m in (0, 7, 15):
         terms = residue_terms(ladder, m, 30)
-        assert terms[0].bits > 53
+        assert RoundedRow(terms, PrecisionPolicy()).bits > 53
         for j, t in enumerate(grid):
             assert evaluate_population(terms, 1.0, t) == table.populations[m, j]
 
@@ -387,13 +388,15 @@ def reference_to_fixed(mant, exp, frac_bits):
     return (mant + (1 << (-shift - 1))) >> -shift
 
 
-def reference_rows(rows, gamma, grid):
-    """Term lists evaluated as the package did before the ladder recurrence:
-    float64 rows in numpy; wider rows with every coefficient pre-shifted
-    to 2**-F and one `mpmath.exp` per pole and time at F + 32 bits."""
+def reference_rows(rows, policy, gamma, grid):
+    """Exact term lists evaluated, at the widths `policy` resolves for them,
+    as the package did before the ladder recurrence: float64 rows in numpy;
+    wider rows with every coefficient pre-shifted to 2**-F and one
+    `mpmath.exp` per pole and time at F + 32 bits."""
     grid = np.asarray(grid, dtype=float)
     out = np.zeros((len(rows), grid.size))
-    wide = [r for r, row in enumerate(rows) if row and max(t.bits for t in row) > 53]
+    bits_of = {r: resolve_bits(row, policy)[0] for r, row in enumerate(rows) if row}
+    wide = [r for r, bits in bits_of.items() if bits > 53]
     for r, row in enumerate(rows):
         if row and r not in wide:
             poles = np.array([t.pole for t in row], dtype=float)
@@ -405,7 +408,7 @@ def reference_rows(rows, gamma, grid):
                 out[r] = (weights * np.exp(-poles[:, None] * gt[None, :])).sum(axis=0)
     if not wide:
         return out
-    widths = [max(t.bits for t in rows[r]) for r in wide]
+    widths = [bits_of[r] for r in wide]
     frac_bits = max(widths) + 64
     poles = sorted({t.pole for r in wide for t in rows[r]})
     index = {v: i for i, v in enumerate(poles)}
@@ -446,15 +449,16 @@ def test_evaluator_equals_per_pole_exp_reference(n, data):
     grid = np.array(sorted({0.0, 1e4, 1e9, *times}))
     ladder = build_ladder(n, gamma)
     rows = {
-        "residue": [residue_terms(ladder, m, m0, policy) if m <= m0 else None
+        "residue": [residue_terms(ladder, m, m0) if m <= m0 else None
                     for m in range(n + 1)],
-        "laplace": [invert_laplace(ladder, m, m0, policy) if m <= m0 else None
+        "laplace": [invert_laplace(ladder, m, m0) if m <= m0 else None
                     for m in range(n + 1)],
         "jordan": jordan_terms(jordan_decompose(ladder, policy), np.eye(n + 1)[m0]),
     }
     for method, method_rows in rows.items():
         table = solve_populations(ladder, m0, grid, method, policy)
-        assert np.array_equal(table.populations, reference_rows(method_rows, gamma, grid)), method
+        assert np.array_equal(table.populations,
+                              reference_rows(method_rows, policy, gamma, grid)), method
 
 
 def test_evaluator_equals_reference_on_wide_log_grid():
@@ -462,21 +466,22 @@ def test_evaluator_equals_reference_on_wide_log_grid():
     grid = np.geomspace(1e-3, 5.0, 20)
     for m0 in (64, 40):
         rows = [residue_terms(ladder, m, m0) if m <= m0 else None for m in range(65)]
-        assert max(row.bits for row in rows if row) > 53
+        assert max(resolve_bits(row, PrecisionPolicy())[0] for row in rows if row) > 53
         table = evaluate_distribution(ladder, m0, time_grid=grid)
-        assert np.array_equal(table.populations, reference_rows(rows, 1.0, grid))
+        assert np.array_equal(table.populations,
+                              reference_rows(rows, PrecisionPolicy(), 1.0, grid))
 
 
 def test_coefficient_below_the_fixed_point_scale_is_rounded():
     # at 60 bits F = 124, and a 60-bit mantissa times 2**-134 keeps only its
     # top 50 bits at 2**-F: 2**49 + 1023/1024 rounds up to 2**49 + 1
     const = Fraction((1 << 59) + 1023, 1 << 134)
-    row = [ResidueTerm(pole=1, multiplicity=1, const_pair=pair(const), linear_pair=(0, 1),
-                       bits=60)]
+    row = [ResidueTerm(pole=1, multiplicity=1, const_pair=pair(const), linear_pair=(0, 1))]
+    policy = PrecisionPolicy.bits(60)
     grid = np.array([0.0, 0.5])
-    values = evaluate_rows([row], 1.0, grid)
+    values = evaluate_rows([RoundedRow(row, policy)], 1.0, grid)
     assert values[0, 0] == math.ldexp((1 << 49) + 1, -124)
-    assert np.array_equal(values, reference_rows([row], 1.0, grid))
+    assert np.array_equal(values, reference_rows([row], policy, 1.0, grid))
 
 
 def mp_fixed(x, frac_bits):
@@ -525,13 +530,13 @@ def test_evaluator_equals_reference_where_most_exponentials_are_zero():
     policy = PrecisionPolicy()
     for m0 in (64, 40):
         rows = {
-            "residue": [residue_terms(ladder, m, m0, policy) if m <= m0 else None
+            "residue": [residue_terms(ladder, m, m0) if m <= m0 else None
                         for m in range(65)],
-            "laplace": [invert_laplace(ladder, m, m0, policy) if m <= m0 else None
+            "laplace": [invert_laplace(ladder, m, m0) if m <= m0 else None
                         for m in range(65)],
             "jordan": jordan_terms(jordan_decompose(ladder, policy), np.eye(65)[m0]),
         }
-        frac_bits = max(row.bits for row in rows["residue"] if row) + 64
+        frac_bits = max(resolve_bits(row, policy)[0] for row in rows["residue"] if row) + 64
         assert frac_bits > 53 + 64
         # on most of the grid, most exponentials round to zero
         nonzero = [sum(map(bool, _ladder_exponentials(poles, [], mpmath.mpf(t), frac_bits)))
@@ -540,18 +545,18 @@ def test_evaluator_equals_reference_where_most_exponentials_are_zero():
         for method, method_rows in rows.items():
             table = solve_populations(ladder, m0, grid, method, policy)
             assert np.array_equal(table.populations,
-                                  reference_rows(method_rows, 1.0, grid)), (method, m0)
+                                  reference_rows(method_rows, policy, 1.0, grid)), (method, m0)
 
 
 def test_evaluator_takes_terms_in_any_order():
     # the zero-prefix cut needs operands sorted by pole; a caller's list need not be
-    ladder = build_ladder(40, 1.0)
+    ladder, policy = build_ladder(40, 1.0), PrecisionPolicy()
     grid = np.geomspace(1e-3, 1e4, 12)
-    rows = [residue_terms(ladder, m, 40) for m in range(41)]
+    shuffled = [residue_terms(ladder, m, 40)[::-1] for m in range(41)]
+    rows = [RoundedRow(terms, policy) for terms in shuffled]
     assert max(row.bits for row in rows) > 53
-    shuffled = [residues.TermRow(row[::-1], row.bits) for row in rows]
-    assert np.array_equal(evaluate_rows(shuffled, 1.0, grid),
-                          reference_rows(shuffled, 1.0, grid))
+    assert np.array_equal(evaluate_rows(rows, 1.0, grid),
+                          reference_rows(shuffled, policy, 1.0, grid))
 
 
 def gap_product(fact, x, m, m0):
@@ -608,7 +613,7 @@ def test_integer_harmonic_sums_equal_fraction_formula():
 
 
 def test_each_coefficient_rounded_and_bounded_once(monkeypatch):
-    calls = {"exp": 0, "round": 0, "bound": 0}
+    calls = {"exp": 0, "resolve": 0, "round": 0, "bound": 0}
 
     def counting(key, func):
         def wrapper(*args, **kwargs):
@@ -618,19 +623,28 @@ def test_each_coefficient_rounded_and_bounded_once(monkeypatch):
 
     monkeypatch.setattr(mpmath, "exp", counting("exp", mpmath.exp))
     for module in (residues, precision):
+        monkeypatch.setattr(module, "resolve_bits", counting("resolve", module.resolve_bits))
         monkeypatch.setattr(module, "round_to_bits", counting("round", module.round_to_bits))
-        monkeypatch.setattr(module, "error_bound", counting("bound", module.error_bound))
+    # no module but `precision` holds `error_bound`, so no other can call it
+    monkeypatch.setattr(precision, "error_bound", counting("bound", precision.error_bound))
     ladder = build_ladder(48, 1.0)
     grid = np.linspace(0.0, 3.0, 7)
-    table = evaluate_distribution(ladder, 48, time_grid=grid)
-    wide = [residue_terms(ladder, m, 48) for m in range(49) if table.meta["bits"][m] > 53]
-    assert wide
-    # q = exp(-g*t) and the lowest pole's value, per time
-    assert calls["exp"] == 2 * grid.size
-    # each nonzero const and linear coefficient rounded once; zeros are not rounded
-    assert calls["round"] == sum(bool(t.const_pair[0]) + bool(t.linear_pair[0])
-                                 for row in wide for t in row)
-    assert calls["bound"] == 0
+    for method in ("residue", "laplace", "jordan"):
+        for m0 in (48, 30):
+            calls.update(exp=0, resolve=0, round=0, bound=0)
+            table = solve_populations(ladder, m0, grid, method)
+            rows = [residue_terms(ladder, m, m0) if m <= m0 else [] for m in range(49)]
+            wide = [row for row, bits in zip(rows, table.meta["bits"]) if bits > 53]
+            where = (method, m0)
+            assert wide, where
+            # q = exp(-g*t) and the lowest pole's value, per time
+            assert calls["exp"] == 2 * grid.size, where
+            # one width decision per nonempty row
+            assert calls["resolve"] == sum(map(bool, rows)) == m0 + 1, where
+            # each nonzero const and linear coefficient rounded once; zeros are not rounded
+            assert calls["round"] == sum(bool(t.const_pair[0]) + bool(t.linear_pair[0])
+                                         for row in wide for t in row), where
+            assert calls["bound"] == 0, where
 
 
 def test_one_exact_terms_call_per_row_and_no_pole_classification(monkeypatch):
@@ -667,7 +681,7 @@ def test_shared_evaluation_reuses_equal_rows_as_copies(fixed_point_passes):
 
 
 def test_shared_evaluation_keys_on_the_width(fixed_point_passes):
-    # `ResidueTerm` equality ignores `bits`: equal terms at two widths are two passes
+    # equal exact rows rounded at two widths are two passes
     ladder, grid = build_ladder(30, 1.0), np.linspace(0.0, 2.0, 7)
     with residues.shared_evaluation():
         narrow = evaluate_distribution(ladder, 30, PrecisionPolicy.bits(120), grid)
@@ -713,28 +727,42 @@ def test_streamed_table_equals_table_of_exact_rows(n, m0, policy):
     ladder = build_ladder(n, 1.0)
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 24), [1e4]])
     streamed = evaluate_distribution(ladder, m0, policy, grid)
-    rows = [residue_terms(ladder, m, m0, policy) if m <= m0 else None for m in range(n + 1)]
-    exact = assemble_table(ladder, m0, grid, rows, "residue", policy)
+    rows = [residue_terms(ladder, m, m0) if m <= m0 else None for m in range(n + 1)]
+    rounded = [RoundedRow(terms, policy) if terms else None for terms in rows]
+    exact = assemble_table(ladder, m0, grid, rounded, "residue", policy)
     assert np.array_equal(streamed.populations, exact.populations)
     for key in ("bits", "error_bound", "t0_defect"):
         assert streamed.meta[key] == exact.meta[key], key
 
 
+def flat_roundings(terms, bits):
+    """Mantissas and exponents of the constants, then of the linear
+    coefficients, rounded to `bits`: four flat lists parallel to the terms,
+    zero as (0, 0)."""
+    out = [], [], [], []
+    for term in terms:
+        for k, (num, den) in ((0, term.const_pair), (2, term.linear_pair)):
+            mant, exp = round_to_bits(num, den, bits) if num else (0, 0)
+            out[k].append(mant)
+            out[k + 1].append(exp)
+    return out
+
+
 def test_rounded_row_keeps_the_roundings_of_its_term_row():
     ladder = build_ladder(40, 1.0)
     for policy in (PrecisionPolicy.double(), PrecisionPolicy.bits(120)):
-        row = residue_terms(ladder, 3, 40, policy)
-        rounded = row.rounded
-        assert isinstance(rounded, RoundedRow)
-        assert (len(rounded), rounded.bits, rounded.bound) == (len(row), row.bits, row.bound)
-        assert [t.pole for t in rounded] == [t.pole for t in row]
-        assert {t.bits for t in rounded} == {row.bits}
-        if row.bits <= 53:
-            _, consts, linears = row.doubles
-            assert [t.const for t in rounded] == consts.tolist()
-            assert [t.linear for t in rounded] == linears.tolist()
+        terms = residue_terms(ladder, 3, 40)
+        rounded = RoundedRow(terms, policy)
+        assert (rounded.bits, rounded.bound) == resolve_bits(terms, policy)
+        assert len(rounded) == len(terms)
+        assert [t.pole for t in rounded] == [t.pole for t in terms]
+        assert {t.bits for t in rounded} == {rounded.bits}
+        if rounded.bits <= 53:
+            assert [t.const for t in rounded] == [fraction_to_float(*t.const_pair) for t in terms]
+            assert [t.linear for t in rounded] == [fraction_to_float(*t.linear_pair)
+                                                   for t in terms]
         else:
-            c_mants, c_exps, l_mants, l_exps = row.mantissas
+            c_mants, c_exps, l_mants, l_exps = flat_roundings(terms, rounded.bits)
             assert [t.const for t in rounded] == list(zip(c_mants, c_exps))
             assert [t.linear for t in rounded] == list(zip(l_mants, l_exps))
 
@@ -742,19 +770,19 @@ def test_rounded_row_keeps_the_roundings_of_its_term_row():
 def test_streamed_table_peak_memory_below_exact_rows():
     # the table keeps each row's rounded operands only, never every row's
     # exact pairs: its peak, evaluation included, measured 0.48 of what the
-    # exact rows with their mantissas hold (1.25 when all rows were kept)
+    # exact rows with their flat roundings hold (1.25 when all rows were kept)
     ladder, grid = build_ladder(160, 1.0), np.geomspace(0.005, 5.0, 50)
     evaluate_distribution(ladder, 160, time_grid=grid[:1])   # per-N caches, mpmath
     tracemalloc.start()
     try:
-        evaluate_distribution(ladder, 160, time_grid=grid)
+        table = evaluate_distribution(ladder, 160, time_grid=grid)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.clear_traces()
         rows = [residue_terms(ladder, m, 160) for m in range(161)]
-        held_rows = [(row, row.mantissas) for row in rows]
+        held_rows = [(row, flat_roundings(row, bits))
+                     for row, bits in zip(rows, table.meta["bits"])]
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(held_rows) == 161
     assert peak < 0.6 * held, (peak, held)
-

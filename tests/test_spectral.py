@@ -13,7 +13,7 @@ from dicke.residues import ResidueTerm, exact_terms, residue_terms
 from dicke.spectral import (ResolventColumn, SingularityError, _t11_inv_row, _t22_inv_row,
                             _v_components, _w_components, eigenvector,
                             generalized_eigenvector, invert_laplace, jordan_decompose,
-                            jordan_terms, propagate, resolvent_element)
+                            jordan_rows, jordan_terms, propagate, resolvent_element)
 from dicke.states import DiagonalState
 from fraction_reference import pair
 from jordan_diagnostics import (reconstruction_defect, similarity, similarity_inverse,
@@ -546,9 +546,9 @@ def test_jordan_policy_modes():
     assert double.t11_inv == auto.t11_inv and double.t22_inv == auto.t22_inv
     assert double.bits == auto.bits == 53
     start = DiagonalState(populations=np.eye(41)[40], time=0.0)
-    widths = [row[0].bits for row in jordan_terms(auto, start.populations)]
+    widths = [row.bits for row in jordan_rows(auto, start.populations)]
     assert max(widths) > 53
-    assert {row[0].bits for row in jordan_terms(double, start.populations)} == {53}
+    assert {row.bits for row in jordan_rows(double, start.populations)} == {53}
     capped = jordan_decompose(ladder, PrecisionPolicy(max_bits=max(widths) - 1))
     with pytest.raises(PrecisionError):
         propagate(capped, 1.0, 0.8, start)
