@@ -119,36 +119,25 @@ def round_to_bits(num: int, den: int, bits: int) -> tuple[int, int]:
     return (-mant if num < 0 else mant), -shift
 
 
-def scaled_to_float(value: int, frac_bits: int) -> float:
-    """value * 2**-frac_bits correctly rounded to float64; overflow maps to
-    signed inf."""
-    try:
-        return value / (1 << frac_bits)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def rounding_defect(rounded: list, delta: int, bits: int) -> float:
+def rounding_defect(mants: list[int], exps, delta: int, bits: int) -> float:
     """|sum of a row's rounded constants - delta|, the sum taken exactly.
 
-    `rounded` holds the values the evaluation kernel sums: float64 values
-    at 53 bits or fewer, `round_to_bits` (mantissa, exponent) pairs above,
-    so the defect is that of the evaluated coefficients.
+    The constants are the `round_to_bits` mantissas and exponents the
+    evaluation sums, so the defect is that of the evaluated coefficients;
+    at 53 bits or fewer a constant of 2**1024 or more is inf in float64,
+    and so is the defect.
 
     Summing the rounded values in working precision can absorb the
     residual entirely (the largest near-cancelling pair may round to the
     same representable number), so the defect is accumulated exactly to
     stay a faithful gauge of the per-coefficient rounding loss.
     """
-    if bits <= DOUBLE_BITS:
-        # fsum rounds the exact sum of the doubles once, like a rational sum
-        try:
-            return abs(math.fsum(rounded + [-delta]))
-        except (OverflowError, ValueError):
-            return math.inf
-    low = min([0] + [e for _, e in rounded])
-    total = sum(mant << (e - low) for mant, e in rounded) - (delta << -low)
-    return abs(scaled_to_float(total, -low))
+    if bits <= DOUBLE_BITS and any(mant.bit_length() + e > 1024
+                                   for mant, e in zip(mants, exps)):
+        return math.inf
+    low = min(0, *exps)
+    total = sum(mant << (e - low) for mant, e in zip(mants, exps)) - (delta << -low)
+    return abs(fraction_to_float(total, 1 << -low))
 
 
 def _log2_sum(exponents: list[float]) -> float:
@@ -180,25 +169,21 @@ def _log2_gains(terms) -> tuple[float, float]:
 
 
 def _bound(gains: tuple[float, float], bits: int) -> float:
+    """Bound, at every t >= 0, on the distance of a row's entries from the
+    float64 rounding of their exact values, its coefficients rounded to
+    `bits` (53: evaluated in float64), from the row's `_log2_gains`."""
     log2_err = gains[0] - DOUBLE_BITS if bits <= DOUBLE_BITS else gains[1] - bits
     # inf also where a coefficient is past float64's range and float64 evaluates it
     err = math.inf if log2_err >= 1024 - DOUBLE_BITS else 2.0 ** log2_err
     return err + OUTPUT_ROUNDING * (1.0 + err)
 
 
-def error_bound(terms, bits: int) -> float:
-    """Bound, at every t >= 0, on the distance of a row's entries from the
-    float64 rounding of their exact values, for its nonempty (pole,
-    multiplicity, const, linear) terms, coefficients as reduced
-    (numerator, denominator) pairs, rounded to `bits` (53: float64)."""
-    return _bound(_log2_gains(terms), bits)
-
-
 def resolve_bits(terms, policy: PrecisionPolicy) -> tuple[int, float]:
-    """(bits, `error_bound` there) for a row's nonempty (pole, multiplicity,
-    const, linear) terms; a fixed width below 53 is reported as 53.  Auto
-    keeps float64 if its bound meets the target, else takes the narrowest
-    wider width that does, and raises `PrecisionError` above the cap."""
+    """(bits, the `_bound` there) for a row's nonempty (pole, multiplicity,
+    const, linear) terms, coefficients as reduced (numerator, denominator)
+    pairs; a fixed width below 53 is reported as 53.  Auto keeps float64 if
+    its bound meets the target, else takes the narrowest wider width that
+    does, and raises `PrecisionError` above the cap."""
     gains = _log2_gains(terms)
     target = policy.target_defect
     if policy.mode != "auto":

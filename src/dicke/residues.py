@@ -28,10 +28,13 @@ size of the reduced coefficient.  Indexing each pole by the lowest p in
                                / ((m-q) C(p-1,m-q))
 
 Exact terms carry no width.  `RoundedRow(terms, policy)` resolves a row's
-width and bound under its `PrecisionPolicy` and rounds each coefficient
-once, keeping no exact pair; evaluation sums the rounded values exactly in
-integer fixed point, against exponentials built per time from two
-`mpmath.exp` calls and a product recurrence along the ladder.
+width b and bound under its `PrecisionPolicy` and rounds each coefficient
+once, keeping no exact pair: every row, whatever b, holds its
+coefficients in one form, `round_to_bits` (mantissa, exponent) pairs.  A
+53-bit row is evaluated in float64, its pairs converted (exactly) when it
+is; a wider row is summed exactly in integer fixed point, against
+exponentials built per time from two `mpmath.exp` calls and a product
+recurrence along the ladder.
 `evaluate_distribution` rounds each row before it derives the next, so
 only one row's exact pairs are alive at a time.
 """
@@ -51,8 +54,7 @@ import numpy as np
 
 from .ladder import DickeLadder
 from .precision import (DOUBLE_BITS, GUARD_BITS, PrecisionPolicy, fraction_to_float,
-                        reduced, resolve_bits, round_to_bits, rounding_defect,
-                        scaled_to_float)
+                        reduced, resolve_bits, round_to_bits, rounding_defect)
 from .states import EvolutionTable, check_time_grid
 
 _ZERO = (0, 1)   # reduced (numerator, denominator) pairs
@@ -82,10 +84,6 @@ class ResidueTerm(NamedTuple):
         return Fraction(*self.linear_pair)
 
 
-def _doubles(pairs) -> np.ndarray:
-    return np.array([fraction_to_float(*pair) for pair in pairs], dtype=float)
-
-
 def _mantissas(pairs, bits: int) -> tuple[list[int], array]:
     """`round_to_bits` mantissas and exponents of exact pairs, flat (a wide
     row holds one big mantissa per term); zero stays (0, 0) unrounded."""
@@ -98,12 +96,12 @@ def _mantissas(pairs, bits: int) -> tuple[list[int], array]:
 
 
 class RoundedTerm(NamedTuple):
-    """One term of a `RoundedRow`: each coefficient a float64 value at 53
-    bits or fewer, else a `round_to_bits` (mantissa, exponent) pair."""
+    """One term of a `RoundedRow`: each coefficient a `round_to_bits`
+    (mantissa, exponent) pair at the row's width `bits`."""
 
     pole: int
-    const: float | tuple[int, int]
-    linear: float | tuple[int, int]
+    const: tuple[int, int]
+    linear: tuple[int, int]
     bits: int
 
 
@@ -114,52 +112,34 @@ class RoundedRow:
     is rounded once to it.  No exact pair is kept.
 
     `terms` is the row's exact (pole, multiplicity, const, linear) terms,
-    at least one, read here and not kept.  At 53 bits or fewer `consts` and
-    `linears` are float64 arrays and the terms keep their order, which the
-    float sum depends on.  A wider row holds each as the `round_to_bits`
-    mantissas (a list) and exponents (an int64 array), zero as (0, 0), with
-    the terms sorted by pole, the order the fixed-point pass reads.
-    Iterating gives the terms as `RoundedTerm`s.
+    at least one, read here and not kept.  `consts` and `linears` hold the
+    coefficients in one form at every width: the `round_to_bits` mantissas
+    (a list) and exponents (an int64 array), zero as (0, 0), with the terms
+    sorted by pole, the order both evaluation paths read.  A 53-bit
+    mantissa is exact in float64, so a row at 53 bits gets its float64
+    values when it is evaluated.  Iterating gives the terms as
+    `RoundedTerm`s.
     """
 
     __slots__ = ("poles", "bits", "bound", "consts", "linears")
 
     def __init__(self, terms, policy: PrecisionPolicy):
         self.bits, self.bound = resolve_bits(terms, policy)
-        if self.bits <= DOUBLE_BITS:
-            self.consts = _doubles(term[2] for term in terms)
-            self.linears = _doubles(term[3] for term in terms)
-        else:
-            terms = sorted(terms, key=itemgetter(0))
-            self.consts = _mantissas((term[2] for term in terms), self.bits)
-            self.linears = _mantissas((term[3] for term in terms), self.bits)
+        terms = sorted(terms, key=itemgetter(0))
         self.poles = [term[0] for term in terms]
+        self.consts = _mantissas((term[2] for term in terms), self.bits)
+        self.linears = _mantissas((term[3] for term in terms), self.bits)
 
     def __len__(self) -> int:
         return len(self.poles)
 
     def __iter__(self):
-        if self.bits <= DOUBLE_BITS:
-            consts, linears = self.consts.tolist(), self.linears.tolist()
-        else:
-            consts, linears = zip(*self.consts), zip(*self.linears)
-        for pole, const, linear in zip(self.poles, consts, linears):
+        for pole, const, linear in zip(self.poles, zip(*self.consts), zip(*self.linears)):
             yield RoundedTerm(pole, const, linear, self.bits)
-
-    def rounded_consts(self) -> list:
-        """The constants as `rounding_defect` takes them: float64 values at
-        53 bits, else (mantissa, exponent) pairs."""
-        if self.bits <= DOUBLE_BITS:
-            return self.consts.tolist()
-        return list(zip(*self.consts))
 
     def key(self) -> tuple:
         """The width and the rounded operands, which together fix the values."""
-        if self.bits <= DOUBLE_BITS:
-            operands = (self.consts.tobytes(), self.linears.tobytes())
-        else:
-            operands = tuple(map(tuple, (*self.consts, *self.linears)))
-        return (self.bits, tuple(self.poles), *operands)
+        return (self.bits, tuple(self.poles), *map(tuple, (*self.consts, *self.linears)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -288,22 +268,32 @@ def above_equator_closed_form(ladder: DickeLadder, target_m: int) -> list[Residu
     return out
 
 
-def evaluate_population(terms: list[ResidueTerm], gamma: float, t: float,
-                        policy: PrecisionPolicy | None = None) -> float:
-    """Sum the expansion at one time, its `RoundedRow` under `policy`
-    (default auto); result downgraded to float64."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+def evaluate_population(terms: list[ResidueTerm], gamma: float, t,
+                        policy: PrecisionPolicy | None = None) -> float | np.ndarray:
+    """Sum the expansion, its `RoundedRow` under `policy` (default auto)
+    rounded once, at one time `t` (a float) or over a 1-d grid (an array)."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or np.any(times < 0):
+        raise ValueError(f"t must be a nonnegative time or 1-d grid, got {t}")
     row = RoundedRow(terms, policy or PrecisionPolicy()) if terms else None
-    return float(evaluate_rows([row], gamma, np.array([float(t)]))[0, 0])
+    out = evaluate_rows([row], gamma, times.reshape(-1))[0]
+    return out if times.ndim else float(out[0])
 
 
 def _row_eval_double(row: RoundedRow, gamma: float, grid: np.ndarray) -> np.ndarray:
+    """A row at 53 bits in float64: each (mantissa, exponent) pair is exact
+    there, and one of 2**1024 or more becomes +-inf.  Each time's terms are
+    added in pole order from 0.0, as numpy's `sum(axis=0)` adds them over
+    two or more times; over one time it adds them pairwise, so a time's
+    value would depend on the grid's size."""
     poles = np.array(row.poles, dtype=float)
     gt = gamma * grid
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        weights = row.consts[:, None] + row.linears[:, None] * gt[None, :]
-        return (weights * np.exp(-poles[:, None] * gt[None, :])).sum(axis=0)
+        consts, linears = (np.ldexp(np.array(mants, dtype=float), np.asarray(exps))
+                           for mants, exps in (row.consts, row.linears))
+        terms = ((consts[:, None] + linears[:, None] * gt[None, :])
+                 * np.exp(-poles[:, None] * gt[None, :]))
+        return np.add.accumulate(terms, axis=0, out=terms)[-1] + 0.0
 
 
 def _to_fixed(mant: int, exp: int, frac_bits: int) -> int:
@@ -445,7 +435,7 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
             for (idx, mants, shifts), end in zip(groups, ends):
                 live = map(values.__getitem__, idx[:bisect_left(idx, end)])
                 acc += sum(map(lshift, map(mul, mants, live), shifts))
-            out[r, j] = scaled_to_float(acc, 2 * frac_bits)
+            out[r, j] = fraction_to_float(acc, 1 << 2 * frac_bits)
     return out
 
 
@@ -508,7 +498,7 @@ def rows_meta(rows: list[RoundedRow | None], initial_m0: int, method: str,
         "precision_mode": policy.mode,
         "bits": [row.bits if row else DOUBLE_BITS for row in rows],
         "error_bound": [row.bound if row else 0.0 for row in rows],
-        "t0_defect": [rounding_defect(row.rounded_consts(), int(m == initial_m0), row.bits)
+        "t0_defect": [rounding_defect(*row.consts, int(m == initial_m0), row.bits)
                       if row else 0.0 for m, row in enumerate(rows)],
     }
 

@@ -11,7 +11,7 @@ from dicke import precision
 from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
 from dicke.precision import (DOUBLE_BITS, PrecisionError, PrecisionPolicy, default_max_bits,
-                             error_bound, fraction_to_float, resolve_bits, rounding_defect)
+                             fraction_to_float, resolve_bits, rounding_defect)
 from dicke.residues import RoundedRow, exact_terms, residue_terms
 from dicke.states import DiagonalState
 from fraction_reference import (fraction_log2_gains, fraction_round_to_bits, fraction_terms,
@@ -67,7 +67,7 @@ def test_escalation_stops_at_the_cap():
     with pytest.raises(PrecisionError) as caught:
         resolve_bits(terms, policy)
     assert caught.value.bits == 60
-    assert caught.value.defect == error_bound(terms, 60) > 0
+    assert caught.value.defect == resolve_bits(terms, PrecisionPolicy.bits(60))[1] > 0
 
 
 def test_policy_constructors():
@@ -95,7 +95,7 @@ def test_fraction_to_float_overflow_is_signed_inf():
 def test_rounding_defect_scales_with_bits():
     terms = residue_terms(build_ladder(30, 1.0), 0, 30)
     d53, d106, d212 = (
-        rounding_defect(RoundedRow(terms, PrecisionPolicy.bits(bits)).rounded_consts(), 0, bits)
+        rounding_defect(*RoundedRow(terms, PrecisionPolicy.bits(bits)).consts, 0, bits)
         for bits in (53, 106, 212))
     assert d53 > d106 > d212
     assert d106 < d53 * 2.0 ** -40  # roughly 2^-bits scaling
@@ -229,10 +229,6 @@ def assert_rows_match_fraction_reference(ladder, m0, policy, monkeypatch):
         where = (ladder.n_emitters, m0, m)
         assert row.bits == bits and row.bound == bound, where
         assert row.poles == [v for v, _, _, _ in ref], where
-        if bits <= DOUBLE_BITS:
-            assert row.consts.tolist() == [float(c) for _, _, c, _ in ref], where
-            assert row.linears.tolist() == [float(b) for _, _, _, b in ref], where
-            continue
         consts = [fraction_round_to_bits(c, bits) for _, _, c, _ in ref]
         linears = [fraction_round_to_bits(b, bits) for _, _, _, b in ref]
         assert (row.consts[0], row.consts[1].tolist()) == \

@@ -15,10 +15,11 @@ from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
 from dicke.oracles import integrate_rate_equations
 from dicke.precision import (PrecisionError, PrecisionPolicy, fraction_to_float, resolve_bits,
-                             round_to_bits, scaled_to_float)
+                             round_to_bits)
 from dicke.residues import (ResidueTerm, RoundedRow, _ladder_exponentials,
                             above_equator_closed_form, assemble_table, evaluate_distribution,
-                            evaluate_population, evaluate_rows, exact_terms, residue_terms)
+                            evaluate_population, evaluate_rows, exact_terms, residue_terms,
+                            rows_meta)
 from dicke.spectral import invert_laplace, jordan_decompose, jordan_terms
 from fraction_reference import fraction_round_to_bits, fraction_terms, pair, pair_terms
 from pole_census import classify_poles
@@ -203,8 +204,23 @@ def test_fixed_bits_policy_trace():
 
 def test_evaluate_population_rejects_negative_time():
     terms = residue_terms(build_ladder(2, 1.0), 1, 2)
-    with pytest.raises(ValueError):
-        evaluate_population(terms, 1.0, -0.1)
+    for t in (-0.1, [0.5, -0.1], [[0.5]]):
+        with pytest.raises(ValueError):
+            evaluate_population(terms, 1.0, t)
+
+
+@pytest.mark.parametrize("policy", [PrecisionPolicy(), PrecisionPolicy.double()])
+def test_evaluate_population_on_a_grid_rounds_the_row_once(policy, monkeypatch):
+    terms = residue_terms(build_ladder(128, 1.0), 0, 128)
+    grid = np.geomspace(1e-3, 5.0, 12)
+    each = [evaluate_population(terms, 1.0, t, policy) for t in grid]
+    assert {type(value) for value in each} == {float}
+    calls = []
+    resolve = residues.resolve_bits
+    monkeypatch.setattr(residues, "resolve_bits", lambda *args: calls.append(args) or resolve(*args))
+    values = evaluate_population(terms, 1.0, grid, policy)
+    assert isinstance(values, np.ndarray) and np.array_equal(values, each)
+    assert len(calls) == 1
 
 
 @settings(max_examples=25)
@@ -433,7 +449,7 @@ def reference_rows(rows, policy, gamma, grid):
             for r, (idx, consts, lin_idx, linears) in zip(wide, fixed):
                 acc = sum(c * e_fix[i] for c, i in zip(consts, idx))
                 acc += sum(c * g_fix[i] for c, i in zip(linears, lin_idx))
-                out[r, j] = scaled_to_float(acc, 2 * frac_bits)
+                out[r, j] = fraction_to_float(acc, 1 << 2 * frac_bits)
     return out
 
 
@@ -549,14 +565,16 @@ def test_evaluator_equals_reference_where_most_exponentials_are_zero():
 
 
 def test_evaluator_takes_terms_in_any_order():
-    # the zero-prefix cut needs operands sorted by pole; a caller's list need not be
+    # every row is evaluated sorted by pole (the zero-prefix cut needs that
+    # order, and the float64 sum follows it); a caller's list need not be
     ladder, policy = build_ladder(40, 1.0), PrecisionPolicy()
     grid = np.geomspace(1e-3, 1e4, 12)
     shuffled = [residue_terms(ladder, m, 40)[::-1] for m in range(41)]
     rows = [RoundedRow(terms, policy) for terms in shuffled]
-    assert max(row.bits for row in rows) > 53
+    assert min(row.bits for row in rows) == 53 < max(row.bits for row in rows)
+    by_pole = [sorted(terms, key=lambda t: t.pole) for terms in shuffled]
     assert np.array_equal(evaluate_rows(rows, 1.0, grid),
-                          reference_rows(shuffled, policy, 1.0, grid))
+                          reference_rows(by_pole, policy, 1.0, grid))
 
 
 def gap_product(fact, x, m, m0):
@@ -613,7 +631,7 @@ def test_integer_harmonic_sums_equal_fraction_formula():
 
 
 def test_each_coefficient_rounded_and_bounded_once(monkeypatch):
-    calls = {"exp": 0, "resolve": 0, "round": 0, "bound": 0}
+    calls = {"exp": 0, "resolve": 0, "round": 0}
 
     def counting(key, func):
         def wrapper(*args, **kwargs):
@@ -625,13 +643,11 @@ def test_each_coefficient_rounded_and_bounded_once(monkeypatch):
     for module in (residues, precision):
         monkeypatch.setattr(module, "resolve_bits", counting("resolve", module.resolve_bits))
         monkeypatch.setattr(module, "round_to_bits", counting("round", module.round_to_bits))
-    # no module but `precision` holds `error_bound`, so no other can call it
-    monkeypatch.setattr(precision, "error_bound", counting("bound", precision.error_bound))
     ladder = build_ladder(48, 1.0)
     grid = np.linspace(0.0, 3.0, 7)
     for method in ("residue", "laplace", "jordan"):
         for m0 in (48, 30):
-            calls.update(exp=0, resolve=0, round=0, bound=0)
+            calls.update(exp=0, resolve=0, round=0)
             table = solve_populations(ladder, m0, grid, method)
             rows = [residue_terms(ladder, m, m0) if m <= m0 else [] for m in range(49)]
             wide = [row for row, bits in zip(rows, table.meta["bits"]) if bits > 53]
@@ -641,10 +657,10 @@ def test_each_coefficient_rounded_and_bounded_once(monkeypatch):
             assert calls["exp"] == 2 * grid.size, where
             # one width decision per nonempty row
             assert calls["resolve"] == sum(map(bool, rows)) == m0 + 1, where
-            # each nonzero const and linear coefficient rounded once; zeros are not rounded
+            # each nonzero const and linear coefficient of every row, float64
+            # rows included, rounded once; zeros are not rounded
             assert calls["round"] == sum(bool(t.const_pair[0]) + bool(t.linear_pair[0])
-                                         for row in wide for t in row), where
-            assert calls["bound"] == 0, where
+                                         for row in rows for t in row), where
 
 
 def test_one_exact_terms_call_per_row_and_no_pole_classification(monkeypatch):
@@ -748,23 +764,34 @@ def flat_roundings(terms, bits):
     return out
 
 
-def test_rounded_row_keeps_the_roundings_of_its_term_row():
-    ladder = build_ladder(40, 1.0)
-    for policy in (PrecisionPolicy.double(), PrecisionPolicy.bits(120)):
-        terms = residue_terms(ladder, 3, 40)
+def test_rounded_row_keeps_the_roundings_of_its_term_row(monkeypatch):
+    built = []   # the float64 arrays `_row_eval_double` makes from the pairs
+    ldexp = np.ldexp
+    monkeypatch.setattr(np, "ldexp", lambda *args: built.append(ldexp(*args)) or built[-1])
+    row = residue_terms(build_ladder(40, 1.0), 3, 40)
+    big = 10 ** 400   # past float64's range; the constants cancel exactly
+    past_range = [ResidueTerm(0, 1, (big, 3), (0, 1)), ResidueTerm(5, 2, (-big, 3), (big, 7))]
+    for terms, policy in ((row, PrecisionPolicy.double()), (row, PrecisionPolicy.bits(120)),
+                          (past_range, PrecisionPolicy.double())):
         rounded = RoundedRow(terms, policy)
         assert (rounded.bits, rounded.bound) == resolve_bits(terms, policy)
         assert len(rounded) == len(terms)
         assert [t.pole for t in rounded] == [t.pole for t in terms]
         assert {t.bits for t in rounded} == {rounded.bits}
-        if rounded.bits <= 53:
-            assert [t.const for t in rounded] == [fraction_to_float(*t.const_pair) for t in terms]
-            assert [t.linear for t in rounded] == [fraction_to_float(*t.linear_pair)
-                                                   for t in terms]
-        else:
-            c_mants, c_exps, l_mants, l_exps = flat_roundings(terms, rounded.bits)
-            assert [t.const for t in rounded] == list(zip(c_mants, c_exps))
-            assert [t.linear for t in rounded] == list(zip(l_mants, l_exps))
+        c_mants, c_exps, l_mants, l_exps = flat_roundings(terms, rounded.bits)
+        assert [t.const for t in rounded] == list(zip(c_mants, c_exps))
+        assert [t.linear for t in rounded] == list(zip(l_mants, l_exps))
+        built.clear()
+        evaluate_rows([rounded], 1.0, np.array([0.0, 1.0]))
+        if rounded.bits > 53:
+            assert built == []
+            continue
+        consts, linears = built
+        assert consts.tolist() == [fraction_to_float(*t.const_pair) for t in terms]
+        assert linears.tolist() == [fraction_to_float(*t.linear_pair) for t in terms]
+    assert consts.tolist() == [math.inf, -math.inf]
+    assert linears.tolist() == [0.0, math.inf]
+    assert rows_meta([rounded], 0, "residue", PrecisionPolicy.double())["t0_defect"] == [math.inf]
 
 
 def test_streamed_table_peak_memory_below_exact_rows():

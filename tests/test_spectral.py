@@ -171,13 +171,15 @@ def test_per_time_propagation_converts_coefficients_once(monkeypatch):
     decomp = jordan_decompose(build_ladder(16, 1.0), PrecisionPolicy.double())
     start = DiagonalState(populations=np.eye(17)[16], time=0.0)
     first = propagate(decomp, 1.0, 0.5, start).populations
-    conversions = []
-    monkeypatch.setattr(residues, "fraction_to_float",
-                        lambda num, den: conversions.append((num, den)) or num / den)
-    # later times reuse the rows and the float64 coefficients kept on them
+    calls = []
+    for name in ("resolve_bits", "round_to_bits"):
+        func = getattr(residues, name)
+        monkeypatch.setattr(residues, name,
+                            lambda *args, name=name, func=func: calls.append(name) or func(*args))
+    # later times reuse the rows and the rounded coefficients kept on them
     assert np.array_equal(propagate(decomp, 1.0, 0.5, start).populations, first)
     propagate(decomp, 1.0, 1.5, start)
-    assert conversions == []
+    assert calls == []
 
 
 def test_similarity_permutation_consistency():
