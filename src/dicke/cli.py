@@ -22,7 +22,7 @@ from .methods import EXACT_METHODS, METHODS, solve_populations
 from .observables import scaling_scan
 from .oracles import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, StiffnessError, TruncationError
 from .precision import PrecisionError, PrecisionPolicy
-from .residues import shared_evaluation
+from .residues import WorkerError, shared_evaluation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -415,7 +415,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _report_error({"kind": "usage", "message": str(exc)})
         return EXIT_USAGE
-    except (PrecisionError, TruncationError, StiffnessError, ArithmeticError) as exc:
+    except (PrecisionError, TruncationError, StiffnessError, WorkerError,
+            ArithmeticError) as exc:
         payload = {"kind": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, PrecisionError):
             payload.update({"defect": exc.defect, "bits": exc.bits})

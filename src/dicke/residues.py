@@ -34,7 +34,8 @@ coefficients in one form, `round_to_bits` (mantissa, exponent) pairs.  A
 53-bit row is evaluated in float64, its pairs converted (exactly) when it
 is; a wider row is summed exactly in integer fixed point, against
 exponentials built per time from two `mpmath.exp` calls and a product
-recurrence along the ladder.
+recurrence along the ladder, with the grid times split over the usable
+cores.
 `evaluate_distribution` rounds each row before it derives the next, so
 only one row's exact pairs are alive at a time.
 """
@@ -44,11 +45,12 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import os
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter, lshift, mul, neg
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -370,7 +372,9 @@ def _shifted_products(indices, mants: list[int], exps, frac_bits: int,
     a row in an F-scaled dot product, in the row's order: the b-bit
     mantissa and shift e + F, or where e + F < 0 the coefficient rounded to
     2**-F and no shift.  `indices` is parallel to the mantissas; each shift
-    is the int kept for its value in `shift_ints`, so that rows share it."""
+    is the int kept for its value in `shift_ints`, so that rows share it.
+    Where no coefficient is zero or below 2**-F the multipliers are the
+    row's own mantissa list, not a copy."""
     idx, mults, shifts = [], [], []
     for i, mant, exp in zip(indices, mants, exps):
         if mant:
@@ -380,7 +384,98 @@ def _shifted_products(indices, mants: list[int], exps, frac_bits: int,
             idx.append(i)
             mults.append(mant)
             shifts.append(shift_ints.setdefault(shift, shift))
-    return idx, mults, shifts
+    # equal lists hold the same int objects, so this compares pointers
+    return idx, (mants if mults == mants else mults), shifts
+
+
+# A fork and reap cost about 4 ms of CPU at 40 MiB resident and 8 ms at
+# 84 MiB, and one product at one time about 0.4 us (2-core Xeon).  A pass
+# of fewer products x times than this, about 0.1 s, runs in one process,
+# so that a fork adds at most 5-8% to the CPU time of a pass it splits.
+FORK_MIN_WORK = 250_000
+
+
+class WorkerError(RuntimeError):
+    """A forked worker of the fixed-point pass died or returned short data."""
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on (its affinity mask, which
+    `taskset` sets); 1 where the platform has no such call, so the
+    fixed-point pass forks on Linux only."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _worker(column, columns: range, pipe: int) -> NoReturn:
+    """A forked worker's whole life: `column(j)` for each j in `columns`,
+    written to the `pipe` fd as raw float64 bytes, then `os._exit`, so that
+    no frame, atexit handler or stdio flush of the parent runs here.  It
+    does only Python int and float arithmetic: no numpy, no BLAS."""
+    code = 1
+    try:
+        data = array("d")
+        for j in columns:
+            data.extend(column(j))
+        view = memoryview(data).cast("B")
+        while view:
+            view = view[os.write(pipe, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _split_columns(column, n_columns: int, n_values: int, workers: int) -> np.ndarray:
+    """(n_columns, n_values) float64 array whose row j is `column(j)`, a
+    list of n_values floats.  Worker w evaluates the j = w (mod `workers`):
+    worker 0 is this process, the others `os.fork()` children that send
+    their values back through a pipe, so every value is computed by the
+    same code whatever `workers` is.  Every child is reaped before this
+    returns or raises, and killed first if this process's own share
+    raises; a child that dies or sends short data raises `WorkerError`.
+    A fork that fails leaves its share to this process."""
+    out = np.empty((n_columns, n_values))
+    mine, children = [0], []   # children: (worker, pid, read end of its pipe)
+    complete = False
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                mine.append(w)
+                continue
+            if pid == 0:   # nothing but `_worker`, which never returns
+                _worker(column, range(w, n_columns, workers), write)
+            os.close(write)
+            children.append((w, pid, open(read, "rb")))
+        for w in mine:
+            for j in range(w, n_columns, workers):
+                out[j] = column(j)
+        for w, _, pipe in children:
+            share = out[w::workers]
+            data = pipe.read(share.nbytes)
+            if len(data) != share.nbytes:
+                raise WorkerError(f"fixed-point worker {w} sent {len(data)} of "
+                                  f"{share.nbytes} bytes")
+            share[...] = np.frombuffer(data).reshape(share.shape)
+        complete = True
+    finally:
+        failed = []
+        for w, pid, pipe in children:
+            pipe.close()
+            if not complete:
+                import signal   # here only: it costs 1.3 ms at import
+                os.kill(pid, signal.SIGKILL)
+        for w, pid, _ in children:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                failed.append(f"worker {w} exited with {code}")
+    if failed:
+        raise WorkerError("fixed-point pass failed: " + ", ".join(failed))
+    return out
 
 
 def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) -> np.ndarray:
@@ -402,6 +497,11 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
     and a row, whose operands are sorted by pole and so by value index,
     sums the prefix before that point; the products left out are exactly
     zero.
+
+    A time's column depends only on the rows and that time, so the columns
+    are split over the usable cores (`_split_columns`) once the pass holds
+    `FORK_MIN_WORK` products x times; each entry is the same integer sum,
+    so the values do not depend on how many cores there are.
     """
     import mpmath
 
@@ -419,24 +519,29 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
               _shifted_products(map(g_index.get, row.poles), *row.linears, frac_bits,
                                 shift_ints))
              for row in rows]
-
-    out = np.empty((len(rows), grid.size))
     # g*t is exact at 106 bits (a product of two doubles)
     with mpmath.workprec(2 * DOUBLE_BITS):
         gamma_mp = mpmath.mpf(gamma)
         gts = [gamma_mp * mpmath.mpf(float(t)) for t in grid]
-    for j, gt in enumerate(gts):
-        values = _ladder_exponentials(poles, doubled, gt, frac_bits)
+    scale = 1 << 2 * frac_bits
+
+    def column(j: int) -> list[float]:
+        values = _ladder_exponentials(poles, doubled, gts[j], frac_bits)
         # first zero of each group: key=neg makes the values ascending
         ends = (bisect_left(values, 0, 0, len(poles), key=neg),
                 bisect_left(values, 0, len(poles), len(values), key=neg))
-        for r, groups in enumerate(fixed):
+        entries = []
+        for groups in fixed:
             acc = 0
             for (idx, mants, shifts), end in zip(groups, ends):
                 live = map(values.__getitem__, idx[:bisect_left(idx, end)])
                 acc += sum(map(lshift, map(mul, mants, live), shifts))
-            out[r, j] = fraction_to_float(acc, 1 << 2 * frac_bits)
-    return out
+            entries.append(fraction_to_float(acc, scale))
+        return entries
+
+    work = grid.size * sum(len(idx) for groups in fixed for idx, _, _ in groups)
+    workers = min(_usable_cores(), grid.size) if work >= FORK_MIN_WORK else 1
+    return _split_columns(column, grid.size, len(rows), workers).T
 
 
 _shared = None   # the memo of the innermost open `shared_evaluation`, else None

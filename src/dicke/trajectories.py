@@ -159,36 +159,37 @@ def _seed_state(root_seed: int, index: np.ndarray) -> list[np.ndarray]:
 
 
 def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray,
-              work: np.ndarray, carry: np.ndarray) -> None:
+              work: np.ndarray, inc_halves: np.ndarray) -> None:
     """(hi, lo) <- (hi, lo) * multiplier + (inc_hi, inc_lo) mod 2**128 in
-    place, with four uint64 rows of scratch in `work` and a bool array.
+    place, with four uint64 rows of scratch in `work`; `inc_halves` holds
+    inc_lo's 32-bit halves, e = inc_lo >> 32 and f = inc_lo & (2**32 - 1).
 
-    Wrapping uint64 products give the low word and the cross terms
-    hi * _MULT_LO + lo * _MULT_HI.  The high word of lo * _MULT_LO comes
-    from 32-bit halves, lo = a * 2**32 + b and _MULT_LO = c * 2**32 + d:
-    the middle column (b*d >> 32) + (a*d & _LOW) + (b*c & _LOW) sums three
-    32-bit values, and it is added as t = a*d + (b*d >> 32) and
-    u = (t & _LOW) + b*c, neither above 2**64 - 2**32."""
+    Wrapping uint64 products and sums give the low word and the cross terms
+    hi * _MULT_LO + lo * _MULT_HI.  The high word of lo * _MULT_LO + inc_lo
+    comes from 32-bit halves, lo = a * 2**32 + b and _MULT_LO = c * 2**32 +
+    d, as t = a*d + ((b*d + f) >> 32) and u = (t & _LOW) + b*c + e, none
+    above 2**64 - 1, so the increment's carry needs no comparison."""
     a, b, t, u = work
+    e, f = inc_halves
     np.right_shift(lo, _U32, out=a)
     np.bitwise_and(lo, _LOW, out=b)
-    # the wrapping terms, the increment and its carry into hi
+    # the wrapping terms and the increment
     np.multiply(hi, _MULT_LO, out=hi)
     np.multiply(lo, _MULT_HI, out=t)
     np.add(hi, t, out=hi)
     np.multiply(lo, _MULT_LO, out=lo)
     np.add(lo, inc_lo, out=lo)
-    np.less(lo, inc_lo, out=carry)
-    np.add(hi, carry, out=hi)
     np.add(hi, inc_hi, out=hi)
-    # hi += a*c + (t >> 32) + (u >> 32), the high word of lo * _MULT_LO
+    # hi += a*c + (t >> 32) + (u >> 32), the high word of lo * _MULT_LO + inc_lo
     np.multiply(b, _MULT_LO_LO, out=t)
+    np.add(t, f, out=t)
     np.right_shift(t, _U32, out=t)
     np.multiply(a, _MULT_LO_LO, out=u)
     np.add(t, u, out=t)
     np.multiply(b, _MULT_LO_HI, out=b)
     np.bitwise_and(t, _LOW, out=u)
     np.add(u, b, out=u)
+    np.add(u, e, out=u)
     np.right_shift(t, _U32, out=t)
     np.add(hi, t, out=hi)
     np.right_shift(u, _U32, out=u)
@@ -222,11 +223,13 @@ def _pcg_uniforms(root_seed: int, start: int, stop: int, size: int) -> np.ndarra
     lo = inc_lo + v1
     hi = inc_hi + v0 + (lo < inc_lo)
     work = np.empty((4, stop - start), dtype=np.uint64)
-    carry = np.empty(stop - start, dtype=bool)
-    _lcg_step(hi, lo, inc_hi, inc_lo, work, carry)
+    inc_halves = np.empty((2, stop - start), dtype=np.uint64)
+    np.right_shift(inc_lo, _U32, out=inc_halves[0])
+    np.bitwise_and(inc_lo, _LOW, out=inc_halves[1])
+    _lcg_step(hi, lo, inc_hi, inc_lo, work, inc_halves)
     outputs = np.empty((size, stop - start), dtype=np.uint64)
     for row in outputs:
-        _lcg_step(hi, lo, inc_hi, inc_lo, work, carry)
+        _lcg_step(hi, lo, inc_hi, inc_lo, work, inc_halves)
         _xsl_rr(hi, lo, row, work)
     # Generator.random keeps the top 53 bits: (output >> 11) * 2**-53.  Below
     # 2**63, int64 converts to float64 like uint64, only faster; writing

@@ -225,7 +225,8 @@ LCG_CASES = [
     (HI, MASK64),                                    # lo = 0
     (HI | 0xFFFFFFFF00000000, 3),                    # 32-bit halves at 0xFFFFFFFF:
     (HI | 0x00000000FFFFFFFF, 5),                    # the middle column at its
-    (HI | MASK64, 7),                                # largest
+    (HI | MASK64, 7),                                # largest,
+    (HI | MASK64, MASK64),                           # and with inc_lo's halves too
 ] + [(RANDOM.getrandbits(128), RANDOM.getrandbits(128) | 1) for _ in range(64)]
 # those states, and states whose rotation hi >> 58 is 0 and 63
 XSL_RR_STATES = [s for s, _ in LCG_CASES] + [
@@ -247,7 +248,8 @@ def test_lcg_step_equals_python_ints():
     hi, lo = as_words(states)
     inc_hi, inc_lo = as_words(incs)
     work = np.empty((4, len(states)), dtype=np.uint64)
-    trajectories._lcg_step(hi, lo, inc_hi, inc_lo, work, np.empty(len(states), dtype=bool))
+    inc_halves = np.stack([inc_lo >> np.uint64(32), inc_lo & np.uint64(MASK64 >> 32)])
+    trajectories._lcg_step(hi, lo, inc_hi, inc_lo, work, inc_halves)
     stepped = [(int(h) << 64) | int(w) for h, w in zip(hi, lo)]
     assert stepped == [(s * PCG_MULT + i) % 2 ** 128 for s, i in zip(states, incs)]
 
