@@ -22,7 +22,8 @@ from .methods import EXACT_METHODS, METHODS, solve_populations
 from .observables import scaling_scan
 from .oracles import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, StiffnessError, TruncationError
 from .precision import PrecisionError, PrecisionPolicy
-from .residues import WorkerError, shared_evaluation
+from .residues import shared_evaluation
+from .workers import WorkerError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,7 +73,7 @@ def _solve(args, method: str):
     table = solve_populations(
         ladder, initial_m0=args.initial, times=times, method=method, policy=policy,
         rel_tol=args.rel_tol, abs_tol=args.abs_tol, series_order=args.series_order,
-        delta_t=args.delta_t, n_traj=args.ntraj, seed=args.seed, n_workers=args.workers)
+        delta_t=args.delta_t, n_traj=args.ntraj, seed=args.seed)
     return ladder, table
 
 
@@ -96,7 +97,7 @@ def _describe(args, method: str) -> dict:
         },
         "rel_tol": args.rel_tol,
         "abs_tol": args.abs_tol,
-        "mc": {"n_traj": args.ntraj, "seed": args.seed, "n_workers": args.workers},
+        "mc": {"n_traj": args.ntraj, "seed": args.seed},
     }
 
 
@@ -315,7 +316,6 @@ def _add_request(p: argparse.ArgumentParser) -> None:
                         "at short times there), linear below")
     p.add_argument("--ntraj", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", type=str, default=None)
 
 

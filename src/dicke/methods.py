@@ -22,14 +22,13 @@ def solve_populations(ladder: DickeLadder, initial_m0: int | None = None,
                       rel_tol: float = DEFAULT_REL_TOL, abs_tol: float = DEFAULT_ABS_TOL,
                       series_order: int = 80, series_tol: float = 1e-10,
                       delta_t: float | None = None,
-                      n_traj: int = 100_000, seed: int = 0,
-                      n_workers: int = 1) -> EvolutionTable:
+                      n_traj: int = 100_000, seed: int = 0) -> EvolutionTable:
     """Populations on a grid by the chosen method.
 
     `policy` steers the residue/laplace/jordan working precision;
     `rel_tol`/`abs_tol` the reference integrator; `series_order` and
     `series_tol` the certified power series; `delta_t` the first-order
-    discrete chain; `n_traj`/`seed`/`n_workers` the Monte Carlo engine.
+    discrete chain; `n_traj`/`seed` the Monte Carlo engine.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -87,8 +86,8 @@ def solve_populations(ladder: DickeLadder, initial_m0: int | None = None,
                               times=grid, populations=populations, method="discrete",
                               meta=meta)
 
-    mc = estimate(ladder, m0, grid, n_traj=n_traj, root_seed=seed, n_workers=n_workers)
-    meta = {"method": "mc", "n_traj": n_traj, "seed": seed, "n_workers": n_workers,
+    mc = estimate(ladder, m0, grid, n_traj=n_traj, root_seed=seed)
+    meta = {"method": "mc", "n_traj": n_traj, "seed": seed,
             "chunk_size": mc.chunk_size, "chunks": mc.chunks,
             "library_streams": mc.library_streams}
     return EvolutionTable(n_emitters=n, gamma=ladder.gamma, initial_m0=m0,

@@ -45,12 +45,11 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import os
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter, lshift, mul, neg
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +57,7 @@ from .ladder import DickeLadder
 from .precision import (DOUBLE_BITS, GUARD_BITS, PrecisionPolicy, fraction_to_float,
                         reduced, resolve_bits, round_to_bits, rounding_defect)
 from .states import EvolutionTable, check_time_grid
+from .workers import split, worker_count
 
 _ZERO = (0, 1)   # reduced (numerator, denominator) pairs
 _ONE = (1, 1)
@@ -395,89 +395,6 @@ def _shifted_products(indices, mants: list[int], exps, frac_bits: int,
 FORK_MIN_WORK = 250_000
 
 
-class WorkerError(RuntimeError):
-    """A forked worker of the fixed-point pass died or returned short data."""
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on (its affinity mask, which
-    `taskset` sets); 1 where the platform has no such call, so the
-    fixed-point pass forks on Linux only."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
-
-
-def _worker(column, columns: range, pipe: int) -> NoReturn:
-    """A forked worker's whole life: `column(j)` for each j in `columns`,
-    written to the `pipe` fd as raw float64 bytes, then `os._exit`, so that
-    no frame, atexit handler or stdio flush of the parent runs here.  It
-    does only Python int and float arithmetic: no numpy, no BLAS."""
-    code = 1
-    try:
-        data = array("d")
-        for j in columns:
-            data.extend(column(j))
-        view = memoryview(data).cast("B")
-        while view:
-            view = view[os.write(pipe, view):]
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _split_columns(column, n_columns: int, n_values: int, workers: int) -> np.ndarray:
-    """(n_columns, n_values) float64 array whose row j is `column(j)`, a
-    list of n_values floats.  Worker w evaluates the j = w (mod `workers`):
-    worker 0 is this process, the others `os.fork()` children that send
-    their values back through a pipe, so every value is computed by the
-    same code whatever `workers` is.  Every child is reaped before this
-    returns or raises, and killed first if this process's own share
-    raises; a child that dies or sends short data raises `WorkerError`.
-    A fork that fails leaves its share to this process."""
-    out = np.empty((n_columns, n_values))
-    mine, children = [0], []   # children: (worker, pid, read end of its pipe)
-    complete = False
-    try:
-        for w in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                mine.append(w)
-                continue
-            if pid == 0:   # nothing but `_worker`, which never returns
-                _worker(column, range(w, n_columns, workers), write)
-            os.close(write)
-            children.append((w, pid, open(read, "rb")))
-        for w in mine:
-            for j in range(w, n_columns, workers):
-                out[j] = column(j)
-        for w, _, pipe in children:
-            share = out[w::workers]
-            data = pipe.read(share.nbytes)
-            if len(data) != share.nbytes:
-                raise WorkerError(f"fixed-point worker {w} sent {len(data)} of "
-                                  f"{share.nbytes} bytes")
-            share[...] = np.frombuffer(data).reshape(share.shape)
-        complete = True
-    finally:
-        failed = []
-        for w, pid, pipe in children:
-            pipe.close()
-            if not complete:
-                import signal   # here only: it costs 1.3 ms at import
-                os.kill(pid, signal.SIGKILL)
-        for w, pid, _ in children:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code:
-                failed.append(f"worker {w} exited with {code}")
-    if failed:
-        raise WorkerError("fixed-point pass failed: " + ", ".join(failed))
-    return out
-
-
 def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) -> np.ndarray:
     """Evaluate rows wider than float64 in integer fixed point.
 
@@ -499,8 +416,9 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
     zero.
 
     A time's column depends only on the rows and that time, so the columns
-    are split over the usable cores (`_split_columns`) once the pass holds
-    `FORK_MIN_WORK` products x times; each entry is the same integer sum,
+    are split over the usable cores (`workers.split`, worker w taking the
+    times j = w (mod W)) once the pass holds `FORK_MIN_WORK` products x
+    times; each entry is the same integer sum,
     so the values do not depend on how many cores there are.
     """
     import mpmath
@@ -525,23 +443,29 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
         gts = [gamma_mp * mpmath.mpf(float(t)) for t in grid]
     scale = 1 << 2 * frac_bits
 
-    def column(j: int) -> list[float]:
-        values = _ladder_exponentials(poles, doubled, gts[j], frac_bits)
-        # first zero of each group: key=neg makes the values ascending
-        ends = (bisect_left(values, 0, 0, len(poles), key=neg),
-                bisect_left(values, 0, len(poles), len(values), key=neg))
-        entries = []
-        for groups in fixed:
-            acc = 0
-            for (idx, mants, shifts), end in zip(groups, ends):
-                live = map(values.__getitem__, idx[:bisect_left(idx, end)])
-                acc += sum(map(lshift, map(mul, mants, live), shifts))
-            entries.append(fraction_to_float(acc, scale))
-        return entries
-
     work = grid.size * sum(len(idx) for groups in fixed for idx, _, _ in groups)
-    workers = min(_usable_cores(), grid.size) if work >= FORK_MIN_WORK else 1
-    return _split_columns(column, grid.size, len(rows), workers).T
+    workers = worker_count(grid.size, work, FORK_MIN_WORK)
+
+    def share(w: int) -> array:
+        # the columns of times j = w (mod W), in Python int and float
+        # arithmetic only: no numpy, no BLAS
+        data = array("d")
+        for gt in gts[w::workers]:
+            values = _ladder_exponentials(poles, doubled, gt, frac_bits)
+            # first zero of each group: key=neg makes the values ascending
+            ends = (bisect_left(values, 0, 0, len(poles), key=neg),
+                    bisect_left(values, 0, len(poles), len(values), key=neg))
+            for groups in fixed:
+                acc = 0
+                for (idx, mants, shifts), end in zip(groups, ends):
+                    live = map(values.__getitem__, idx[:bisect_left(idx, end)])
+                    acc += sum(map(lshift, map(mul, mants, live), shifts))
+                data.append(fraction_to_float(acc, scale))
+        return data
+
+    out = np.empty((grid.size, len(rows)))
+    split(share, [out[w::workers] for w in range(workers)], "fixed-point pass")
+    return out.T
 
 
 _shared = None   # the memo of the innermost open `shared_evaluation`, else None

@@ -8,7 +8,7 @@ exact, not approximated away.
 
 Reproducibility contract: trajectory i of root seed s draws from the
 generator seeded with (s, i), `np.random.default_rng((s, i))`, so
-estimates are bit-identical regardless of scheduling or worker count
+estimates are bit-identical regardless of scheduling or process count
 (per-trajectory occupation counts are integers and their sum is
 order-free).
 
@@ -37,6 +37,14 @@ and the number with at least k but not k + 1 jumps occupies m0 - k.
 These are integer identities, so the counts equal a per-trajectory
 binning bit for bit.  No array of trajectories x grid times is built,
 so the chunk size depends on m0 alone.
+
+The chunks are independent, so a request of `FORK_MIN_DRAWS` draws or
+more splits them over the usable cores (`workers.split`): worker w, the
+calling process for w = 0 and a forked child otherwise, takes the chunks
+c = w (mod W) and sums their int64 counts and library streams.  The
+chunk starts and sizes do not depend on W, and integer sums are
+order-free, so the counts are the same from one process or many.  W is
+recorded nowhere, so an output file is too.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ import numpy as np
 
 from .ladder import DickeLadder
 from .states import check_time_grid
+from .workers import split, worker_count
 
 # Entries in each per-chunk array: chunk x m0 for the draws, the jump
 # times and their grid indices (the binning's m0 x (grid + 1) histogram
@@ -55,6 +64,15 @@ from .states import check_time_grid
 # about 12% faster than 2**15 but peaked 2.1 MiB higher (35.6 MiB); 2**14
 # peaked 1.4 MiB lower but ran about 20% slower.
 CHUNK_ENTRIES = 1 << 15
+
+# A request of fewer draws (n_traj x m0) than this runs in one process.
+# One draw, sampled and binned, costs about 0.13 us of CPU, and a fork
+# and reap about 4 ms (2-core Xeon), so a request split at the threshold,
+# about 0.05 s in one process, pays at most about 8% for the fork.  A
+# whole two-way split of 8e5 draws cost 12-18 ms more CPU than one
+# process, the rest being the child's own heap and both cores busy at
+# once; below about 1e5 draws it took longer than one process.
+FORK_MIN_DRAWS = 400_000
 
 
 @dataclass(frozen=True)
@@ -341,27 +359,41 @@ class McEstimate:
 
 
 def estimate(ladder: DickeLadder, initial_m0: int, time_grid, n_traj: int,
-             root_seed: int, n_workers: int = 1) -> McEstimate:
+             root_seed: int) -> McEstimate:
     """Average the occupation indicators of n_traj trajectories.
 
-    `n_workers` is only validated: the chunks run in order in the calling
-    thread, so no worker count can change the counts."""
+    A request of `FORK_MIN_DRAWS` draws (n_traj x m0) or more splits its
+    chunks over the usable cores, W = min(cores, chunks); below that it
+    runs in this process.  The counts are the same whatever W is.  A
+    forked worker that dies or sends short data raises `WorkerError`."""
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    if n_workers < 1:
-        raise ValueError("n_workers must be at least 1")
     _check_start(ladder, initial_m0)
     grid = check_time_grid(time_grid)
     size = chunk_size(initial_m0)
+    chunks = -(-n_traj // size)
+    workers = worker_count(chunks, n_traj * initial_m0, FORK_MIN_DRAWS)
+    shape = (initial_m0 + 1, grid.size)
+    cells = shape[0] * shape[1]
+
+    def share(w: int) -> np.ndarray:
+        # the counts of chunks w, w + W, ..., flat, then the library streams
+        totals = np.zeros(cells + 1, dtype=np.int64)
+        counts = totals[:cells].reshape(shape)
+        for start in range(w * size, n_traj, workers * size):
+            draws, rebuilt = _uniform_streams(root_seed, start, min(start + size, n_traj),
+                                              initial_m0)
+            totals[-1] += rebuilt
+            record = sample_trajectory(ladder, initial_m0, draws, seed_index=start)
+            counts += bin_trajectory(record, grid)
+        return totals
+
+    totals = np.empty((workers, cells + 1), dtype=np.int64)
+    split(share, list(totals), "Monte Carlo pass")
+    totals = totals.sum(axis=0)
     counts = np.zeros((ladder.n_emitters + 1, grid.size), dtype=np.int64)
-    library = 0
-    for start in range(0, n_traj, size):
-        draws, rebuilt = _uniform_streams(root_seed, start, min(start + size, n_traj),
-                                          initial_m0)
-        library += rebuilt
-        record = sample_trajectory(ladder, initial_m0, draws, seed_index=start)
-        counts[:initial_m0 + 1] += bin_trajectory(record, grid)
+    counts[:initial_m0 + 1] = totals[:cells].reshape(shape)
     return McEstimate(n_emitters=ladder.n_emitters, initial_m0=initial_m0,
                       times=grid, counts=counts, n_traj=n_traj,
-                      seed=root_seed, chunk_size=size, chunks=-(-n_traj // size),
-                      library_streams=library)
+                      seed=root_seed, chunk_size=size, chunks=chunks,
+                      library_streams=int(totals[-1]))

@@ -1,7 +1,9 @@
+import os
+
 import hypothesis
 import pytest
 
-from dicke import residues
+from dicke import residues, trajectories, workers
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50,
@@ -21,3 +23,35 @@ def fixed_point_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(residues, "_fixed_point_rows", counted)
     return passes
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """The pids of the workers forked during a test."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Force the worker count of both split passes: `cores(w)` reports w
+    usable cores and drops each caller's threshold to 0, so every pass of
+    more than one share forks; `cores(w, at_threshold=True)` keeps the
+    real thresholds."""
+    thresholds = residues.FORK_MIN_WORK, trajectories.FORK_MIN_DRAWS
+
+    def force(count: int, at_threshold: bool = False) -> None:
+        monkeypatch.setattr(workers, "usable_cores", lambda: count)
+        work, draws = thresholds if at_threshold else (0, 0)
+        monkeypatch.setattr(residues, "FORK_MIN_WORK", work)
+        monkeypatch.setattr(trajectories, "FORK_MIN_DRAWS", draws)
+    return force

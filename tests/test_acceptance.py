@@ -252,15 +252,17 @@ def test_criterion_6_constrained_sum_oracle():
         assert checked == 200
 
 
-def test_criterion_7_monte_carlo_soundness():
+def test_criterion_7_monte_carlo_soundness(cores):
     with criterion(7, "MC N=8, 1e5 trajectories, 20 times: <= 1% of |z| > 3; "
                       "bit-identical under rerun and worker count, < 1 min") as info:
         started = time.perf_counter()
         ladder = build_ladder(8, 1.0)
         grid = np.linspace(0.05, 1.0, 20)
+        cores(1)
         first = estimate(ladder, 8, grid, n_traj=100_000, root_seed=123)
         rerun = estimate(ladder, 8, grid, n_traj=100_000, root_seed=123)
-        workers = estimate(ladder, 8, grid, n_traj=100_000, root_seed=123, n_workers=4)
+        cores(4)
+        workers = estimate(ladder, 8, grid, n_traj=100_000, root_seed=123)
         assert np.array_equal(first.counts, rerun.counts)
         assert np.array_equal(first.counts, workers.counts)
 

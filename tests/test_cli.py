@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dicke
-from dicke import cli, spectral
+from dicke import cli, spectral, trajectories
 from dicke.cli import build_parser, main
 from dicke.io import read_json, write_json
 from dicke.ladder import build_ladder
@@ -80,14 +80,31 @@ def test_mc_solve_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_mc_worker_count_does_not_change_output(tmp_path):
+def test_mc_worker_count_does_not_change_output(tmp_path, cores, monkeypatch):
+    # chunks of 512 streams, so that 2000 trajectories split over the workers
+    monkeypatch.setattr(trajectories, "CHUNK_ENTRIES", 1 << 11)
     base = ["solve", "--n", "4", "--method", "mc", "--ntraj", "2000", "--seed", "7",
             "--t-max", "2", "--points", "10", "--format", "json"]
     a, b = tmp_path / "w1.json", tmp_path / "w4.json"
-    assert run(base + ["--workers", "1", "--out", str(a)]) == 0
-    assert run(base + ["--workers", "4", "--out", str(b)]) == 0
-    doc_a, doc_b = json.loads(a.read_text()), json.loads(b.read_text())
-    assert doc_a["populations"] == doc_b["populations"]
+    cores(1)
+    assert run(base + ["--out", str(a)]) == 0
+    cores(4)
+    assert run(base + ["--out", str(b)]) == 0
+    # the process count is recorded nowhere, so the files are the same
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "trajectories", "compare"])
+def test_workers_flag_is_a_usage_error(subcommand, capsys):
+    # the usable cores set the process count; there is no flag for it
+    argv = [subcommand, "--n", "4", "--points", "3", "--ntraj", "100", "--workers", "2"]
+    if subcommand == "compare":
+        argv += ["--methods", "residue,mc"]
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --workers 2" in captured.err
 
 
 def test_partial_inversion_solve(tmp_path):
@@ -459,7 +476,7 @@ def solve_config(capsys, *flags):
 
 REQUEST_DEFAULTS = {
     "gamma": 1.0, "t_max": 5.0, "t_min": None, "rel_tol": 1e-13, "abs_tol": 1e-15,
-    "mc": {"n_traj": 100_000, "seed": 0, "n_workers": 1},
+    "mc": {"n_traj": 100_000, "seed": 0},
 }
 
 
@@ -480,7 +497,7 @@ def test_solve_config_block_double_precision(monkeypatch, capsys):
         "grid_spacing": "linear", "method": "residue",
         "precision": {"mode": "double", "mantissa_bits": 53, "target_defect": 1e-12,
                       "max_bits": 200},
-        "mc": {"n_traj": 100_000, "seed": 3, "n_workers": 1}}
+        "mc": {"n_traj": 100_000, "seed": 3}}
 
 
 def test_solve_config_block_log_grid_t_min(monkeypatch, capsys):
@@ -550,7 +567,7 @@ def test_trajectories_config_block(monkeypatch, capsys):
         "precision": {"mode": "auto", "mantissa_bits": 53, "target_defect": 1e-12,
                       "max_bits": 16384},
         "rel_tol": 1e-13, "abs_tol": 1e-15,
-        "mc": {"n_traj": 3000, "seed": 5, "n_workers": 1}}
+        "mc": {"n_traj": 3000, "seed": 5}}
 
 
 def test_bench_without_methods_usage_error(capsys):

@@ -90,13 +90,18 @@ def test_single_trajectory_estimate_is_indicator():
     assert set(np.unique(result.counts)) <= {0, 1}
 
 
-def test_estimate_reproducible_and_worker_independent():
+def test_estimate_reproducible_and_worker_independent(cores, monkeypatch):
+    # chunks of 409 streams, so that 4000 trajectories split over the workers
+    monkeypatch.setattr(trajectories, "CHUNK_ENTRIES", 1 << 11)
     ladder = build_ladder(5, 1.0)
     grid = np.linspace(0.05, 1.5, 7)
+    cores(1)
     a = estimate(ladder, 5, grid, n_traj=4000, root_seed=21)
     b = estimate(ladder, 5, grid, n_traj=4000, root_seed=21)
-    c = estimate(ladder, 5, grid, n_traj=4000, root_seed=21, n_workers=3)
-    d = estimate(ladder, 5, grid, n_traj=4000, root_seed=21, n_workers=8)
+    cores(4)
+    c = estimate(ladder, 5, grid, n_traj=4000, root_seed=21)
+    cores(8)
+    d = estimate(ladder, 5, grid, n_traj=4000, root_seed=21)
     assert np.array_equal(a.counts, b.counts)
     assert np.array_equal(a.counts, c.counts)
     assert np.array_equal(a.counts, d.counts)
@@ -377,8 +382,6 @@ def test_mc_meta_records_chunk_statistics():
     grid = np.linspace(0.01, 1.0, 200)
     chunk = chunk_size(3)
     table = solve_populations(ladder, times=grid, method="mc",
-                              n_traj=2 * chunk + 1, seed=4, n_workers=2)
-    assert table.meta["chunk_size"] == chunk
-    assert table.meta["chunks"] == 3
-    assert table.meta["library_streams"] == 0
-    assert table.meta["n_workers"] == 2
+                              n_traj=2 * chunk + 1, seed=4)
+    assert table.meta == {"method": "mc", "n_traj": 2 * chunk + 1, "seed": 4,
+                          "chunk_size": chunk, "chunks": 3, "library_streams": 0}
