@@ -56,6 +56,9 @@ def _time_grid(n: int, t_max: float, points: int, spacing: str = "auto",
         raise ValueError("grid needs at least 2 points")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
+    for name, value in (("t_max", t_max), ("t_min", t_min)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if _spacing(n, spacing) == "linear":
         return np.linspace(0.0 if t_min is None else t_min, t_max, points)
     start = t_max * 1e-3 if t_min is None else t_min

@@ -34,6 +34,10 @@ class PrecisionError(ArithmeticError):
         self.defect = defect
         self.bits = bits
 
+    def __reduce__(self):
+        # pickles whole, as a forked worker sends it
+        return type(self), (str(self), self.defect, self.bits)
+
 
 @dataclass(frozen=True)
 class PrecisionPolicy:

@@ -34,10 +34,12 @@ coefficients in one form, `round_to_bits` (mantissa, exponent) pairs.  A
 53-bit row is evaluated in float64, its pairs converted (exactly) when it
 is; a wider row is summed exactly in integer fixed point, against
 exponentials built per time from two `mpmath.exp` calls and a product
-recurrence along the ladder, with the grid times split over the usable
-cores.
-`evaluate_distribution` rounds each row before it derives the next, so
-only one row's exact pairs are alive at a time.
+recurrence along the ladder.  Two passes split over the usable cores
+(`workers.split`): `evaluate_distribution` derives and rounds the rows of
+target states m = w (mod W) in worker w, and the fixed-point pass
+evaluates the grid times j = w (mod W) there.  Each worker rounds each row
+before it derives the next, so only one row's exact pairs are alive per
+process at a time.
 """
 
 from __future__ import annotations
@@ -54,8 +56,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .ladder import DickeLadder
-from .precision import (DOUBLE_BITS, GUARD_BITS, PrecisionPolicy, fraction_to_float,
-                        reduced, resolve_bits, round_to_bits, rounding_defect)
+from .precision import (DOUBLE_BITS, GUARD_BITS, PrecisionError, PrecisionPolicy,
+                        fraction_to_float, reduced, resolve_bits, round_to_bits,
+                        rounding_defect)
 from .states import EvolutionTable, check_time_grid
 from .workers import split, worker_count
 
@@ -275,8 +278,8 @@ def evaluate_population(terms: list[ResidueTerm], gamma: float, t,
     """Sum the expansion, its `RoundedRow` under `policy` (default auto)
     rounded once, at one time `t` (a float) or over a 1-d grid (an array)."""
     times = np.asarray(t, dtype=float)
-    if times.ndim > 1 or np.any(times < 0):
-        raise ValueError(f"t must be a nonnegative time or 1-d grid, got {t}")
+    if times.ndim > 1 or not np.isfinite(times).all() or np.any(times < 0):
+        raise ValueError(f"t must be a finite nonnegative time or 1-d grid, got {t}")
     row = RoundedRow(terms, policy or PrecisionPolicy()) if terms else None
     out = evaluate_rows([row], gamma, times.reshape(-1))[0]
     return out if times.ndim else float(out[0])
@@ -544,6 +547,17 @@ def assemble_table(ladder: DickeLadder, initial_m0: int, grid: np.ndarray,
                           meta=rows_meta(rows_terms, initial_m0, method, policy))
 
 
+# Deriving and rounding the rows costs 5-7 us per pole index p in [m, m0],
+# summed over the rows, at N = 64-256, and a fork and reap 3.5 ms of CPU at
+# 34 MiB resident and 5 ms at 47 MiB (2-core Xeon).  The pickled share and
+# the pages copied on write after the fork add about as much again: split
+# two ways, N = 128 took 45 -> 32 ms of wall time and 45 -> 58 ms of CPU.
+# Rows over fewer pole indices than this, about 30 ms of derivation, derive
+# in one process: N = 64 and the m0 = 64 start (2,145 each) stay there, and
+# N = 128 (8,385) splits.
+FORK_MIN_TERMS = 5_000
+
+
 def evaluate_distribution(ladder: DickeLadder, initial_m0: int,
                           policy: PrecisionPolicy | None = None,
                           time_grid=None) -> EvolutionTable:
@@ -552,6 +566,13 @@ def evaluate_distribution(ladder: DickeLadder, initial_m0: int,
     Rows above m0 are exactly zero (decay only lowers the excitation
     number).  Each row is derived, resolved and rounded before the next, and
     only its `RoundedRow` is kept.  Per-row metadata is that of `rows_meta`.
+
+    Rows are independent, so they split over the usable cores
+    (`workers.split`, worker w deriving the rows m = w (mod W) in ascending
+    m) once the rows run over `FORK_MIN_TERMS` pole indices p in [m, m0],
+    a bound on their terms; a child sends its rows pickled.  A worker stops
+    at its first row whose width fails, and the `PrecisionError` of the
+    lowest such m is raised, the one a single process meets first.
     """
     policy = policy or PrecisionPolicy()
     grid = check_time_grid(time_grid)
@@ -559,7 +580,27 @@ def evaluate_distribution(ladder: DickeLadder, initial_m0: int,
     if not (0 <= initial_m0 <= n):
         raise ValueError(f"initial_m0 must lie in [0, N], got {initial_m0}")
 
+    shares = initial_m0 + 1
+    workers = worker_count(shares, shares * (shares + 1) // 2, FORK_MIN_TERMS)
+
+    def derive(w: int) -> tuple[list[RoundedRow], PrecisionError | None]:
+        # the rows m = w (mod W), up to the first that fails
+        derived = []
+        for m in range(w, shares, workers):
+            try:
+                derived.append(RoundedRow(exact_terms(ladder, m, initial_m0), policy))
+            except PrecisionError as exc:
+                return derived, exc
+        return derived, None
+
+    derivations = [None] * workers
+    split(derive, derivations, "row derivation")
     rows: list[RoundedRow | None] = [None] * (n + 1)
-    for m in range(initial_m0 + 1):
-        rows[m] = RoundedRow(exact_terms(ladder, m, initial_m0), policy)
+    failures = {}
+    for w, (derived, failure) in enumerate(derivations):
+        rows[w:w + workers * len(derived):workers] = derived
+        if failure is not None:
+            failures[w + workers * len(derived)] = failure
+    if failures:
+        raise failures[min(failures)]
     return assemble_table(ladder, initial_m0, grid, rows, "residue", policy)

@@ -39,6 +39,8 @@ def check_time_grid(times) -> np.ndarray:
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
+    if not np.isfinite(grid).all():
+        raise ValueError("time grid must be finite")
     if grid[0] < 0:
         raise ValueError("time grid must start at t >= 0")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):

@@ -43,15 +43,16 @@ def forks(monkeypatch) -> list:
 
 @pytest.fixture
 def cores(monkeypatch):
-    """Force the worker count of both split passes: `cores(w)` reports w
-    usable cores and drops each caller's threshold to 0, so every pass of
-    more than one share forks; `cores(w, at_threshold=True)` keeps the
-    real thresholds."""
-    thresholds = residues.FORK_MIN_WORK, trajectories.FORK_MIN_DRAWS
+    """Force the worker count of the split passes: `cores(w)` reports w
+    usable cores and drops the thresholds of the fixed-point pass and the
+    Monte Carlo chunks to 0, so each of those passes of more than one share
+    forks; `derive=True` drops the row derivation's threshold too.
+    `cores(w, at_threshold=True)` keeps every real threshold."""
+    work, draws, terms = residues.FORK_MIN_WORK, trajectories.FORK_MIN_DRAWS, residues.FORK_MIN_TERMS
 
-    def force(count: int, at_threshold: bool = False) -> None:
+    def force(count: int, at_threshold: bool = False, derive: bool = False) -> None:
         monkeypatch.setattr(workers, "usable_cores", lambda: count)
-        work, draws = thresholds if at_threshold else (0, 0)
-        monkeypatch.setattr(residues, "FORK_MIN_WORK", work)
-        monkeypatch.setattr(trajectories, "FORK_MIN_DRAWS", draws)
+        monkeypatch.setattr(residues, "FORK_MIN_WORK", work if at_threshold else 0)
+        monkeypatch.setattr(trajectories, "FORK_MIN_DRAWS", draws if at_threshold else 0)
+        monkeypatch.setattr(residues, "FORK_MIN_TERMS", 0 if derive else terms)
     return force

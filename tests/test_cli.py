@@ -415,6 +415,17 @@ def test_non_finite_gamma_usage_error(gamma, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "config"
 
 
+@pytest.mark.parametrize("flags", [["--t-max", "inf"], ["--t-max", "nan"], ["--t-min", "nan"],
+                                   ["--t-min", "inf", "--grid", "log"],
+                                   ["--t-min=-inf", "--grid", "linear"]])
+def test_non_finite_times_usage_error(flags, capsys):
+    # refused before numpy builds the grid: pytest makes its RuntimeWarnings
+    # errors, and nan used to be reported as a grid that is not increasing
+    assert run(["solve", "--n", "8", "--points", "5"] + flags) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and "must be finite" in error["message"]
+
+
 @pytest.mark.parametrize("flags", [
     ["--target-defect", "-1"], ["--target-defect", "nan"], ["--target-defect", "inf"],
     ["--max-bits", "-5"], ["--max-bits", "-5", "--method", "jordan"],

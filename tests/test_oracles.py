@@ -291,6 +291,18 @@ def test_ode_grid_validation():
         integrate_rate_equations(build_ladder(2, 1.0), 2, [1.0, 0.5])
 
 
+@pytest.mark.parametrize("times", [[math.nan], [0.5, math.inf], [-math.inf, 0.0, 1.0]])
+@pytest.mark.parametrize("method", ["residue", "laplace", "jordan", "series", "ode", "discrete",
+                                    "mc"])
+def test_non_finite_times_are_refused(method, times):
+    # before any work: an ode solve to nan did not return, and mc put all
+    # of its population in m = 0
+    with pytest.raises(ValueError, match="finite"):
+        solve_populations(build_ladder(8, 1.0), times=times, method=method, n_traj=100)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_population(residue_terms(build_ladder(8, 1.0), 3, 8), 1.0, np.array(times))
+
+
 def test_series_recursion_duality_with_residues():
     # certified truncation agrees with the closed form at small g*t
     for n in range(1, 9):

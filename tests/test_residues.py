@@ -209,6 +209,14 @@ def test_evaluate_population_rejects_negative_time():
             evaluate_population(terms, 1.0, t)
 
 
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_evaluate_population_refuses_a_non_finite_time(t):
+    # it returned 0.0 at nan
+    terms = residue_terms(build_ladder(4, 1.0), 1, 4)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_population(terms, 1.0, t)
+
 @pytest.mark.parametrize("policy", [PrecisionPolicy(), PrecisionPolicy.double()])
 def test_evaluate_population_on_a_grid_rounds_the_row_once(policy, monkeypatch):
     terms = residue_terms(build_ladder(128, 1.0), 0, 128)

@@ -1,5 +1,6 @@
-"""The fixed-point pass and the Monte Carlo chunks split over forked
-workers: the same bits for any worker count, and no process left behind."""
+"""The residue row derivation, the fixed-point pass and the Monte Carlo
+chunks split over forked workers: the same bits and errors for any worker
+count, and no process left behind."""
 
 import json
 import os
@@ -12,7 +13,7 @@ from dicke import residues, trajectories, workers
 from dicke.cli import _time_grid, main
 from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
-from dicke.precision import PrecisionPolicy
+from dicke.precision import PrecisionError, PrecisionPolicy
 from dicke.residues import RoundedRow, evaluate_rows, exact_terms
 from dicke.trajectories import chunk_size, estimate
 from dicke.workers import WorkerError
@@ -56,14 +57,14 @@ def test_benchmark_n128_request_forks_with_a_spare_core(cores, forks):
     alone = solve_populations(ladder, times=grid, method="residue")
     cores(2, at_threshold=True)
     split = solve_populations(ladder, times=grid, method="residue")
-    assert len(forks) == 1
+    assert len(forks) == 2   # one derivation worker, then one pass worker
     assert np.array_equal(split.populations, alone.populations)
     assert split.meta == alone.meta
 
 
 def test_n64_passes_stay_in_one_process(cores, forks):
-    # below the work threshold: the N = 64 table and the 212-bit start at
-    # m0 = 64 cost less than the fork would save
+    # below the work thresholds: the N = 64 table and the 212-bit start at
+    # m0 = 64 cost less than a fork would save, in the derivation and the pass
     cores(2, at_threshold=True)
     solve_populations(build_ladder(64, 1.0), times=_time_grid(64, 5.0, 50), method="residue")
     solve_populations(build_ladder(128, 1.0), initial_m0=64, times=_time_grid(128, 5.0, 50),
@@ -187,6 +188,147 @@ def test_dead_worker_makes_solve_exit_3_without_output(cores, forks, monkeypatch
     assert error["kind"] == "WorkerError" and "worker 1" in error["message"]
     assert not out.exists()
     assert len(forks) == 1
+    assert no_child_left()
+
+
+# --- row derivation ---------------------------------------------------------
+
+def residue_solve(monkeypatch, ladder, grid, **kwargs):
+    """A residue table and the rounded rows it was evaluated from."""
+    captured = []
+    assemble = residues.assemble_table
+
+    def capture(ladder, m0, grid, rows, method, policy):
+        captured.append(rows)
+        return assemble(ladder, m0, grid, rows, method, policy)
+
+    monkeypatch.setattr(residues, "assemble_table", capture)
+    table = solve_populations(ladder, times=grid, method="residue", **kwargs)
+    return table, captured.pop()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 12])
+def test_split_derivation_equals_one_process_rows(cores, forks, monkeypatch, count):
+    # widths 53 to 109 bits, rows above m0 = 24 zero, and one grid time, so
+    # that only the derivation forks
+    ladder, grid = build_ladder(30, 1.0), np.array([0.3])
+    cores(1, derive=True)
+    alone, alone_rows = residue_solve(monkeypatch, ladder, grid, initial_m0=24)
+    assert forks == []
+    cores(count, derive=True)
+    split, split_rows = residue_solve(monkeypatch, ladder, grid, initial_m0=24)
+    assert len(forks) == count - 1
+    assert len({row.bits for row in alone_rows if row}) > 10
+    assert [row is None for row in split_rows] == [row is None for row in alone_rows]
+    for a, b in zip(alone_rows[:25], split_rows[:25]):
+        assert (a.key(), a.bits, a.bound) == (b.key(), b.bits, b.bound)
+    assert np.array_equal(split.populations, alone.populations)
+    assert split.meta == alone.meta
+    assert no_child_left()
+
+
+def test_failed_fork_leaves_the_rows_to_this_process(cores, monkeypatch):
+    ladder, grid = build_ladder(30, 1.0), np.array([0.3])
+    cores(1)
+    alone = solve_populations(ladder, times=grid)
+
+    def refuse():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    cores(3, derive=True)
+    split = solve_populations(ladder, times=grid)
+    assert np.array_equal(split.populations, alone.populations)
+    assert split.meta == alone.meta
+
+
+def test_precision_cap_error_is_the_same_for_any_core_count(cores, forks, monkeypatch,
+                                                            tmp_path, capsys):
+    # at a 297-bit cap rows 1, 2, 3, ... of N = 128 fail and row 0 does not.
+    # With two workers row 1 fails in the child and row 2 in this process;
+    # the error is row 1's, the one a single process meets first.
+    ladder, policy = build_ladder(128, 1.0), PrecisionPolicy(max_bits=297)
+    with pytest.raises(PrecisionError) as row_1:
+        RoundedRow(exact_terms(ladder, 1, 128), policy)
+    with pytest.raises(PrecisionError):
+        RoundedRow(exact_terms(ladder, 2, 128), policy)
+    monkeypatch.setenv("DICKE_MAX_BITS", "297")
+    out = tmp_path / "table.json"
+    argv = ["solve", "--n", "128", "--points", "50", "--format", "json", "--out", str(out)]
+    reports = []
+    for count in (1, 2, 3):
+        cores(count, at_threshold=True)
+        reports.append((main(argv), capsys.readouterr().err))
+    assert reports == [reports[0]] * 3
+    code, err = reports[0]
+    assert code == 3
+    error = json.loads(err)["error"]
+    assert error == {"kind": "PrecisionError", "message": str(row_1.value),
+                     "defect": row_1.value.defect, "bits": 297}
+    assert not out.exists()
+    assert len(forks) == 1 + 2   # derivation workers only: no pass starts
+    assert no_child_left()
+
+
+def dying_derivation(monkeypatch):
+    """Make every forked worker exit with status 1 when it derives a row."""
+    parent = os.getpid()
+    derive = residues.exact_terms
+
+    def die(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return derive(*args)
+
+    monkeypatch.setattr(residues, "exact_terms", die)
+
+
+def test_dead_derivation_worker_makes_solve_exit_3_without_output(cores, forks, monkeypatch,
+                                                                 tmp_path, capsys):
+    dying_derivation(monkeypatch)
+    cores(2, derive=True)
+    out = tmp_path / "table.json"
+    code = main(["solve", "--n", "30", "--points", "9", "--format", "json", "--out", str(out)])
+    assert code == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "WorkerError"
+    assert "row derivation worker 1 sent a broken share" in error["message"]
+    assert not out.exists()
+    assert len(forks) == 1   # no pass starts
+    assert no_child_left()
+
+
+def test_truncated_share_fails_the_derivation(cores, monkeypatch):
+    def truncated(share, w, pipe):
+        data = share(w)
+        os.write(pipe, data[:len(data) // 2])
+        os._exit(0)
+
+    monkeypatch.setattr(workers, "_worker", truncated)
+    cores(2, derive=True)
+    with pytest.raises(WorkerError, match="row derivation worker 1 sent a broken share"):
+        solve_populations(build_ladder(30, 1.0), times=np.array([0.3]))
+    assert no_child_left()
+
+
+def test_error_in_own_derivation_kills_and_reaps_the_workers(cores, forks, monkeypatch):
+    parent = os.getpid()
+    derive = residues.exact_terms
+
+    def stalled(ladder, m, m0):
+        if os.getpid() != parent:
+            time.sleep(60)   # a worker that would outlive the test if not killed
+        elif m > 0:
+            raise ZeroDivisionError("the parent's own share fails")
+        return derive(ladder, m, m0)
+
+    monkeypatch.setattr(residues, "exact_terms", stalled)
+    cores(3, derive=True)
+    start = time.perf_counter()
+    with pytest.raises(ZeroDivisionError, match="own share"):
+        solve_populations(build_ladder(30, 1.0), times=np.array([0.3]))
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 2
     assert no_child_left()
 
 
