@@ -133,13 +133,18 @@ def cmd_compare(args) -> int:
     if len(set(methods)) < len(methods):
         # a method compared with itself reports a difference of 0 and proves nothing
         raise UsageError(f"compare needs distinct methods, got {args.methods!r}")
+    exact = [m for m in methods if m in EXACT_METHODS]
+    if not exact:
+        # discrete and mc are only ever set against an exact table: with
+        # none there is no gated pair and no z-scores
+        raise UsageError(f"compare needs an exact method ({', '.join(EXACT_METHODS)}), "
+                         f"got {args.methods!r}")
     if not args.tol >= 0:
         raise UsageError(f"--tol must be a nonnegative number, got {args.tol}")
 
     # residue, laplace and jordan rows that are `==` share one evaluation
     with shared_evaluation():
         tables = {m: _solve(args, m)[1] for m in methods}
-    exact = [m for m in methods if m in EXACT_METHODS]
     report = {"schema": 1, "config": _describe(args, methods[0]),
               "methods": methods, "pairs": [], "mc": None, "tolerance": args.tol}
 
@@ -159,7 +164,7 @@ def cmd_compare(args) -> int:
             diff = max_diff(a, "discrete")
             report["pairs"].append({"a": a, "b": "discrete", "max_abs_diff": diff,
                                     "gated": False})
-    if "mc" in methods and exact:
+    if "mc" in methods:
         ref = tables[exact[0]].populations
         mc = tables["mc"]
         sigma = np.sqrt(np.clip(ref * (1.0 - ref), 0.0, None) / mc.meta["n_traj"])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ladder import DickeLadder
-from .oracles import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, discrete_time_table,
+from .oracles import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, check_delta_t, discrete_time_table,
                       evaluate_series, integrate_rate_equations, series_coefficients)
 from .precision import PrecisionPolicy
 from .residues import RoundedRow, assemble_table, evaluate_distribution, rows_meta
@@ -79,6 +79,7 @@ def solve_populations(ladder: DickeLadder, initial_m0: int | None = None,
 
     if method == "discrete":
         dt = delta_t if delta_t is not None else 0.1 / (ladder.gamma * ladder.h_max)
+        check_delta_t(ladder, dt)
         steps = [int(round(float(t) / dt)) for t in grid]
         populations = discrete_time_table(ladder, m0, dt, steps)
         meta = {"method": "discrete", "delta_t": dt}

@@ -199,6 +199,16 @@ def discrete_time_propagate(ladder: DickeLadder, initial_m0: int,
     return DiagonalState(populations=populations, time=steps * delta_t)
 
 
+def check_delta_t(ladder: DickeLadder, delta_t: float) -> None:
+    """`ValueError` unless 0 < dt < 1/(gamma*h_max), where every step's
+    jump probability h_k*g*dt is below 1; NaN and infinity are refused,
+    before any division by dt."""
+    if not (delta_t > 0 and ladder.gamma * delta_t * ladder.h_max < 1.0):
+        raise ValueError(
+            f"delta_t must be finite and satisfy 0 < dt < 1/(gamma*h_max) = "
+            f"{1.0 / (ladder.gamma * ladder.h_max):.3e}, got {delta_t}")
+
+
 def discrete_time_table(ladder: DickeLadder, initial_m0: int, delta_t: float,
                         steps) -> np.ndarray:
     """The chain of `discrete_time_propagate` after each of the
@@ -209,11 +219,8 @@ def discrete_time_table(ladder: DickeLadder, initial_m0: int, delta_t: float,
     counts = np.diff([0, *steps])   # steps to take before each column
     if (counts < 0).any():
         raise ValueError("steps must be nonnegative and nondecreasing")
+    check_delta_t(ladder, delta_t)
     d = ladder.gamma * delta_t * ladder.h_array()
-    if delta_t <= 0 or d.max() >= 1.0:
-        raise ValueError(
-            f"delta_t must satisfy 0 < dt < 1/(gamma*h_max) = "
-            f"{1.0 / (ladder.gamma * ladder.h_max):.3e}, got {delta_t}")
     s = 1.0 - d
     pops = np.zeros(n + 1)
     pops[initial_m0] = 1.0

@@ -59,7 +59,7 @@ from .ladder import DickeLadder
 from .precision import (DOUBLE_BITS, GUARD_BITS, PrecisionError, PrecisionPolicy,
                         fraction_to_float, reduced, resolve_bits, round_to_bits,
                         rounding_defect)
-from .states import EvolutionTable, check_time_grid
+from .states import EvolutionTable, check_time_grid, check_times
 from .workers import split, worker_count
 
 _ZERO = (0, 1)   # reduced (numerator, denominator) pairs
@@ -277,9 +277,7 @@ def evaluate_population(terms: list[ResidueTerm], gamma: float, t,
                         policy: PrecisionPolicy | None = None) -> float | np.ndarray:
     """Sum the expansion, its `RoundedRow` under `policy` (default auto)
     rounded once, at one time `t` (a float) or over a 1-d grid (an array)."""
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1 or not np.isfinite(times).all() or np.any(times < 0):
-        raise ValueError(f"t must be a finite nonnegative time or 1-d grid, got {t}")
+    times = check_times(t)
     row = RoundedRow(terms, policy or PrecisionPolicy()) if terms else None
     out = evaluate_rows([row], gamma, times.reshape(-1))[0]
     return out if times.ndim else float(out[0])
@@ -467,7 +465,8 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
         return data
 
     out = np.empty((grid.size, len(rows)))
-    split(share, [out[w::workers] for w in range(workers)], "fixed-point pass")
+    for w, data in enumerate(split(share, workers, "fixed-point pass")):
+        out[w::workers] = np.frombuffer(data).reshape(-1, len(rows))
     return out.T
 
 
@@ -593,11 +592,9 @@ def evaluate_distribution(ladder: DickeLadder, initial_m0: int,
                 return derived, exc
         return derived, None
 
-    derivations = [None] * workers
-    split(derive, derivations, "row derivation")
     rows: list[RoundedRow | None] = [None] * (n + 1)
     failures = {}
-    for w, (derived, failure) in enumerate(derivations):
+    for w, (derived, failure) in enumerate(split(derive, workers, "row derivation")):
         rows[w:w + workers * len(derived):workers] = derived
         if failure is not None:
             failures[w + workers * len(derived)] = failure

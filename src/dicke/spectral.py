@@ -52,7 +52,7 @@ import numpy as np
 from .ladder import DickeLadder
 from .precision import DOUBLE_BITS, PrecisionPolicy, fraction_to_float, reduced
 from .residues import ResidueTerm, RoundedRow, evaluate_rows
-from .states import DiagonalState
+from .states import DiagonalState, check_times
 
 Pair = tuple[int, int]   # reduced (numerator, denominator), denominator > 0
 _ZERO: Pair = (0, 1)
@@ -411,11 +411,9 @@ def propagate(decomp: JordanDecomposition, gamma: float, t,
 
     `t` is one time, giving the state at initial.time + t, or a 1-d grid
     of times, giving the (N+1, |grid|) populations from one evaluation
-    pass.
+    pass; a time that is negative or not finite raises `ValueError`.
     """
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1 or np.any(times < 0):
-        raise ValueError(f"t must be a nonnegative time or 1-d grid, got {t}")
+    times = check_times(t)
     out = evaluate_rows(jordan_rows(decomp, initial.populations), gamma, times.reshape(-1))
     if times.ndim:
         return out

@@ -22,8 +22,7 @@ class DiagonalState:
         pops = np.asarray(self.populations, dtype=float)
         pops.setflags(write=False)
         object.__setattr__(self, "populations", pops)
-        if self.time < 0:
-            raise ValueError(f"time must be nonnegative, got {self.time}")
+        check_times(self.time)
 
     def trace_defect(self) -> float:
         return abs(float(self.populations.sum()) - 1.0)
@@ -33,6 +32,15 @@ class DiagonalState:
             raise ValueError(f"populations sum defect {self.trace_defect():.3e} exceeds {tol:.1e}")
         if self.populations.min() < -tol or self.populations.max() > 1 + tol:
             raise ValueError("populations leave [0, 1] beyond tolerance")
+
+
+def check_times(t) -> np.ndarray:
+    """`t`, one time or a 1-d grid of times in any order, as a float array;
+    `ValueError` for a time that is negative or not finite."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not np.isfinite(times).all() or np.any(times < 0):
+        raise ValueError(f"t must be a finite nonnegative time or 1-d grid, got {t}")
+    return times
 
 
 def check_time_grid(times) -> np.ndarray:

@@ -365,7 +365,7 @@ def estimate(ladder: DickeLadder, initial_m0: int, time_grid, n_traj: int,
     A request of `FORK_MIN_DRAWS` draws (n_traj x m0) or more splits its
     chunks over the usable cores, W = min(cores, chunks); below that it
     runs in this process.  The counts are the same whatever W is.  A
-    forked worker that dies or sends short data raises `WorkerError`."""
+    forked worker that dies or sends a broken share raises `WorkerError`."""
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     _check_start(ladder, initial_m0)
@@ -373,27 +373,23 @@ def estimate(ladder: DickeLadder, initial_m0: int, time_grid, n_traj: int,
     size = chunk_size(initial_m0)
     chunks = -(-n_traj // size)
     workers = worker_count(chunks, n_traj * initial_m0, FORK_MIN_DRAWS)
-    shape = (initial_m0 + 1, grid.size)
-    cells = shape[0] * shape[1]
 
-    def share(w: int) -> np.ndarray:
-        # the counts of chunks w, w + W, ..., flat, then the library streams
-        totals = np.zeros(cells + 1, dtype=np.int64)
-        counts = totals[:cells].reshape(shape)
+    def share(w: int) -> tuple[np.ndarray, int]:
+        # the counts of chunks w, w + W, ..., and the library streams they built
+        counts = np.zeros((initial_m0 + 1, grid.size), dtype=np.int64)
+        streams = 0
         for start in range(w * size, n_traj, workers * size):
             draws, rebuilt = _uniform_streams(root_seed, start, min(start + size, n_traj),
                                               initial_m0)
-            totals[-1] += rebuilt
+            streams += rebuilt
             record = sample_trajectory(ladder, initial_m0, draws, seed_index=start)
             counts += bin_trajectory(record, grid)
-        return totals
+        return counts, streams
 
-    totals = np.empty((workers, cells + 1), dtype=np.int64)
-    split(share, list(totals), "Monte Carlo pass")
-    totals = totals.sum(axis=0)
+    shares = split(share, workers, "Monte Carlo pass")
     counts = np.zeros((ladder.n_emitters + 1, grid.size), dtype=np.int64)
-    counts[:initial_m0 + 1] = totals[:cells].reshape(shape)
+    counts[:initial_m0 + 1] = sum(part for part, _ in shares)
     return McEstimate(n_emitters=ladder.n_emitters, initial_m0=initial_m0,
                       times=grid, counts=counts, n_traj=n_traj,
                       seed=root_seed, chunk_size=size, chunks=chunks,
-                      library_streams=int(totals[-1]))
+                      library_streams=sum(streams for _, streams in shares))

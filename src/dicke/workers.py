@@ -3,10 +3,12 @@
 Three passes split this way: the row derivation of `residues` (one share
 per set of target states), its fixed-point pass (one share per set of
 grid times) and the Monte Carlo chunks of `trajectories` (one share per
-set of chunks).  Worker w computes share w.  Worker 0 is the calling
-process; workers 1..W-1 are `os.fork()` children that send their share
-back through a pipe, as raw bytes or pickled, and leave by `os._exit`.
-Every share is computed by the same code whatever W is, so a caller that
+set of chunks).  Worker w computes share w, any picklable value, and
+`split` returns the W values.  Worker 0 is the calling process, which
+keeps its value as it is; workers 1..W-1 are `os.fork()` children that
+send theirs back through a pipe pickled, and leave by `os._exit`.  A
+value loads with the same ints, floats and arrays it was sent with, and
+every share is computed by the same code whatever W is, so a caller that
 combines the shares exactly gets the same bits from one process or many.
 W is the usable cores, the affinity mask that `taskset` sets, so there is
 no flag: `taskset -c 0` gives one process.
@@ -18,11 +20,9 @@ import os
 import pickle
 from typing import NoReturn
 
-import numpy as np
-
 
 class WorkerError(RuntimeError):
-    """A forked worker died or returned short data."""
+    """A forked worker died or sent a broken share."""
 
 
 def usable_cores() -> int:
@@ -42,47 +42,35 @@ def worker_count(shares: int, work: int, min_work: int) -> int:
 
 
 def _worker(share, w: int, pipe: int) -> NoReturn:
-    """A forked worker's whole life: `share(w)` written to the `pipe` fd as
-    raw bytes, then `os._exit`, so that no frame, atexit handler or stdio
-    flush of the parent runs here."""
+    """A forked worker's whole life: `share(w)` pickled into the `pipe` fd
+    a frame at a time, then `os._exit`, so that no frame, atexit handler or
+    stdio flush of the parent runs here."""
     code = 1
     try:
-        view = memoryview(share(w)).cast("B")
-        while view:
-            view = view[os.write(pipe, view):]
+        with open(pipe, "wb") as out:
+            pickle.dump(share(w), out, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)
 
 
-def _pickled(share):
-    """`share` with its value pickled into bytes, as a child sends it."""
-    return lambda w: pickle.dumps(share(w), pickle.HIGHEST_PROTOCOL)
+def split(share, workers: int, what: str) -> list:
+    """The W = `workers` shares of a pass, share w being `share(w)`, any
+    picklable value.
 
-
-def split(share, outputs: list, what: str) -> None:
-    """Fill outputs[w] with share w, for W = len(outputs) workers.
-
-    A share takes one of two forms, set by outputs[w]:
-    - an array: `share(w)` returns a C-contiguous buffer holding its values
-      in its dtype, in row-major order, copied into it.  A child sends the
-      raw bytes, so their number is known, and one that sends fewer raises
-      `WorkerError`.
-    - None: `share(w)` returns any picklable value, which takes its place.
-      A child sends it pickled, of a size not known in advance, and this
-      process unpickles it as it reads, a 64 KiB frame at a time, so the
-      pickle is never held whole here; one that breaks off raises
-      `WorkerError`.
-
-    Worker 0 is this process, the others `os.fork()` children.  Every child
-    is reaped before this returns or raises, and killed first if this
-    process's own share raises; a child that dies raises `WorkerError`,
-    naming the pass as `what`.  A fork that fails leaves its share to this
-    process."""
+    Worker 0 is this process, which keeps its value as it is; the others
+    are `os.fork()` children, each of which sends its value pickled.  This
+    process unpickles it as it reads, a 64 KiB frame at a time, so the
+    pickle is never held whole here; one that breaks off raises
+    `WorkerError`.  Every child is reaped before this returns or raises,
+    and killed first if this process's own share raises; a child that dies
+    raises `WorkerError`, naming the pass as `what`.  A fork that fails
+    leaves its share to this process."""
+    values = [None] * workers
     mine, children = [0], []   # children: (worker, pid, read end of its pipe)
     complete = False
     try:
-        for w in range(1, len(outputs)):
+        for w in range(1, workers):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -92,27 +80,16 @@ def split(share, outputs: list, what: str) -> None:
                 mine.append(w)
                 continue
             if pid == 0:   # nothing but `_worker`, which never returns
-                _worker(_pickled(share) if outputs[w] is None else share, w, write)
+                _worker(share, w, write)
             os.close(write)
             children.append((w, pid, open(read, "rb")))
         for w in mine:
-            out = outputs[w]
-            if out is None:
-                outputs[w] = share(w)
-            else:
-                out[...] = np.frombuffer(share(w), dtype=out.dtype).reshape(out.shape)
+            values[w] = share(w)
         for w, _, pipe in children:
-            out = outputs[w]
-            if out is None:
-                try:
-                    outputs[w] = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError) as exc:
-                    raise WorkerError(f"{what} worker {w} sent a broken share: {exc}") from None
-                continue
-            data = pipe.read(out.nbytes)
-            if len(data) != out.nbytes:
-                raise WorkerError(f"{what} worker {w} sent {len(data)} of {out.nbytes} bytes")
-            out[...] = np.frombuffer(data, dtype=out.dtype).reshape(out.shape)
+            try:
+                values[w] = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise WorkerError(f"{what} worker {w} sent a broken share: {exc}") from None
         complete = True
     finally:
         failed = []
@@ -127,3 +104,4 @@ def split(share, outputs: list, what: str) -> None:
                 failed.append(f"worker {w} exited with {code}")
     if failed:
         raise WorkerError(f"{what} failed: " + ", ".join(failed))
+    return values

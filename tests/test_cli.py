@@ -189,6 +189,17 @@ def test_compare_repeated_methods_usage_error(capsys):
     assert run(["compare", "--n", "4", "--methods", "residue,jordan,residue"]) == 2
 
 
+def test_compare_without_an_exact_method_usage_error(capsys):
+    # no exact table: no gated pair and no z-scores, so the report proved
+    # nothing and exited 0; refused before any solve
+    code = run(["compare", "--n", "4", "--points", "5", "--methods", "discrete,mc"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = strict_json(captured.err)["error"]
+    assert error["kind"] == "usage" and "exact method" in error["message"]
+
+
 def test_compare_tolerance_breach_exit_code(capsys):
     code = run(["compare", "--n", "6", "--methods", "residue,ode",
                 "--t-max", "2", "--points", "15", "--tol", "1e-30"])
@@ -424,6 +435,18 @@ def test_non_finite_times_usage_error(flags, capsys):
     assert run(["solve", "--n", "8", "--points", "5"] + flags) == 2
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["kind"] == "config" and "must be finite" in error["message"]
+
+
+@pytest.mark.parametrize("delta_t", ["0", "-0.01", "nan", "inf"])
+@pytest.mark.parametrize("subcommand", [["solve", "--method", "discrete"],
+                                        ["compare", "--methods", "residue,discrete"]])
+def test_bad_delta_t_usage_error(subcommand, delta_t, capsys):
+    # refused before any division, naming delta_t: 0 exited 3 with a
+    # ZeroDivisionError and inf with a FloatingPointError, and -0.01 and nan
+    # failed later on the step counts they gave
+    assert run(subcommand + ["--n", "4", "--points", "5", f"--delta-t={delta_t}"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "config" and "delta_t" in error["message"]
 
 
 @pytest.mark.parametrize("flags", [

@@ -135,6 +135,13 @@ def test_discrete_step_size_precondition():
     ladder = build_ladder(4, 1.0)
     with pytest.raises(ValueError):
         discrete_time_propagate(ladder, 4, 1.0, 3)  # g*h_max*dt = 6 >= 1
+    # dt = 0 divided by zero in `solve_populations`, and nan and inf passed
+    # the bound and returned NaN populations
+    for delta_t in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta_t"):
+            discrete_time_table(ladder, 4, delta_t, [0, 1, 2])
+        with pytest.raises(ValueError, match="delta_t"):
+            solve_populations(ladder, times=[0.0, 0.5], method="discrete", delta_t=delta_t)
 
 
 def test_discrete_richardson_extrapolation():

@@ -21,6 +21,7 @@ from dicke.residues import (ResidueTerm, RoundedRow, _ladder_exponentials,
                             evaluate_population, evaluate_rows, exact_terms, residue_terms,
                             rows_meta)
 from dicke.spectral import invert_laplace, jordan_decompose, jordan_terms
+from dicke.states import DiagonalState
 from fraction_reference import fraction_round_to_bits, fraction_terms, pair, pair_terms
 from pole_census import classify_poles
 
@@ -212,10 +213,19 @@ def test_evaluate_population_rejects_negative_time():
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_evaluate_population_refuses_a_non_finite_time(t):
-    # it returned 0.0 at nan
+    # it returned 0.0 at nan; `propagate` returned zeros at 120 bits and NaN
+    # in float64, as a state at time nan, and `DiagonalState` took time=nan
     terms = residue_terms(build_ladder(4, 1.0), 1, 4)
     with pytest.raises(ValueError, match="finite"):
         evaluate_population(terms, 1.0, t)
+    start = DiagonalState(populations=np.eye(7)[6], time=0.0)
+    for policy in (PrecisionPolicy.bits(120), PrecisionPolicy.double()):
+        decomp = jordan_decompose(build_ladder(6, 1.0), policy)
+        for times in (t, [0.1, t]):
+            with pytest.raises(ValueError, match="finite"):
+                spectral.propagate(decomp, 1.0, times, start)
+    with pytest.raises(ValueError, match="finite"):
+        DiagonalState(populations=np.eye(7)[6], time=t)
 
 @pytest.mark.parametrize("policy", [PrecisionPolicy(), PrecisionPolicy.double()])
 def test_evaluate_population_on_a_grid_rounds_the_row_once(policy, monkeypatch):

@@ -4,6 +4,7 @@ count, and no process left behind."""
 
 import json
 import os
+import pickle
 import time
 
 import numpy as np
@@ -158,7 +159,7 @@ def dying_worker(monkeypatch):
 def test_dead_worker_fails_the_pass(cores, forks, monkeypatch):
     dying_worker(monkeypatch)
     cores(2)
-    with pytest.raises(WorkerError, match="worker 1 sent 0 of"):
+    with pytest.raises(WorkerError, match="fixed-point pass worker 1 sent a broken share"):
         evaluate_rows(ROWS, 1.0, GRIDS[9])
     assert len(forks) == 1
     assert no_child_left()
@@ -171,7 +172,7 @@ def test_short_data_fails_the_pass(cores, monkeypatch):
 
     monkeypatch.setattr(workers, "_worker", short)
     cores(2)
-    with pytest.raises(WorkerError, match="sent 8 of"):
+    with pytest.raises(WorkerError, match="fixed-point pass worker 1 sent a broken share"):
         evaluate_rows(ROWS, 1.0, GRIDS[9])
     assert no_child_left()
 
@@ -300,7 +301,7 @@ def test_dead_derivation_worker_makes_solve_exit_3_without_output(cores, forks, 
 
 def test_truncated_share_fails_the_derivation(cores, monkeypatch):
     def truncated(share, w, pipe):
-        data = share(w)
+        data = pickle.dumps(share(w), pickle.HIGHEST_PROTOCOL)
         os.write(pipe, data[:len(data) // 2])
         os._exit(0)
 
@@ -421,7 +422,7 @@ def dying_mc_worker(monkeypatch):
 def test_dead_mc_worker_fails_the_estimate(cores, forks, monkeypatch):
     dying_mc_worker(monkeypatch)
     cores(2)
-    with pytest.raises(WorkerError, match="Monte Carlo pass worker 1 sent 0 of"):
+    with pytest.raises(WorkerError, match="Monte Carlo pass worker 1 sent a broken share"):
         estimate(build_ladder(8, 1.0), 8, MC_GRID, n_traj=2 * CHUNK, root_seed=1)
     assert len(forks) == 1
     assert no_child_left()
