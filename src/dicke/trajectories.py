@@ -29,14 +29,18 @@ more than `_VECTOR_DRAWS` draws, where one generator per trajectory
 costs less than stepping the short chunks such streams allow.
 
 Each chunk is then sampled and binned at once: `sample_trajectory`
-takes a leading trajectory axis, and `bin_trajectory` histograms the
-jumps rather than the trajectories.  For jump k it counts, per grid
-index, the trajectories whose k-th jump falls there; a running sum along
-the grid turns that into the number that have made at least k jumps,
-and the number with at least k but not k + 1 jumps occupies m0 - k.
-These are integer identities, so the counts equal a per-trajectory
-binning bit for bit.  No array of trajectories x grid times is built,
-so the chunk size depends on m0 alone.
+takes a leading trajectory axis, and `bin_trajectory` searches the grid
+into one sorted 1-d array per index of the chunk's shorter axis, at most
+sqrt(`CHUNK_ENTRIES`) searches a chunk.  With no more jumps than
+trajectories it sorts each jump's column, which leaves that jump's counts
+as they are: searching column k gives, per grid time, the number that
+have made at least k jumps, and those with at least k but not k + 1
+jumps occupy m0 - k.  Otherwise each trajectory's ascending row gives
+the jumps it has made by each grid time, and one bincount of the states
+m0 - made counts the rows.  These are integer identities, so the counts
+equal a per-trajectory binning bit for bit.  Beyond the chunk's sorted
+copy, no binning array exceeds the (m0 + 1) x grid counts, so the chunk
+size depends on m0 alone.
 
 The chunks are independent, so a request of `FORK_MIN_DRAWS` draws or
 more splits them over the usable cores (`workers.split`): worker w, the
@@ -58,21 +62,22 @@ from .states import check_time_grid
 from .workers import split, worker_count
 
 # Entries in each per-chunk array: chunk x m0 for the draws, the jump
-# times and their grid indices (the binning's m0 x (grid + 1) histogram
-# does not grow with the chunk).  2**15 entries are 256 KiB of float64 or
-# int64.  On 1e5 trajectories at N = 8 in a fresh process, 2**16 ran
-# about 12% faster than 2**15 but peaked 2.1 MiB higher (35.6 MiB); 2**14
-# peaked 1.4 MiB lower but ran about 20% slower.
+# times and their sorted columns (the binning's other arrays, at most
+# (m0 + 1) x grid, do not grow with the chunk).  2**15 entries are 256 KiB
+# of float64 or int64.  On 1e5 trajectories at N = 8 in a fresh process,
+# 2**16 ran about 12% faster than 2**15 but peaked 2.1 MiB higher (35.6
+# MiB); 2**14 peaked 1.4 MiB lower but ran about 20% slower.
 CHUNK_ENTRIES = 1 << 15
 
 # A request of fewer draws (n_traj x m0) than this runs in one process.
-# One draw, sampled and binned, costs about 0.13 us of CPU, and a fork
-# and reap about 4 ms (2-core Xeon), so a request split at the threshold,
-# about 0.05 s in one process, pays at most about 8% for the fork.  A
-# whole two-way split of 8e5 draws cost 12-18 ms more CPU than one
-# process, the rest being the child's own heap and both cores busy at
-# once; below about 1e5 draws it took longer than one process.
-FORK_MIN_DRAWS = 400_000
+# One draw, sampled and binned, costs about 0.065 us of CPU at m0 = 8, and
+# a fork and reap about 3 ms at 33 MiB resident (2-core Xeon), so a
+# request split at the threshold, about 0.04 s in one process, pays at
+# most about 8% for the fork.  A whole two-way split of 8e5 draws cost
+# about 12 ms more CPU than one process, the rest being the child's own
+# heap and both cores busy at once; at 1e5 draws it took longer than one
+# process.
+FORK_MIN_DRAWS = 600_000
 
 
 @dataclass(frozen=True)
@@ -312,20 +317,35 @@ def bin_trajectory(record: TrajectoryRecord, time_grid) -> np.ndarray:
 
     Right-continuous convention: at the jump instant the post-jump state
     is already occupied (a measure-zero choice fixed for determinism).
+
+    The grid is searched into one sorted 1-d array per index of the
+    record's shorter axis.  With no more jumps (m0) than rows, each
+    jump's column is sorted, and searching it gives how many rows have
+    made that jump by each grid time; otherwise each row, ascending
+    already, gives how many jumps it has made by each grid time, and one
+    bincount of the states m0 - made counts the rows.
     """
     grid = check_time_grid(time_grid)
     jumps = np.atleast_2d(record.jump_times)
-    rows, m0, width = jumps.shape[0], record.start_m, grid.size + 1
-    # jump k counts from the first grid time at or after it on
-    first = np.searchsorted(grid, jumps, side="left")
-    first += np.arange(0, m0 * width, width)
-    hits = np.bincount(first.ravel(), minlength=m0 * width).reshape(m0, width)
-    # reached[k, j]: trajectories with at least k jumps by grid time j
-    reached = np.zeros((m0 + 2, grid.size), dtype=np.int64)
-    reached[0] = rows
-    np.cumsum(hits[:, :-1], axis=1, out=reached[1:-1])
-    # state m0 - k holds those with k jumps but not k + 1
-    return (reached[:-1] - reached[1:])[::-1]
+    rows, m0 = jumps.shape[0], record.start_m
+    if m0 <= rows:
+        columns = jumps.T.copy()
+        columns.sort()
+        # first counts[m0 - k]: trajectories with at least k jumps by each
+        # grid time; state m0 - k holds those with k jumps but not k + 1
+        counts = np.empty((m0 + 1, grid.size), dtype=np.int64)
+        counts[m0] = rows
+        for k, column in enumerate(columns, 1):
+            counts[m0 - k] = column.searchsorted(grid, side="right")
+        counts[1:] -= counts[:-1]
+        return counts
+    # flat index (m0 - jumps made) * grid + j of each trajectory's state
+    states = np.empty((rows, grid.size), dtype=np.int64)
+    for row, state in zip(jumps, states):
+        np.subtract(m0, row.searchsorted(grid, side="right"), out=state)
+    states *= grid.size
+    states += np.arange(grid.size)
+    return np.bincount(states.ravel(), minlength=(m0 + 1) * grid.size).reshape(m0 + 1, grid.size)
 
 
 @dataclass(frozen=True)
