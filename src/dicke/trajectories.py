@@ -29,18 +29,16 @@ more than `_VECTOR_DRAWS` draws, where one generator per trajectory
 costs less than stepping the short chunks such streams allow.
 
 Each chunk is then sampled and binned at once: `sample_trajectory`
-takes a leading trajectory axis, and `bin_trajectory` searches the grid
-into one sorted 1-d array per index of the chunk's shorter axis, at most
-sqrt(`CHUNK_ENTRIES`) searches a chunk.  With no more jumps than
-trajectories it sorts each jump's column, which leaves that jump's counts
-as they are: searching column k gives, per grid time, the number that
-have made at least k jumps, and those with at least k but not k + 1
-jumps occupy m0 - k.  Otherwise each trajectory's ascending row gives
-the jumps it has made by each grid time, and one bincount of the states
-m0 - made counts the rows.  These are integer identities, so the counts
-equal a per-trajectory binning bit for bit.  Beyond the chunk's sorted
-copy, no binning array exceeds the (m0 + 1) x grid counts, so the chunk
-size depends on m0 alone.
+takes a leading trajectory axis, and `bin_trajectory` sorts each jump's
+column, which leaves that jump's counts as they are, and searches the
+grid into it: searching column k gives, per grid time, the number of
+trajectories that have made at least k jumps, and those with at least k
+but not k + 1 jumps occupy m0 - k.  These are integer identities, so the
+counts equal a per-trajectory binning bit for bit.  Beyond the chunk's
+sorted copy, no binning array exceeds the (m0 + 1) x grid counts, so the
+chunk size depends on m0 alone.  The loop runs once per jump, m0 times a
+chunk, so for m0 beyond sqrt(`CHUNK_ENTRIES`), about 181, its short
+columns cost more per draw than at small m0.
 
 The chunks are independent, so a request of `FORK_MIN_DRAWS` draws or
 more splits them over the usable cores (`workers.split`): worker w, the
@@ -64,20 +62,18 @@ from .workers import split, worker_count
 # Entries in each per-chunk array: chunk x m0 for the draws, the jump
 # times and their sorted columns (the binning's other arrays, at most
 # (m0 + 1) x grid, do not grow with the chunk).  2**15 entries are 256 KiB
-# of float64 or int64.  On 1e5 trajectories at N = 8 in a fresh process,
-# 2**16 ran about 12% faster than 2**15 but peaked 2.1 MiB higher (35.6
-# MiB); 2**14 peaked 1.4 MiB lower but ran about 20% slower.
+# of float64 or int64; the 2**14 and 2**16 trade-off of time against peak
+# memory is yet to be measured with this binning.
 CHUNK_ENTRIES = 1 << 15
 
 # A request of fewer draws (n_traj x m0) than this runs in one process.
-# One draw, sampled and binned, costs about 0.065 us of CPU at m0 = 8, and
-# a fork and reap about 3 ms at 33 MiB resident (2-core Xeon), so a
-# request split at the threshold, about 0.04 s in one process, pays at
-# most about 8% for the fork.  A whole two-way split of 8e5 draws cost
-# about 12 ms more CPU than one process, the rest being the child's own
-# heap and both cores busy at once; at 1e5 draws it took longer than one
-# process.
-FORK_MIN_DRAWS = 600_000
+# A fork and reap costs about 2.7 ms at 33 MiB resident (2-core Xeon).  A
+# draw, sampled and binned, costs about 0.06 us of CPU at m0 = 8 and about
+# 0.25 us at m0 = 160 (library streams), so the fork is about 11% and 3%
+# of a request at the threshold, and split two ways such a request took
+# less wall time than in one process at both (25 -> 21 ms and 99 -> 60
+# ms); at 1e5 draws a split took longer than one process.
+FORK_MIN_DRAWS = 400_000
 
 
 @dataclass(frozen=True)
@@ -318,34 +314,23 @@ def bin_trajectory(record: TrajectoryRecord, time_grid) -> np.ndarray:
     Right-continuous convention: at the jump instant the post-jump state
     is already occupied (a measure-zero choice fixed for determinism).
 
-    The grid is searched into one sorted 1-d array per index of the
-    record's shorter axis.  With no more jumps (m0) than rows, each
-    jump's column is sorted, and searching it gives how many rows have
-    made that jump by each grid time; otherwise each row, ascending
-    already, gives how many jumps it has made by each grid time, and one
-    bincount of the states m0 - made counts the rows.
+    Each jump's column is sorted, which does not change that jump's
+    counts, and searching the grid into it gives how many rows have made
+    that jump by each grid time.
     """
     grid = check_time_grid(time_grid)
     jumps = np.atleast_2d(record.jump_times)
-    rows, m0 = jumps.shape[0], record.start_m
-    if m0 <= rows:
-        columns = jumps.T.copy()
-        columns.sort()
-        # first counts[m0 - k]: trajectories with at least k jumps by each
-        # grid time; state m0 - k holds those with k jumps but not k + 1
-        counts = np.empty((m0 + 1, grid.size), dtype=np.int64)
-        counts[m0] = rows
-        for k, column in enumerate(columns, 1):
-            counts[m0 - k] = column.searchsorted(grid, side="right")
-        counts[1:] -= counts[:-1]
-        return counts
-    # flat index (m0 - jumps made) * grid + j of each trajectory's state
-    states = np.empty((rows, grid.size), dtype=np.int64)
-    for row, state in zip(jumps, states):
-        np.subtract(m0, row.searchsorted(grid, side="right"), out=state)
-    states *= grid.size
-    states += np.arange(grid.size)
-    return np.bincount(states.ravel(), minlength=(m0 + 1) * grid.size).reshape(m0 + 1, grid.size)
+    m0 = record.start_m
+    columns = jumps.T.copy()
+    columns.sort()
+    # first counts[m0 - k]: trajectories with at least k jumps by each
+    # grid time; state m0 - k holds those with k jumps but not k + 1
+    counts = np.empty((m0 + 1, grid.size), dtype=np.int64)
+    counts[m0] = jumps.shape[0]
+    for k, column in enumerate(columns, 1):
+        counts[m0 - k] = column.searchsorted(grid, side="right")
+    counts[1:] -= counts[:-1]
+    return counts
 
 
 @dataclass(frozen=True)

@@ -291,9 +291,9 @@ def test_benchmark_request_counts_are_pinned():
     (40, 17, np.geomspace(1e-3, 1.0, 50), 5000,
      "4a5099b453add148a20a64707534ac8f65ab4f484714d7f276ce0f0fcb88ef4e"),
 ])
-def test_counts_are_pinned_on_both_sides_of_the_binning_edge(n, m0, grid, n_traj, digest):
-    # digests taken from the per-entry grid histogram, the binning before
-    # the grid was searched along each chunk's shorter axis
+def test_long_stream_and_partial_start_counts_are_pinned(n, m0, grid, n_traj, digest):
+    # digests taken from the per-entry grid histogram that binned chunks
+    # before the sorted columns
     result = estimate(build_ladder(n, 1.0), m0, grid, n_traj=n_traj, root_seed=42)
     assert hashlib.sha256(result.counts.astype("<i8").tobytes()).hexdigest() == digest
 
@@ -367,26 +367,13 @@ def test_zero_draw_row_is_rebuilt_by_library(monkeypatch, short_chunks):
     assert np.array_equal(result.counts, loop_counts(build_ladder(5, 1.0), 5, grid, n_traj, 21))
 
 
-# --- bin_trajectory on both sides of rows = m0 --------------------------------
-
-def chunk_record(jump_times, m0):
-    """A record holding the given jump times (rows, or one 1-d trajectory)."""
-    jumps = np.asarray(jump_times, dtype=float)
-    return trajectories.TrajectoryRecord(seed_index=None, start_m=m0, draws=np.ones_like(jumps),
-                                         waiting_times=np.diff(jumps, prepend=0.0),
-                                         jump_times=jumps)
-
-
-def brute_counts(jump_rows, m0, grid):
-    """Sum of the rows' indicators, each state counted jump by jump."""
-    return sum(indicators([m0 - sum(t <= g for t in row) for g in grid], m0)
-               for row in jump_rows)
-
+# --- bin_trajectory on sampled and hand-built chunks --------------------------
 
 @pytest.mark.parametrize("m0", [3, 12, 150])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_binning_at_rows_equal_m0_matches_per_trajectory_loop(m0, extra):
-    # rows = m0 - 1 searches each trajectory's row, m0 and m0 + 1 each jump's column
+def test_binning_of_sampled_chunk_matches_per_trajectory_loop(m0, extra):
+    # chunks of m0 - 1, m0 and m0 + 1 rows: fewer, as many and more rows
+    # than jump columns
     ladder = build_ladder(m0, 1.0)
     rows = m0 + extra
     draws, _ = _uniform_streams(21, 0, rows, m0)
@@ -400,31 +387,29 @@ def test_binning_at_rows_equal_m0_matches_per_trajectory_loop(m0, extra):
     assert np.array_equal(bin_trajectory(record, grid), expected)
 
 
-@pytest.mark.parametrize("rows", [2, 3, 4])
-def test_binning_of_hand_built_chunk_on_both_sides_of_the_edge(rows):
-    # m0 = 3: rows 2 searches rows, rows 3 and 4 search columns; jumps fall
-    # before the grid, exactly on grid times and after it
-    jump_rows = [[0.05, 0.5, 0.9], [0.2, 0.5, 3.0], [0.1, 0.3, 0.7], [0.5, 0.6, 2.5]][:rows]
+# hand-built rows of m0 = 3 jumps, with jumps before the grid below, exactly
+# on grid times and after it, and each row's states on that grid
+HAND_ROWS = [[0.05, 0.5, 0.9], [0.2, 0.5, 3.0], [0.1, 0.3, 0.7], [0.5, 0.6, 2.5]]
+HAND_STATES = [[2, 2, 1, 1, 0, 0], [3, 2, 1, 1, 1, 1], [2, 2, 1, 0, 0, 0], [3, 3, 2, 1, 1, 1]]
+
+
+@pytest.mark.parametrize("jumps, m0, states", [
+    *[(HAND_ROWS[:rows], 3, HAND_STATES[:rows]) for rows in (2, 3, 4)],
+    # one 1-d trajectory of a single jump
+    ([0.5], 1, [[1, 1, 0, 0, 0, 0]]),
+    # no jumps: one 1-d trajectory, one row and five rows
+    (np.empty(0), 0, [[0] * 6]),
+    (np.empty((1, 0)), 0, [[0] * 6]),
+    (np.empty((5, 0)), 0, [[0] * 6] * 5)])
+def test_binning_of_hand_built_chunk(jumps, m0, states):
     grid = [0.1, 0.2, 0.5, 0.7, 1.0, 2.0]
-    counts = bin_trajectory(chunk_record(jump_rows, 3), grid)
+    jumps = np.asarray(jumps, dtype=float)
+    record = trajectories.TrajectoryRecord(seed_index=None, start_m=m0, draws=np.ones_like(jumps),
+                                           waiting_times=np.diff(jumps, prepend=0.0),
+                                           jump_times=jumps)
+    counts = bin_trajectory(record, grid)
     assert counts.dtype == np.int64
-    assert np.array_equal(counts, brute_counts(jump_rows, 3, grid))
-    assert (counts.sum(axis=0) == rows).all()
-
-
-@pytest.mark.parametrize("jumps, states", [([0.2, 0.5, 0.9], [3, 2, 2, 1, 0, 0]),  # rows
-                                           ([0.5], [1, 1, 1, 0, 0, 0])])          # a column
-def test_binning_of_single_one_dimensional_trajectory(jumps, states):
-    grid = [0.1, 0.2, 0.35, 0.5, 0.9, 1.0]
-    counts = bin_trajectory(chunk_record(jumps, len(jumps)), grid)
-    assert np.array_equal(counts, indicators(states, len(jumps)))
-
-
-@pytest.mark.parametrize("jumps, rows", [(np.empty(0), 1), (np.empty((1, 0)), 1),
-                                         (np.empty((5, 0)), 5)])
-def test_binning_without_jumps_keeps_every_trajectory_in_place(jumps, rows):
-    counts = bin_trajectory(chunk_record(jumps, 0), [0.0, 0.5, 1.0])
-    assert np.array_equal(counts, np.full((1, 3), rows))
+    assert np.array_equal(counts, sum(indicators(row, m0) for row in states))
 
 
 def test_chunk_record_matches_single_trajectories():
