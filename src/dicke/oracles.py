@@ -10,12 +10,15 @@ Four routes that share no code with the residue/Jordan machinery:
   h_k*g*dt per step),
 * a reference integration of the bidiagonal rate equations by LSODA
   (scipy's ODEPACK wrapper, switching between Adams and BDF as the
-  problem turns stiff) with the exact banded Jacobian.
+  problem turns stiff) with the exact banded Jacobian, driven once per
+  grid time and sampled from LSODA's own interpolant, so its table
+  equals `solve_ivp(method="LSODA", t_eval=grid)`'s bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +29,9 @@ from .states import DiagonalState, EvolutionTable, check_time_grid
 
 # Default tolerances of `integrate_rate_equations`, read by every caller.
 # LSODA delivers about the accuracy it is asked for, so they sit close to
-# the float64 floor; scipy clamps any rel_tol below 100 * eps.
+# the float64 floor.  A rel_tol below 100 * eps is refused: solve_ivp
+# would raise it to that floor, so the recorded tolerance would not be the
+# one used and the table would no longer be solve_ivp's.
 DEFAULT_REL_TOL = 1e-13
 DEFAULT_ABS_TOL = 1e-15
 MIN_REL_TOL = 100 * float(np.finfo(float).eps)
@@ -252,8 +257,15 @@ def integrate_rate_equations(ladder: DickeLadder, initial_m0: int, time_grid,
     grid.  The Jacobian is the constant band from `rate_band`, so the
     stiff (BDF) phase factors a bidiagonal matrix and no step is capped
     by the fastest rate; the error is about what the tolerances ask for.
-    A rel_tol below MIN_REL_TOL is refused, since scipy would silently
-    raise it."""
+
+    LSODA runs as `solve_ivp(method="LSODA", t_eval=grid)` runs it, with
+    t_end as the critical time it never steps past: one step toward
+    t_end, then one call per grid time the last step does not reach, so
+    Python runs once per grid time, not once per step.  Each grid time
+    is read from the Nordsieck array of the step that covers it, as
+    solve_ivp's dense output reads it, so the table, nfev, njev and nlu
+    equal solve_ivp's exactly.  A rel_tol below MIN_REL_TOL is refused,
+    since solve_ivp would silently raise it."""
     if not (MIN_REL_TOL <= rel_tol < math.inf and 0 < abs_tol < math.inf):
         raise ValueError(f"need {MIN_REL_TOL:.3g} <= rel_tol and 0 < abs_tol, both "
                          f"finite; got rel_tol={rel_tol}, abs_tol={abs_tol}")
@@ -261,7 +273,7 @@ def integrate_rate_equations(ladder: DickeLadder, initial_m0: int, time_grid,
     n = ladder.n_emitters
     if not (0 <= initial_m0 <= n):
         raise ValueError(f"initial_m0 must lie in [0, N], got {initial_m0}")
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import ode
 
     h = ladder.h_array()
     gamma = ladder.gamma
@@ -283,10 +295,50 @@ def integrate_rate_equations(ladder: DickeLadder, initial_m0: int, time_grid,
         return EvolutionTable(n_emitters=n, gamma=gamma, initial_m0=initial_m0,
                               times=grid, populations=y0[:, None], method="ode", meta=meta)
 
-    sol = solve_ivp(rhs, (0.0, t_end), y0, method="LSODA", t_eval=grid,
-                    rtol=rel_tol, atol=abs_tol, jac=lambda _t, _y: band, lband=0, uband=1)
-    if not sol.success:
-        raise StiffnessError(f"integrator failed: {sol.message}")
-    meta.update(nfev=int(sol.nfev), njev=int(sol.njev), nlu=int(sol.nlu))
+    solver = ode(rhs, lambda _t, _y: band)
+    solver.set_integrator("lsoda", rtol=rel_tol, atol=abs_tol, lband=0, uband=1,
+                          nsteps=np.iinfo(np.int32).max)
+    solver.set_initial_value(y0, 0.0)
+    lsoda = solver._integrator
+    rwork, iwork = lsoda.rwork, lsoda.iwork
+    rwork[0] = t_end                # tcrit: no step passes t_end
+    lsoda.call_args[4] = rwork
+    # LSODA's tcrit test: a step ending this close to t_end ends at t_end
+    near = 100 * np.finfo(float).eps
+    columns = []
+    done, itask = 0, 5              # itask 5: one step, picked as solve_ivp picks it
+    with warnings.catch_warnings():
+        # scipy reports a failed call by a UserWarning; it goes into the error
+        warnings.filterwarnings("error", message="lsoda", category=UserWarning)
+        while done < grid.size:
+            target = t_end if itask == 5 else grid[done]
+            lsoda.call_args[2] = itask
+            try:
+                solver.integrate(target)
+            except UserWarning as failure:
+                raise StiffnessError(f"integrator failed at t = {rwork[12]:.6g}: "
+                                     f"{failure}") from None
+            if not solver.successful():
+                raise StiffnessError(f"integrator failed at t = {rwork[12]:.6g}")
+            step_h, t_step = rwork[11], rwork[12]
+            if abs(t_step - t_end) <= near * (abs(t_step) + abs(step_h)):
+                t_step = t_end
+            # a step of size zero covers no grid time
+            stop = int(grid.searchsorted(t_step, side="right")) if step_h else done
+            if stop == done and itask == 4:
+                raise StiffnessError(f"integrator stalled at t = {t_step:.6g} (step "
+                                     f"{step_h:.3g}) before the grid time {target:.6g}")
+            if stop > done:
+                # LSODA._dense_output_impl and LsodaDenseOutput, verbatim
+                order = iwork[13]
+                yh = np.reshape(rwork[20:20 + (order + 1) * y0.size],
+                                (y0.size, order + 1), order="F").copy()
+                if iwork[14] < order:
+                    yh[:, -1] *= (step_h / rwork[10]) ** order
+                x = ((grid[done:stop] - t_step) / step_h) ** np.arange(order + 1)[:, None]
+                columns.append(np.dot(yh, x))
+            # itask 4: on to the next grid time, never stepping past t_end
+            done, itask = stop, 4
+    meta.update(nfev=int(iwork[11]), njev=int(iwork[12]), nlu=int(iwork[12]))
     return EvolutionTable(n_emitters=n, gamma=gamma, initial_m0=initial_m0,
-                          times=grid, populations=sol.y, method="ode", meta=meta)
+                          times=grid, populations=np.hstack(columns), method="ode", meta=meta)

@@ -135,46 +135,61 @@ def _entropy_words(value: int) -> list[int]:
     return words
 
 
-def _hash_constants(const: int, mult: int):
-    """(xor, multiplier) pairs of successive SeedSequence hashes: they
-    depend on the count of hashes so far, never on the words hashed."""
-    while True:
+def _hash_constants(const: int, mult: int, count: int) -> np.ndarray:
+    """(xor, multiplier) of the first `count` SeedSequence hashes, as two
+    (count, 1) uint32 columns: they depend on the count of hashes so far,
+    never on the words hashed."""
+    pairs = []
+    for _ in range(count):
         following = (const * mult) & _MASK32
-        yield np.uint32(const), np.uint32(following)
+        pairs.append((const, following))
         const = following
+    return np.array(pairs, dtype=np.uint32).T[:, :, None]
 
 
-def _seed_state(root_seed: int, index: np.ndarray) -> list[np.ndarray]:
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash under each (xor, multiplier) row of `consts`:
+    `value` is one row, broadcast, or one row per constant."""
+    value = value ^ consts[0]
+    value *= consts[1]
+    value ^= value >> _U16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of hashed words y into x, in place on both."""
+    x *= _MIX_L
+    y *= _MIX_R
+    x -= y
+    x ^= x >> _U16
+    return x
+
+
+def _seed_state(root_seed: int, index: np.ndarray) -> np.ndarray:
     """`SeedSequence((root_seed, i)).generate_state(4, uint64)` for every i
-    in `index` (all below 2**32), as four uint64 words per stream."""
-    entropy = ([np.full(index.shape, w, dtype=np.uint32) for w in _entropy_words(root_seed)]
-               + [index.astype(np.uint32)])
-    consts = _hash_constants(_INIT_A, _MULT_A)
-
-    def hashmix(value):
-        xor, mult = next(consts)
-        value = (value ^ xor) * mult
-        return value ^ (value >> _U16)
-
-    def mix(x, y):
-        result = _MIX_L * x - _MIX_R * y
-        return result ^ (result >> _U16)
-
-    zero = np.zeros(index.shape, dtype=np.uint32)
-    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(_POOL)]
+    in `index` (all below 2**32), as four rows of uint64 words, one column
+    per stream.  Hashes whose inputs stay fixed run as one (k, streams)
+    operation, with the constants in SeedSequence's order."""
+    words = _entropy_words(root_seed)
+    entropy = np.zeros((max(len(words) + 1, _POOL), index.size), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = index
+    # the pool's own hashes, POOL - 1 per pool word, then POOL per further word
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * len(entropy))
+    pool = _hashmix(entropy[:_POOL], consts[:, :_POOL])
+    used = _POOL
     for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        # every other word mixes in a hash of this one, which stays fixed
+        dst = [k for k in range(_POOL) if k != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[:, used:used + _POOL - 1]))
+        used += _POOL - 1
     for src in range(_POOL, len(entropy)):
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
-    halves = []
-    for k, (xor, mult) in zip(range(2 * _POOL), _hash_constants(_INIT_B, _MULT_B)):
-        value = (pool[k % _POOL] ^ xor) * mult
-        halves.append((value ^ (value >> _U16)).astype(np.uint64))
+        pool = _mix(pool, _hashmix(entropy[src], consts[:, used:used + _POOL]))
+        used += _POOL
+    halves = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+    halves = halves.astype(np.uint64)
     # uint32 words, least significant first, pair into uint64 words
-    return [halves[k] | (halves[k + 1] << _U32) for k in range(0, 2 * _POOL, 2)]
+    return halves[0::2] | (halves[1::2] << _U32)
 
 
 def _lcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray,

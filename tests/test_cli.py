@@ -365,6 +365,17 @@ def test_ode_tolerance_below_scipy_floor_usage_error(capsys):
     assert error["kind"] == "config" and "rel_tol" in error["message"]
 
 
+def test_ode_failure_exit_code(capsys):
+    # at g = 1e200 LSODA cannot take a first step: exit 3 with the
+    # integrator's error, where stepping by solve_ivp looped without end
+    assert run(["solve", "--n", "8", "--method", "ode", "--gamma", "1e200",
+                "--points", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = strict_json(captured.err)["error"]
+    assert error["kind"] == "StiffnessError" and "stalled" in error["message"]
+
+
 def test_requests_load_only_what_they_use(tmp_path):
     # a fresh interpreter: float64 residue and Monte Carlo requests need
     # neither scipy nor mpmath; the ODE oracle loads scipy

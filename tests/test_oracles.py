@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from constrained_sums import constrained_sum_bruteforce
 from dicke.ladder import build_ladder, build_rate_matrix
 from dicke.oracles import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, MIN_REL_TOL, ConstrainedSumQuery,
-                           TruncationError, UnsupportedDegeneracyError, constrained_sum_residue,
+                           StiffnessError, TruncationError, UnsupportedDegeneracyError,
+                           constrained_sum_residue,
                            discrete_time_propagate, discrete_time_table, evaluate_series,
                            integrate_rate_equations, rate_band, series_coefficients)
 from dicke.methods import solve_populations
@@ -235,6 +236,70 @@ def test_ode_equals_plain_rate_equation_integration():
     table = integrate_rate_equations(ladder, 20, grid)
     assert np.array_equal(table.populations, sol.y)
     assert table.meta["nfev"] == sol.nfev
+
+
+def _solve_ivp_lsoda(ladder, initial_m0, grid):
+    # the oracle's own right-hand side and band, stepped by solve_ivp, which
+    # returns to Python after every LSODA step
+    from scipy.integrate import solve_ivp
+
+    h = ladder.h_array()
+    gamma = ladder.gamma
+    loss, gain = -h, h[1:]
+
+    def rhs(_t, y):
+        dy = loss * y
+        dy[:-1] += gain * y[1:]
+        dy *= gamma
+        return dy
+
+    band = rate_band(ladder)
+    y0 = np.zeros(h.size)
+    y0[initial_m0] = 1.0
+    return solve_ivp(rhs, (0.0, grid[-1]), y0, method="LSODA", t_eval=grid,
+                     rtol=DEFAULT_REL_TOL, atol=DEFAULT_ABS_TOL, jac=lambda _t, _y: band,
+                     lband=0, uband=1)
+
+
+CLI_LOG_GRID = np.geomspace(5e-3, 5.0, 50)
+
+
+@pytest.mark.parametrize("n, m0, gamma, grid", [
+    (8, 8, 1.0, np.linspace(0.0, 3.0, 11)),          # t = 0 comes from the first step
+    (64, 64, 1.0, CLI_LOG_GRID),
+    (256, 256, 1.0, CLI_LOG_GRID),
+    (128, 64, 1.0, CLI_LOG_GRID),
+    (33, 20, 0.37, np.geomspace(1e-3, 4.0, 40)),
+    (1, 1, 1.0, np.linspace(0.0, 3.0, 13)),
+    (10, 0, 1.0, np.linspace(0.0, 2.0, 5)),
+    (6, 6, 1.0, np.array([0.5, 0.5000001, 3.0])),   # two grid times in one step
+    (12, 12, 1.0, np.array([0.7])),
+], ids=["linear-n8", "log-n64", "log-n256", "partial-n128", "g0.37-n33", "n1", "m0-zero",
+        "one-step-two-times", "one-time"])
+def test_ode_table_is_solve_ivp_lsoda_bit_for_bit(n, m0, gamma, grid):
+    # the oracle drives LSODA once per grid time and reads its Nordsieck
+    # array; solve_ivp steps it one step per call: same steps, same table
+    ladder = build_ladder(n, gamma)
+    table = integrate_rate_equations(ladder, m0, grid)
+    sol = _solve_ivp_lsoda(ladder, m0, grid)
+    assert sol.success
+    assert np.array_equal(table.populations, sol.y)
+    assert (table.meta["nfev"], table.meta["njev"], table.meta["nlu"]) == \
+        (sol.nfev, sol.njev, sol.nlu)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([0.5, 1.0], "lsoda: Illegal input"),    # LSODA's own failure, from scipy's warning
+    ([0.0, 1.0], "stalled"),                 # the step reaches t = 0 but has length zero
+])
+def test_ode_failure_is_stiffness_error_without_warning(grid, message):
+    # at g = 1e200 LSODA's first-step estimate overflows to a step of zero:
+    # the run must end in StiffnessError, neither looping nor warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(StiffnessError, match=message):
+            integrate_rate_equations(build_ladder(4, 1e200), 4, grid)
+    assert caught == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 24])
