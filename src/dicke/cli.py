@@ -304,7 +304,9 @@ def _parse_methods(text: str) -> list[str]:
 
 def _add_precision(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", choices=("auto", "double", "bits"), default="auto")
-    p.add_argument("--bits", type=int, default=113, help="mantissa bits for --precision bits")
+    p.add_argument("--bits", type=int, default=113,
+                   help="width b for --precision bits: rounding moves a row by at most "
+                        "2^-b times the sum of its coefficients' sizes")
     p.add_argument("--target-defect", type=float, default=1e-12)
     p.add_argument("--max-bits", type=int, default=0,
                    help="precision cap (default: DICKE_MAX_BITS env or 16384)")

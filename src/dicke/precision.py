@@ -6,7 +6,9 @@ chosen per row from an a-priori bound on the resulting error (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 4) that needs
 no grid and no trial evaluation.  Coefficients arrive as reduced
 (numerator, denominator) pairs of ints: the bound reads their bit lengths
-and the rounding is one integer division.
+and the rounding is one integer division.  As the bound charges a row an
+absolute 2**-b * S, a wider row rounds to one unit 2**-F' for the row
+(Brent & Zimmermann, *Modern Computer Arithmetic*, 2010, ch. 1).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 DOUBLE_BITS = 53
 GUARD_BITS = 64   # fixed-point fraction bits beyond the widest row width
+UNIT_GUARD_BITS = 8   # a wide row's unit 2**-F' below 2**-b * S / k (README)
 FLOAT_EVAL_UNITS = 20   # float64 error per term beyond the sum's, in 2**-53 * S
 OUTPUT_ROUNDING = 2.0 ** -52   # rounding of an entry <= 1 + bound, and of its exact value
 _ENV_CAP = "DICKE_MAX_BITS"
@@ -92,44 +95,40 @@ def fraction_to_float(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
+def round_to_scale(num: int, den: int, scale: int) -> int:
+    """The integer nearest num/den * 2**scale (den > 0), round-half-even;
+    `scale` may be negative."""
+    if scale >= 0:
+        num <<= scale
+    else:
+        den <<= -scale
+    quo, rem = divmod(num, den)   # floor, so rem >= 0 whatever the sign
+    if 2 * rem > den or (2 * rem == den and quo & 1):
+        quo += 1
+    return quo
+
+
 def round_to_bits(num: int, den: int, bits: int) -> tuple[int, int]:
     """(mantissa, exponent) with mantissa * 2**exponent equal to num/den
     (den > 0) rounded to `bits` significant bits, round-half-even; (0, 0)
-    for zero.
-
-    With d the bit-length difference, 2**(d-1) <= |num|/den < 2**(d+1), so
-    the quotient at 2**(bits-d) has bits or bits + 1 bits; in the second
-    case its last bit is the rounding bit and the remainder only breaks the
-    tie.  A tie needs a power-of-two `den`, and then |num|/den >= 2**d, so
-    no tie reaches the first case.
-    """
+    for zero.  With 2**lead <= |num|/den < 2**(lead+1) that is
+    `round_to_scale` at 2**(bits-1-lead), a mantissa that may round up to
+    2**bits."""
     if not num:
         return 0, 0
     mag = abs(num)
-    shift = bits - mag.bit_length() + den.bit_length()
-    if shift >= 0:
-        mag <<= shift
-    else:
-        den <<= -shift
-    mant, rem = divmod(mag, den)
-    if mant.bit_length() > bits:
-        half = mant & 1
-        mant >>= 1
-        shift -= 1
-        if half and (rem or mant & 1):
-            mant += 1
-    elif 2 * rem > den:
-        mant += 1
-    return (-mant if num < 0 else mant), -shift
+    lead = mag.bit_length() - den.bit_length()   # floor(log2 |num|/den), or one above
+    lead -= (mag >> lead if lead >= 0 else mag << -lead) < den
+    return round_to_scale(num, den, bits - 1 - lead), lead + 1 - bits
 
 
 def rounding_defect(mants: list[int], exps, delta: int, bits: int) -> float:
     """|sum of a row's rounded constants - delta|, the sum taken exactly.
 
-    The constants are the `round_to_bits` mantissas and exponents the
-    evaluation sums, so the defect is that of the evaluated coefficients;
-    at 53 bits or fewer a constant of 2**1024 or more is inf in float64,
-    and so is the defect.
+    The constants are the (mantissa, exponent) pairs the evaluation sums,
+    so the defect is that of the evaluated coefficients; at 53 bits or
+    fewer a constant of 2**1024 or more is inf in float64, and so is the
+    defect.
 
     Summing the rounded values in working precision can absorb the
     residual entirely (the largest near-cancelling pair may round to the
@@ -150,11 +149,12 @@ def _log2_sum(exponents: list[float]) -> float:
     return top + math.log2(math.fsum(2.0 ** (e - top) for e in exponents))
 
 
-def _log2_gains(terms) -> tuple[float, float]:
+def _log2_gains(terms) -> tuple[float, float, float, int]:
     """log2 of the gains G with a row's error at most G * 2**-b at every
     t >= 0 (see the README's precision model): in float64 (b = 53)
     G = (k + FLOAT_EVAL_UNITS) * S for k terms, and in fixed point
-    G = S + 2**-GUARD_BITS * (2k + sum|A_p| + sum|B_p|)."""
+    G = S + 2**-GUARD_BITS * (2k + sum|A_p| + sum|B_p|); then log2 S and
+    the count of nonzero coefficients."""
     s_exp, t_exp = [], []
     for pole, _, (c_num, c_den), (l_num, l_den) in terms:
         # |A| < 2**e from the bit lengths of its reduced pair; A multiplies
@@ -169,10 +169,11 @@ def _log2_gains(terms) -> tuple[float, float]:
             s_exp.append(e - math.log2(math.e * max(pole, 1)))
     log2_s, k = _log2_sum(s_exp), len(terms)
     return (log2_s + math.log2(k + FLOAT_EVAL_UNITS),
-            _log2_sum([log2_s, _log2_sum(t_exp) - GUARD_BITS, math.log2(2 * k) - GUARD_BITS]))
+            _log2_sum([log2_s, _log2_sum(t_exp) - GUARD_BITS, math.log2(2 * k) - GUARD_BITS]),
+            log2_s, len(t_exp))
 
 
-def _bound(gains: tuple[float, float], bits: int) -> float:
+def _bound(gains: tuple[float, float, float, int], bits: int) -> float:
     """Bound, at every t >= 0, on the distance of a row's entries from the
     float64 rounding of their exact values, its coefficients rounded to
     `bits` (53: evaluated in float64), from the row's `_log2_gains`."""
@@ -182,12 +183,16 @@ def _bound(gains: tuple[float, float], bits: int) -> float:
     return err + OUTPUT_ROUNDING * (1.0 + err)
 
 
-def resolve_bits(terms, policy: PrecisionPolicy) -> tuple[int, float]:
-    """(bits, the `_bound` there) for a row's nonempty (pole, multiplicity,
-    const, linear) terms, coefficients as reduced (numerator, denominator)
-    pairs; a fixed width below 53 is reported as 53.  Auto keeps float64 if
-    its bound meets the target, else takes the narrowest wider width that
-    does, and raises `PrecisionError` above the cap."""
+def resolve_bits(terms, policy: PrecisionPolicy) -> tuple[int, float, int]:
+    """(bits, the `_bound` there, scale) for a row's nonempty (pole,
+    multiplicity, const, linear) terms, coefficients as reduced (numerator,
+    denominator) pairs; a fixed width below 53 is reported as 53.  Auto
+    keeps float64 if its bound meets the target, else takes the narrowest
+    wider width that does, and raises `PrecisionError` above the cap.
+    A wider row's unit is 2**-scale, scale = bits - floor(log2 S) +
+    ceil(log2 k) + UNIT_GUARD_BITS for S and the k nonzero coefficients of
+    `_log2_gains`, so its roundings add at most 2**-(bits+9) * S; the float
+    log2 S is far within 2**-20, so its floor is taken that far below."""
     gains = _log2_gains(terms)
     target = policy.target_defect
     if policy.mode != "auto":
@@ -204,4 +209,6 @@ def resolve_bits(terms, policy: PrecisionPolicy) -> tuple[int, float]:
         defect = _bound(gains, policy.max_bits)
         raise PrecisionError(f"error bound {defect:.3e} above target {target:.3e} at the "
                              f"{policy.max_bits}-bit cap", defect=defect, bits=policy.max_bits)
-    return bits, _bound(gains, bits)
+    scale = (bits - math.floor(gains[2] - 2.0 ** -20) + (gains[3] - 1).bit_length()
+             + UNIT_GUARD_BITS)
+    return bits, _bound(gains, bits), scale

@@ -30,11 +30,12 @@ size of the reduced coefficient.  Indexing each pole by the lowest p in
 Exact terms carry no width.  `RoundedRow(terms, policy)` resolves a row's
 width b and bound under its `PrecisionPolicy` and rounds each coefficient
 once, keeping no exact pair: every row, whatever b, holds its
-coefficients in one form, `round_to_bits` (mantissa, exponent) pairs.  A
-53-bit row is evaluated in float64, its pairs converted (exactly) when it
-is; a wider row is summed exactly in integer fixed point, against
-exponentials built per time from two `mpmath.exp` calls and a product
-recurrence along the ladder.  Two passes split over the usable cores
+coefficients in one form, (mantissa, exponent) pairs.  A 53-bit row
+(`round_to_bits`) is evaluated in float64, its pairs converted (exactly)
+when it is; a wider row, each coefficient rounded to the row's one unit
+2**-F' (`round_to_scale`), is summed exactly in integer fixed point,
+against exponentials built per time from two `mpmath.exp` calls and a
+product recurrence along the ladder.  Two passes split over the usable cores
 (`workers.split`): `evaluate_distribution` derives and rounds the rows of
 target states m = w (mod W) in worker w, and the fixed-point pass
 evaluates the grid times j = w (mod W) there.  Each worker rounds each row
@@ -50,7 +51,7 @@ import math
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
-from operator import itemgetter, lshift, mul, neg
+from operator import itemgetter, mul, neg
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +59,7 @@ import numpy as np
 from .ladder import DickeLadder
 from .precision import (DOUBLE_BITS, GUARD_BITS, PrecisionError, PrecisionPolicy,
                         fraction_to_float, reduced, resolve_bits, round_to_bits,
-                        rounding_defect)
+                        round_to_scale, rounding_defect)
 from .states import EvolutionTable, check_time_grid, check_times
 from .workers import split, worker_count
 
@@ -89,20 +90,20 @@ class ResidueTerm(NamedTuple):
         return Fraction(*self.linear_pair)
 
 
-def _mantissas(pairs, bits: int) -> tuple[list[int], array]:
-    """`round_to_bits` mantissas and exponents of exact pairs, flat (a wide
-    row holds one big mantissa per term); zero stays (0, 0) unrounded."""
-    mants, exps = [], []
-    for num, den in pairs:
-        mant, exp = round_to_bits(num, den, bits) if num else (0, 0)
-        mants.append(mant)
-        exps.append(exp)
-    return mants, array("q", exps)
+def _mantissas(pairs, bits: int, scale: int) -> tuple[list[int], array]:
+    """Mantissas and exponents of exact pairs, flat (a wide row holds one
+    big mantissa per term): at 53 bits `round_to_bits`, zero (0, 0); wider,
+    `round_to_scale` at 2**scale, exponent -scale.  Zero is not rounded."""
+    if bits > DOUBLE_BITS:
+        mants = [round_to_scale(num, den, scale) if num else 0 for num, den in pairs]
+        return mants, array("q", [-scale]) * len(mants)
+    pairs = [round_to_bits(num, den, bits) if num else (0, 0) for num, den in pairs]
+    return [mant for mant, _ in pairs], array("q", [exp for _, exp in pairs])
 
 
 class RoundedTerm(NamedTuple):
-    """One term of a `RoundedRow`: each coefficient a `round_to_bits`
-    (mantissa, exponent) pair at the row's width `bits`."""
+    """One term of a `RoundedRow`: each coefficient a (mantissa, exponent)
+    pair as the row of width `bits` rounded it."""
 
     pole: int
     const: tuple[int, int]
@@ -114,26 +115,28 @@ class RoundedRow:
     """One row as evaluation reads it, and the one place a row gets its
     width: `resolve_bits` picks the width `bits` for the row's exact terms
     under `policy`, with the a-priori `bound` there, and each coefficient
-    is rounded once to it.  No exact pair is kept.
+    is rounded once.  No exact pair is kept.
 
     `terms` is the row's exact (pole, multiplicity, const, linear) terms,
     at least one, read here and not kept.  `consts` and `linears` hold the
-    coefficients in one form at every width: the `round_to_bits` mantissas
-    (a list) and exponents (an int64 array), zero as (0, 0), with the terms
-    sorted by pole, the order both evaluation paths read.  A 53-bit
-    mantissa is exact in float64, so a row at 53 bits gets its float64
-    values when it is evaluated.  Iterating gives the terms as
+    coefficients in one form at every width: mantissas (a list) and
+    exponents (an int64 array), with the terms sorted by pole, the order
+    both evaluation paths read.  At 53 bits they are `round_to_bits`
+    pairs, zero as (0, 0), exact in float64, so the row gets its float64
+    values when it is evaluated.  Wider, each is rounded to the row's one
+    unit 2**-F' (`resolve_bits`' scale), every exponent -F', so the pass
+    has no per-term exponent to shift by.  Iterating gives the terms as
     `RoundedTerm`s.
     """
 
     __slots__ = ("poles", "bits", "bound", "consts", "linears")
 
     def __init__(self, terms, policy: PrecisionPolicy):
-        self.bits, self.bound = resolve_bits(terms, policy)
+        self.bits, self.bound, scale = resolve_bits(terms, policy)
         terms = sorted(terms, key=itemgetter(0))
         self.poles = [term[0] for term in terms]
-        self.consts = _mantissas((term[2] for term in terms), self.bits)
-        self.linears = _mantissas((term[3] for term in terms), self.bits)
+        self.consts = _mantissas((term[2] for term in terms), self.bits, scale)
+        self.linears = _mantissas((term[3] for term in terms), self.bits, scale)
 
     def __len__(self) -> int:
         return len(self.poles)
@@ -367,47 +370,36 @@ def _ladder_exponentials(poles: list[int], doubled: list[int], gt: mpmath.mpf,
             + [(man * wide[i] + (1 << (shift - 1))) >> shift for i in doubled])
 
 
-def _shifted_products(indices, mants: list[int], exps, frac_bits: int,
-                      shift_ints: dict) -> tuple[list[int], list[int], list[int]]:
-    """(value index, multiplier, left shift) of each nonzero coefficient of
-    a row in an F-scaled dot product, in the row's order: the b-bit
-    mantissa and shift e + F, or where e + F < 0 the coefficient rounded to
-    2**-F and no shift.  `indices` is parallel to the mantissas; each shift
-    is the int kept for its value in `shift_ints`, so that rows share it.
-    Where no coefficient is zero or below 2**-F the multipliers are the
-    row's own mantissa list, not a copy."""
-    idx, mults, shifts = [], [], []
-    for i, mant, exp in zip(indices, mants, exps):
+def _nonzero(indices, mants: list[int]) -> tuple[list[int], list[int]]:
+    """(value index, coefficient) of each nonzero coefficient of a row, in
+    the row's order; `indices` is parallel to the mantissas.  Where none is
+    zero the coefficients are the row's own mantissa list, not a copy."""
+    idx, mults = [], []
+    for i, mant in zip(indices, mants):
         if mant:
-            shift = exp + frac_bits
-            if shift < 0:
-                mant, shift = _to_fixed(mant, exp, frac_bits), 0
             idx.append(i)
             mults.append(mant)
-            shifts.append(shift_ints.setdefault(shift, shift))
-    # equal lists hold the same int objects, so this compares pointers
-    return idx, (mants if mults == mants else mults), shifts
+    return idx, (mants if len(mults) == len(mants) else mults)
 
 
 # A fork and reap cost about 4 ms of CPU at 40 MiB resident and 8 ms at
-# 84 MiB, and one product at one time about 0.4 us (2-core Xeon).  A pass
-# of fewer products x times than this, about 0.1 s, runs in one process,
-# so that a fork adds at most 5-8% to the CPU time of a pass it splits.
+# 84 MiB, and one product at one time 0.13-0.17 us on the CLI grid at
+# N = 64-256 (2-core Xeon).  A pass of fewer products x times than this,
+# about 40 ms, runs in one process, so that a fork adds at most 10-20% to
+# the CPU time of a pass it splits; N = 64 (106,000) stays there and
+# N = 128 (418,000) splits.
 FORK_MIN_WORK = 250_000
 
 
 def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) -> np.ndarray:
     """Evaluate rows wider than float64 in integer fixed point.
 
-    Each coefficient is its row's `round_to_bits` pair at width b, a value
-    taken at the scale 2**F, F = widest width + GUARD_BITS (one below
-    2**(b-F) also loses the bits under 2**-F).  exp(-h*g*t) and
-    g*t*exp(-h*g*t) are ints at the same scale, computed once per distinct
-    pole and time by `_ladder_exponentials`.  Every entry is one exact
-    integer dot product rounded to float64 once.  In it each b-bit
-    mantissa multiplies its exponential and the product is shifted left by
-    e + F: the same integer as the scaled coefficient times the
-    exponential, with a b-bit factor in place of an (a+F)-bit one.
+    Each row's coefficients are integers at its own unit 2**-F' (see
+    `RoundedRow`), and exp(-h*g*t) and g*t*exp(-h*g*t) ints at the scale
+    2**F, F = widest width + GUARD_BITS, computed once per distinct pole
+    and time by `_ladder_exponentials`.  Every entry is one exact integer
+    dot product of the two, divided by 2**(F+F') (where F + F' < 0,
+    shifted up) and rounded to float64 once.
 
     The dot product runs only over the operands whose exponential is
     nonzero.  Both groups of exponentials are non-increasing in the value
@@ -419,8 +411,7 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
     A time's column depends only on the rows and that time, so the columns
     are split over the usable cores (`workers.split`, worker w taking the
     times j = w (mod W)) once the pass holds `FORK_MIN_WORK` products x
-    times; each entry is the same integer sum,
-    so the values do not depend on how many cores there are.
+    times; each entry is the same integer sum, whatever the core count.
     """
     import mpmath
 
@@ -432,19 +423,18 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
     # the g*t*exp(-h*g*t) values follow the exp(-h*g*t) values in one list;
     # a pole with no linear term in a row has a zero mantissa there
     g_index = {poles[i]: len(poles) + k for k, i in enumerate(doubled)}
-    shift_ints = {}
-    fixed = [(_shifted_products(map(index.__getitem__, row.poles), *row.consts, frac_bits,
-                                shift_ints),
-              _shifted_products(map(g_index.get, row.poles), *row.linears, frac_bits,
-                                shift_ints))
+    fixed = [(_nonzero(map(index.__getitem__, row.poles), row.consts[0]),
+              _nonzero(map(g_index.get, row.poles), row.linears[0]))
              for row in rows]
+    # each row's sum is at 2**-(F+F'), F' = -exponent: (left shift, divisor)
+    units = [(max(0, -scale), 1 << max(0, scale))
+             for scale in (frac_bits - row.consts[1][0] for row in rows)]
     # g*t is exact at 106 bits (a product of two doubles)
     with mpmath.workprec(2 * DOUBLE_BITS):
         gamma_mp = mpmath.mpf(gamma)
         gts = [gamma_mp * mpmath.mpf(float(t)) for t in grid]
-    scale = 1 << 2 * frac_bits
 
-    work = grid.size * sum(len(idx) for groups in fixed for idx, _, _ in groups)
+    work = grid.size * sum(len(idx) for groups in fixed for idx, _ in groups)
     workers = worker_count(grid.size, work, FORK_MIN_WORK)
 
     def share(w: int) -> array:
@@ -456,12 +446,12 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
             # first zero of each group: key=neg makes the values ascending
             ends = (bisect_left(values, 0, 0, len(poles), key=neg),
                     bisect_left(values, 0, len(poles), len(values), key=neg))
-            for groups in fixed:
+            for groups, (up, den) in zip(fixed, units):
                 acc = 0
-                for (idx, mants, shifts), end in zip(groups, ends):
-                    live = map(values.__getitem__, idx[:bisect_left(idx, end)])
-                    acc += sum(map(lshift, map(mul, mants, live), shifts))
-                data.append(fraction_to_float(acc, scale))
+                for (idx, mults), end in zip(groups, ends):
+                    acc += sum(map(mul, mults, map(values.__getitem__,
+                                                   idx[:bisect_left(idx, end)])))
+                data.append(fraction_to_float(acc << up, den))
         return data
 
     out = np.empty((grid.size, len(rows)))

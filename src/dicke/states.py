@@ -60,7 +60,7 @@ def check_time_grid(times) -> np.ndarray:
 class EvolutionTable:
     """Populations on a time grid: rows are states m = 0..N, columns times.
 
-    `meta` carries per-method provenance (achieved mantissa bits, t=0
+    `meta` carries per-method provenance (per-row widths and bounds, t=0
     reconstruction defects, integrator statistics, ...).  `std_errors` is
     populated by the Monte Carlo engine only.
     """

@@ -14,7 +14,7 @@ from dicke.precision import (DOUBLE_BITS, PrecisionError, PrecisionPolicy, defau
                              fraction_to_float, resolve_bits, rounding_defect)
 from dicke.residues import RoundedRow, exact_terms, residue_terms
 from dicke.states import DiagonalState
-from fraction_reference import (fraction_log2_gains, fraction_round_to_bits, fraction_terms,
+from fraction_reference import (fraction_log2_gains, fraction_round_row, fraction_terms,
                                 pair_terms)
 
 
@@ -92,13 +92,28 @@ def test_fraction_to_float_overflow_is_signed_inf():
     assert fraction_to_float(1, 3) == 1 / 3
 
 
+def fraction_defect(terms, bits, delta):
+    """The t = 0 defect of a row's constants rounded by the `Fraction`
+    reference, exactly."""
+    scale = resolve_bits(terms, PrecisionPolicy.bits(bits))[2]
+    total = sum(Fraction(mant) * Fraction(2) ** exp
+                for mant, exp in (fraction_round_row(c, bits, scale)
+                                  for _, _, c, _ in fraction_terms(terms)))
+    return abs(total - delta)
+
+
 def test_rounding_defect_scales_with_bits():
-    terms = residue_terms(build_ladder(30, 1.0), 0, 30)
-    d53, d106, d212 = (
-        rounding_defect(*RoundedRow(terms, PrecisionPolicy.bits(bits)).consts, 0, bits)
-        for bits in (53, 106, 212))
-    assert d53 > d106 > d212
-    assert d106 < d53 * 2.0 ** -40  # roughly 2^-bits scaling
+    for m in (0, 18):
+        terms = residue_terms(build_ladder(30, 1.0), m, 30)
+        defects = [rounding_defect(*RoundedRow(terms, PrecisionPolicy.bits(bits)).consts, 0,
+                                   bits)
+                   for bits in (53, 106, 212)]
+        assert defects == [float(fraction_defect(terms, bits, 0)) for bits in (53, 106, 212)]
+        d53, d106, d212 = defects
+        # wider, the defect is a whole number of units 2**-F' (the exact
+        # constants sum to an integer), and row 0's roundings cancel to none
+        assert d53 > d106 > d212 if m else d53 > d106 == d212 == 0.0
+        assert d106 < d53 * 2.0 ** -40  # roughly 2^-bits scaling
 
 
 def test_working_precision_trace_is_tiny():
@@ -225,12 +240,12 @@ def assert_rows_match_fraction_reference(ladder, m0, policy, monkeypatch):
         ref = fraction_terms(raw)
         with monkeypatch.context() as patch:
             patch.setattr(precision, "_log2_gains", fraction_log2_gains)
-            bits, bound = resolve_bits(ref, policy)
+            bits, bound, scale = resolve_bits(ref, policy)
         where = (ladder.n_emitters, m0, m)
         assert row.bits == bits and row.bound == bound, where
         assert row.poles == [v for v, _, _, _ in ref], where
-        consts = [fraction_round_to_bits(c, bits) for _, _, c, _ in ref]
-        linears = [fraction_round_to_bits(b, bits) for _, _, _, b in ref]
+        consts = [fraction_round_row(c, bits, scale) for _, _, c, _ in ref]
+        linears = [fraction_round_row(b, bits, scale) for _, _, _, b in ref]
         assert (row.consts[0], row.consts[1].tolist()) == \
             ([mant for mant, _ in consts], [e for _, e in consts]), where
         assert (row.linears[0], row.linears[1].tolist()) == \
@@ -246,10 +261,50 @@ def test_integer_pipeline_matches_fraction_reference_small_n(monkeypatch):
 
 @pytest.mark.parametrize("n, m0, policy", [
     (64, 64, PrecisionPolicy()), (128, 128, PrecisionPolicy()), (256, 256, PrecisionPolicy()),
-    (128, 64, PrecisionPolicy.bits(212))])
+    (128, 64, PrecisionPolicy.bits(212)),
+    (40, 40, PrecisionPolicy.bits(60)), (128, 128, PrecisionPolicy.bits(60))])
 def test_integer_pipeline_matches_fraction_reference_benchmark_rows(n, m0, policy, monkeypatch):
-    # the residue rows of the benchmark's residue_ladder requests
+    # the residue rows of the benchmark's residue_ladder requests, and 60-bit
+    # rows whose unit 2**-F' is above 1 (F' < 0)
     assert_rows_match_fraction_reference(build_ladder(n, 1.0), m0, policy, monkeypatch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_wide_row_roundings_within_the_unit_budget(data):
+    # each wide row's k roundings to 2**-F' move it by at most
+    # 2**-(b+9) * S at every t >= 0, for S = sum 2**e of `_log2_gains`
+    # (|A| < 2**e, and B weighted by the 1/(e*h) bound on g*t*exp(-h*g*t)),
+    # checked in `Fraction`s.  So does the worst case, k half units, which
+    # a floor of log2 S one too high (F' one too low) breaks wherever k is
+    # a power of two
+    n = data.draw(st.integers(1, 40), label="n")
+    m0 = data.draw(st.integers(0, n), label="m0")
+    policy = data.draw(st.sampled_from([PrecisionPolicy.bits(b) for b in (54, 60, 80, 120)]
+                                       + [PrecisionPolicy.auto()]), label="policy")
+    euler = Fraction(math.e)
+    for m in range(m0 + 1):
+        terms = exact_terms(build_ladder(n, 1.0), m, m0)
+        row = RoundedRow(terms, policy)
+        if row.bits <= DOUBLE_BITS:
+            continue
+        half_unit = Fraction(2) ** (row.consts[1][0] - 1)
+        moved = total = Fraction(0)
+        count = 0
+        for (pole, _, const, linear), c, d in zip(sorted(fraction_terms(terms)),
+                                                  zip(*row.consts), zip(*row.linears)):
+            weight = 1 / (euler * max(pole, 1))
+            for value, (mant, exp), w in ((const, c, 1), (linear, d, weight)):
+                assert exp == row.consts[1][0]   # one unit per row
+                if value:
+                    size = value.numerator.bit_length() - value.denominator.bit_length() + 1
+                    error = abs(mant * Fraction(2) ** exp - value)
+                    assert error <= half_unit
+                    total += Fraction(2) ** size * w
+                    moved += error * w
+                    count += 1
+        budget = Fraction(2) ** -(row.bits + 9) * total
+        assert moved <= count * half_unit <= budget, (n, m0, m)
 
 
 @pytest.mark.parametrize("policy", [PrecisionPolicy.auto(), PrecisionPolicy.bits(80)])

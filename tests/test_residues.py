@@ -15,14 +15,15 @@ from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
 from dicke.oracles import integrate_rate_equations
 from dicke.precision import (PrecisionError, PrecisionPolicy, fraction_to_float, resolve_bits,
-                             round_to_bits)
+                             round_to_bits, round_to_scale)
 from dicke.residues import (ResidueTerm, RoundedRow, _ladder_exponentials,
                             above_equator_closed_form, assemble_table, evaluate_distribution,
                             evaluate_population, evaluate_rows, exact_terms, residue_terms,
                             rows_meta)
 from dicke.spectral import invert_laplace, jordan_decompose, jordan_terms
 from dicke.states import DiagonalState
-from fraction_reference import fraction_round_to_bits, fraction_terms, pair, pair_terms
+from fraction_reference import (fraction_round_row, fraction_round_to_scale, fraction_terms, pair,
+                                pair_terms)
 from pole_census import classify_poles
 
 
@@ -362,6 +363,17 @@ def test_round_to_bits_matches_mpmath(value, bits):
         assert mpmath.ldexp(mant, exp) == mp_rounded(value, bits)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(), st.integers(min_value=-300, max_value=300))
+# exact ties, half-even either way and below zero: 2, -2 and 1 * 2**3
+@example(Fraction(5, 2), 0)
+@example(Fraction(-3, 4), 1)
+@example(Fraction(12), -3)
+def test_round_to_scale_matches_fraction_reference(value, scale):
+    assert round_to_scale(value.numerator, value.denominator, scale) == \
+        fraction_round_to_scale(value, scale)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=48), st.data())
 def test_fixed_point_rows_match_mpmath_sum(n, data):
@@ -374,12 +386,16 @@ def test_fixed_point_rows_match_mpmath_sum(n, data):
         bits = table.meta["bits"][m]
         if bits <= 53:
             continue
-        # the same b-bit coefficients, summed at more than twice the width
-        with mpmath.workprec(2 * bits + 64):
+        # the same coefficients, each rounded to the row's unit 2**-F',
+        # summed at more than twice the width of the largest
+        terms = exact_terms(ladder, m, m0)
+        scale = resolve_bits(terms, PrecisionPolicy())[2]
+        with mpmath.workprec(2 * max(bits, bits - scale) + 64):
             gt = mpmath.mpf(gamma) * mpmath.mpf(t)
-            total = mpmath.fsum((mp_rounded(a, bits) + mp_rounded(b, bits) * gt)
+            total = mpmath.fsum((mpmath.ldexp(fraction_round_to_scale(a, scale), -scale)
+                                 + mpmath.ldexp(fraction_round_to_scale(b, scale), -scale) * gt)
                                 * mpmath.exp(-v * gt)
-                                for v, _, a, b in fraction_terms(exact_terms(ladder, m, m0)))
+                                for v, _, a, b in fraction_terms(terms))
         assert abs(table.populations[m, 0] - float(total)) <= 1e-15, (m, bits)
 
 
@@ -425,11 +441,13 @@ def reference_to_fixed(mant, exp, frac_bits):
 def reference_rows(rows, policy, gamma, grid):
     """Exact term lists evaluated, at the widths `policy` resolves for them,
     as the package did before the ladder recurrence: float64 rows in numpy;
-    wider rows with every coefficient pre-shifted to 2**-F and one
-    `mpmath.exp` per pole and time at F + 32 bits."""
+    wider rows with every coefficient rounded to its row's unit 2**-F'
+    (`fraction_round_to_scale`), one `mpmath.exp` per pole and time at
+    F + 32 bits rounded to 2**-F, and each sum at 2**-(F+F') divided once."""
     grid = np.asarray(grid, dtype=float)
     out = np.zeros((len(rows), grid.size))
-    bits_of = {r: resolve_bits(row, policy)[0] for r, row in enumerate(rows) if row}
+    resolved = {r: resolve_bits(row, policy) for r, row in enumerate(rows) if row}
+    bits_of = {r: bits for r, (bits, _, _) in resolved.items()}
     wide = [r for r, bits in bits_of.items() if bits > 53]
     for r, row in enumerate(rows):
         if row and r not in wide:
@@ -448,15 +466,14 @@ def reference_rows(rows, policy, gamma, grid):
     index = {v: i for i, v in enumerate(poles)}
     doubled = {index[t.pole] for r in wide for t in rows[r] if t.linear}
     fixed = []
-    for r, bits in zip(wide, widths):
-        row = rows[r]
+    for r in wide:
+        row, scale = rows[r], resolved[r][2]
         linear = [t for t in row if t.linear]
         fixed.append(([index[t.pole] for t in row],
-                      [reference_to_fixed(*fraction_round_to_bits(t.const, bits), frac_bits)
-                       for t in row],
+                      [fraction_round_to_scale(t.const, scale) for t in row],
                       [index[t.pole] for t in linear],
-                      [reference_to_fixed(*fraction_round_to_bits(t.linear, bits), frac_bits)
-                       for t in linear]))
+                      [fraction_round_to_scale(t.linear, scale) for t in linear],
+                      Fraction(2) ** (frac_bits + scale)))
     with mpmath.workprec(frac_bits + 32):
         gamma_mp = mpmath.mpf(gamma)
         for j, t in enumerate(grid):
@@ -464,10 +481,10 @@ def reference_rows(rows, policy, gamma, grid):
             expo = [mpmath.exp(-v * gt) for v in poles]
             e_fix = [reference_to_fixed(*x.man_exp, frac_bits) for x in expo]
             g_fix = {i: reference_to_fixed(*(gt * expo[i]).man_exp, frac_bits) for i in doubled}
-            for r, (idx, consts, lin_idx, linears) in zip(wide, fixed):
+            for r, (idx, consts, lin_idx, linears, unit) in zip(wide, fixed):
                 acc = sum(c * e_fix[i] for c, i in zip(consts, idx))
                 acc += sum(c * g_fix[i] for c, i in zip(linears, lin_idx))
-                out[r, j] = fraction_to_float(acc, 1 << 2 * frac_bits)
+                out[r, j] = float(acc / unit)
     return out
 
 
@@ -506,9 +523,30 @@ def test_evaluator_equals_reference_on_wide_log_grid():
                               reference_rows(rows, PrecisionPolicy(), 1.0, grid))
 
 
+@pytest.mark.parametrize("n, lowest_scale", [(40, -12), (128, -209)])
+def test_negative_units_evaluate_exactly(n, lowest_scale):
+    # at 60 bits a row's unit 2**-F' reaches 2**12 at N = 40; at N = 128 it
+    # reaches 2**209, and the pass's sums are at 2**-(F+F') = 2**85 (F =
+    # 60 + 64): the tables equal the reference, and the three derivations
+    # stay equal
+    ladder, policy = build_ladder(n, 1.0), PrecisionPolicy.bits(60)
+    rows = [residue_terms(ladder, m, n) for m in range(n + 1)]
+    assert min(resolve_bits(row, policy)[2] for row in rows) == lowest_scale
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 5.0, 12)])
+    residue, laplace, jordan = (solve_populations(ladder, n, grid, method, policy)
+                                for method in ("residue", "laplace", "jordan"))
+    assert np.array_equal(residue.populations, reference_rows(rows, policy, 1.0, grid))
+    for table in (laplace, jordan):
+        assert np.array_equal(table.populations, residue.populations), table.method
+        for key in ("bits", "error_bound", "t0_defect"):
+            assert table.meta[key] == residue.meta[key], (table.method, key)
+
+
 def test_coefficient_below_the_fixed_point_scale_is_rounded():
-    # at 60 bits F = 124, and a 60-bit mantissa times 2**-134 keeps only its
-    # top 50 bits at 2**-F: 2**49 + 1023/1024 rounds up to 2**49 + 1
+    # at 60 bits F = 124, and the row's unit is 2**-143 (S = 2**-74 exactly,
+    # its floor taken one lower: F' = 60 + 75 + 8): the 60-bit constant at
+    # 2**-134 is kept whole, below 2**-F, and only the entry is rounded to
+    # float64, 2**49 + 1023/1024 to 2**49 + 1
     const = Fraction((1 << 59) + 1023, 1 << 134)
     row = [ResidueTerm(pole=1, multiplicity=1, const_pair=pair(const), linear_pair=(0, 1))]
     policy = PrecisionPolicy.bits(60)
@@ -661,6 +699,9 @@ def test_each_coefficient_rounded_and_bounded_once(monkeypatch):
     for module in (residues, precision):
         monkeypatch.setattr(module, "resolve_bits", counting("resolve", module.resolve_bits))
         monkeypatch.setattr(module, "round_to_bits", counting("round", module.round_to_bits))
+    # `round_to_bits` rounds through `precision.round_to_scale`: count the
+    # calls `RoundedRow` makes
+    monkeypatch.setattr(residues, "round_to_scale", counting("round", residues.round_to_scale))
     ladder = build_ladder(48, 1.0)
     grid = np.linspace(0.0, 3.0, 7)
     for method in ("residue", "laplace", "jordan"):
@@ -676,7 +717,8 @@ def test_each_coefficient_rounded_and_bounded_once(monkeypatch):
             # one width decision per nonempty row
             assert calls["resolve"] == sum(map(bool, rows)) == m0 + 1, where
             # each nonzero const and linear coefficient of every row, float64
-            # rows included, rounded once; zeros are not rounded
+            # rows to bits and wider rows to their unit, rounded once; zeros
+            # are not rounded
             assert calls["round"] == sum(bool(t.const_pair[0]) + bool(t.linear_pair[0])
                                          for row in rows for t in row), where
 
@@ -769,14 +811,14 @@ def test_streamed_table_equals_table_of_exact_rows(n, m0, policy):
         assert streamed.meta[key] == exact.meta[key], key
 
 
-def flat_roundings(terms, bits):
+def flat_roundings(terms, bits, scale):
     """Mantissas and exponents of the constants, then of the linear
-    coefficients, rounded to `bits`: four flat lists parallel to the terms,
-    zero as (0, 0)."""
+    coefficients, as a row of width `bits` and unit 2**-scale rounds them
+    (`fraction_round_row`): four flat lists parallel to the terms."""
     out = [], [], [], []
     for term in terms:
-        for k, (num, den) in ((0, term.const_pair), (2, term.linear_pair)):
-            mant, exp = round_to_bits(num, den, bits) if num else (0, 0)
+        for k, value in ((0, term.const), (2, term.linear)):
+            mant, exp = fraction_round_row(value, bits, scale)
             out[k].append(mant)
             out[k + 1].append(exp)
     return out
@@ -792,11 +834,12 @@ def test_rounded_row_keeps_the_roundings_of_its_term_row(monkeypatch):
     for terms, policy in ((row, PrecisionPolicy.double()), (row, PrecisionPolicy.bits(120)),
                           (past_range, PrecisionPolicy.double())):
         rounded = RoundedRow(terms, policy)
-        assert (rounded.bits, rounded.bound) == resolve_bits(terms, policy)
+        bits, bound, scale = resolve_bits(terms, policy)
+        assert (rounded.bits, rounded.bound) == (bits, bound)
         assert len(rounded) == len(terms)
         assert [t.pole for t in rounded] == [t.pole for t in terms]
         assert {t.bits for t in rounded} == {rounded.bits}
-        c_mants, c_exps, l_mants, l_exps = flat_roundings(terms, rounded.bits)
+        c_mants, c_exps, l_mants, l_exps = flat_roundings(terms, bits, scale)
         assert [t.const for t in rounded] == list(zip(c_mants, c_exps))
         assert [t.linear for t in rounded] == list(zip(l_mants, l_exps))
         built.clear()
@@ -814,8 +857,9 @@ def test_rounded_row_keeps_the_roundings_of_its_term_row(monkeypatch):
 
 def test_streamed_table_peak_memory_below_exact_rows():
     # the table keeps each row's rounded operands only, never every row's
-    # exact pairs: its peak, evaluation included, measured 0.48 of what the
-    # exact rows with their flat roundings hold (1.25 when all rows were kept)
+    # exact pairs: its peak, evaluation included, measured 0.45 of what the
+    # exact rows with their flat roundings hold (0.48 when each wide
+    # coefficient kept b bits of its own size, 1.25 when all rows were kept)
     ladder, grid = build_ladder(160, 1.0), np.geomspace(0.005, 5.0, 50)
     evaluate_distribution(ladder, 160, time_grid=grid[:1])   # per-N caches, mpmath
     tracemalloc.start()
@@ -824,8 +868,10 @@ def test_streamed_table_peak_memory_below_exact_rows():
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.clear_traces()
         rows = [residue_terms(ladder, m, 160) for m in range(161)]
-        held_rows = [(row, flat_roundings(row, bits))
-                     for row, bits in zip(rows, table.meta["bits"])]
+        held_rows = []
+        for row in rows:
+            bits, _, scale = resolve_bits(row, PrecisionPolicy())
+            held_rows.append((row, flat_roundings(row, bits, scale)))
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
