@@ -8,7 +8,7 @@ from .ladder import DickeLadder
 from .oracles import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, check_delta_t, discrete_time_table,
                       evaluate_series, integrate_rate_equations, series_coefficients)
 from .precision import PrecisionPolicy
-from .residues import RoundedRow, assemble_table, evaluate_distribution, rows_meta
+from .residues import RoundedRow, assemble_table, evaluate_distribution, rounded_row, rows_meta
 from .states import DiagonalState, EvolutionTable, check_time_grid
 from .trajectories import estimate
 
@@ -49,7 +49,7 @@ def solve_populations(ladder: DickeLadder, initial_m0: int | None = None,
         column = ResolventColumn(ladder, m0)
         rows: list[RoundedRow | None] = [None] * (n + 1)
         for m in range(m0, -1, -1):
-            rows[m] = RoundedRow(invert_laplace(ladder, m, m0, column=column), policy)
+            rows[m] = rounded_row(invert_laplace(ladder, m, m0, column=column), policy)
         return assemble_table(ladder, m0, grid, rows, "laplace", policy)
 
     if method == "jordan":

@@ -40,7 +40,9 @@ product recurrence along the ladder.  Two passes split over the usable cores
 target states m = w (mod W) in worker w, and the fixed-point pass
 evaluates the grid times j = w (mod W) there.  Each worker rounds each row
 before it derives the next, so only one row's exact pairs are alive per
-process at a time.
+process at a time, except inside `shared_evaluation`: there each distinct
+exact row is rounded once for all the derivations of a `compare`, and its
+exact terms are kept, as the memo's key, until the scope closes.
 """
 
 from __future__ import annotations
@@ -370,16 +372,20 @@ def _ladder_exponentials(poles: list[int], doubled: list[int], gt: mpmath.mpf,
             + [(man * wide[i] + (1 << (shift - 1))) >> shift for i in doubled])
 
 
-def _nonzero(indices, mants: list[int]) -> tuple[list[int], list[int]]:
-    """(value index, coefficient) of each nonzero coefficient of a row, in
-    the row's order; `indices` is parallel to the mantissas.  Where none is
-    zero the coefficients are the row's own mantissa list, not a copy."""
-    idx, mults = [], []
-    for i, mant in zip(indices, mants):
-        if mant:
-            idx.append(i)
-            mults.append(mant)
-    return idx, (mants if len(mults) == len(mants) else mults)
+def _run(indices, mants: list[int]) -> tuple[int, int, list[int]]:
+    """A row's nonzero coefficients as one contiguous run of value indices:
+    (first index, end index, multipliers), a zero multiplier at each index
+    inside the run where the row has no operand; (0, 0, []) for none.
+    `indices` is parallel to the mantissas and ascending where they are
+    nonzero."""
+    pairs = [(i, mant) for i, mant in zip(indices, mants) if mant]
+    if not pairs:
+        return 0, 0, []
+    lo, hi = pairs[0][0], pairs[-1][0] + 1
+    mults = [0] * (hi - lo)
+    for i, mant in pairs:
+        mults[i - lo] = mant
+    return lo, hi, mults
 
 
 # A fork and reap cost about 4 ms of CPU at 40 MiB resident and 8 ms at
@@ -401,17 +407,20 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
     dot product of the two, divided by 2**(F+F') (where F + F' < 0,
     shifted up) and rounded to float64 once.
 
-    The dot product runs only over the operands whose exponential is
-    nonzero.  Both groups of exponentials are non-increasing in the value
-    index, so per time a bisection finds where each group reaches zero,
-    and a row, whose operands are sorted by pole and so by value index,
-    sums the prefix before that point; the products left out are exactly
-    zero.
+    A row's constants, sorted by pole and so by value index, are one
+    contiguous run over the exp(-h*g*t) values, and its linear
+    coefficients one over the g*t*exp(-h*g*t) values, with a zero
+    multiplier, an exact zero, in each hole (`_run`).  Both groups of
+    values are non-increasing in the value index, so per time one
+    bisection per group finds where it reaches zero, and each entry sums
+    each run over its slice of values before that cut, with no search per
+    row; the products left out are exactly zero.
 
     A time's column depends only on the rows and that time, so the columns
     are split over the usable cores (`workers.split`, worker w taking the
-    times j = w (mod W)) once the pass holds `FORK_MIN_WORK` products x
-    times; each entry is the same integer sum, whatever the core count.
+    times j = w (mod W)) once the pass holds `FORK_MIN_WORK` nonzero
+    operands x times; each entry is the same integer sum, whatever the
+    core count.
     """
     import mpmath
 
@@ -423,18 +432,20 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
     # the g*t*exp(-h*g*t) values follow the exp(-h*g*t) values in one list;
     # a pole with no linear term in a row has a zero mantissa there
     g_index = {poles[i]: len(poles) + k for k, i in enumerate(doubled)}
-    fixed = [(_nonzero(map(index.__getitem__, row.poles), row.consts[0]),
-              _nonzero(map(g_index.get, row.poles), row.linears[0]))
-             for row in rows]
-    # each row's sum is at 2**-(F+F'), F' = -exponent: (left shift, divisor)
-    units = [(max(0, -scale), 1 << max(0, scale))
-             for scale in (frac_bits - row.consts[1][0] for row in rows)]
+    fixed = []
+    for row in rows:
+        # the row's sum is at 2**-(F+F'), F' = -exponent: (left shift, divisor)
+        scale = frac_bits - row.consts[1][0]
+        fixed.append((*_run(map(index.__getitem__, row.poles), row.consts[0]),
+                      *_run(map(g_index.get, row.poles), row.linears[0]),
+                      max(0, -scale), 1 << max(0, scale)))
     # g*t is exact at 106 bits (a product of two doubles)
     with mpmath.workprec(2 * DOUBLE_BITS):
         gamma_mp = mpmath.mpf(gamma)
         gts = [gamma_mp * mpmath.mpf(float(t)) for t in grid]
 
-    work = grid.size * sum(len(idx) for groups in fixed for idx, _ in groups)
+    work = grid.size * sum(sum(map(bool, mants)) for row in rows
+                           for mants in (row.consts[0], row.linears[0]))
     workers = worker_count(grid.size, work, FORK_MIN_WORK)
 
     def share(w: int) -> array:
@@ -444,13 +455,11 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
         for gt in gts[w::workers]:
             values = _ladder_exponentials(poles, doubled, gt, frac_bits)
             # first zero of each group: key=neg makes the values ascending
-            ends = (bisect_left(values, 0, 0, len(poles), key=neg),
-                    bisect_left(values, 0, len(poles), len(values), key=neg))
-            for groups, (up, den) in zip(fixed, units):
-                acc = 0
-                for (idx, mults), end in zip(groups, ends):
-                    acc += sum(map(mul, mults, map(values.__getitem__,
-                                                   idx[:bisect_left(idx, end)])))
+            cut = bisect_left(values, 0, 0, len(poles), key=neg)
+            g_cut = bisect_left(values, 0, len(poles), len(values), key=neg)
+            for lo, hi, mults, g_lo, g_hi, g_mults, up, den in fixed:
+                acc = (sum(map(mul, mults, values[lo:min(hi, cut)]))
+                       + sum(map(mul, g_mults, values[g_lo:min(g_hi, g_cut)])))
                 data.append(fraction_to_float(acc << up, den))
         return data
 
@@ -460,24 +469,40 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
     return out.T
 
 
-_shared = None   # the memo of the innermost open `shared_evaluation`, else None
+_shared = None   # the innermost open `shared_evaluation`'s (row, pass) memos, else None
 
 
 @contextlib.contextmanager
 def shared_evaluation():
-    """Within this scope `evaluate_rows` evaluates each distinct row list
-    once: a call whose rows, as `RoundedRow.key` gives them (widths and
-    rounded operands), grid and gamma equal an earlier call's gets a copy of
-    that call's values.  Derivations that agree exactly (residue, Laplace
-    and Jordan) then share one pass, while any difference in a rounded
-    coefficient or a width is evaluated on its own.  Nothing is kept after
-    the scope closes."""
+    """Within this scope each distinct exact row is rounded once and each
+    distinct row list evaluated once.  `rounded_row` keys a row on its
+    policy and exact term tuple, compared with `==`, and `evaluate_rows`
+    a call on its rows' `RoundedRow.key` (widths and rounded operands),
+    grid and gamma, returning a copy of the earlier values.  Derivations
+    that agree exactly (residue, Laplace and Jordan) then round and
+    evaluate once, and any difference in a coefficient or a width is
+    rounded and evaluated on its own.  Rows a forked derivation worker
+    rounds never reach this process's row memo; the content key still
+    shares their pass.  Nothing is kept after the scope closes."""
     global _shared
-    outer, _shared = _shared, {}
+    outer, _shared = _shared, ({}, {})
     try:
         yield
     finally:
         _shared = outer
+
+
+def rounded_row(terms, policy: PrecisionPolicy) -> RoundedRow:
+    """`RoundedRow(terms, policy)`, rounded once per distinct (policy,
+    exact term tuple) inside `shared_evaluation`; every caller gets the
+    same object, which must not be mutated."""
+    if _shared is None:
+        return RoundedRow(terms, policy)
+    memo, key = _shared[0], (policy, tuple(terms))
+    row = memo.get(key)
+    if row is None:
+        row = memo[key] = RoundedRow(terms, policy)
+    return row
 
 
 def evaluate_rows(rows: list[RoundedRow | None], gamma: float,
@@ -485,7 +510,7 @@ def evaluate_rows(rows: list[RoundedRow | None], gamma: float,
     """(len(rows), |grid|) values of rounded rows: rows at float64 width in
     numpy, wider rows together in one fixed-point pass, None rows zero;
     inside `shared_evaluation`, once per distinct row list."""
-    memo = _shared
+    memo = None if _shared is None else _shared[1]
     if memo is not None:
         key = (gamma, grid.tobytes(),
                tuple(None if row is None else row.key() for row in rows))
@@ -536,13 +561,15 @@ def assemble_table(ladder: DickeLadder, initial_m0: int, grid: np.ndarray,
                           meta=rows_meta(rows_terms, initial_m0, method, policy))
 
 
-# Deriving and rounding the rows costs 5-7 us per pole index p in [m, m0],
-# summed over the rows, at N = 64-256, and a fork and reap 3.5 ms of CPU at
-# 34 MiB resident and 5 ms at 47 MiB (2-core Xeon).  The pickled share and
-# the pages copied on write after the fork add about as much again: split
-# two ways, N = 128 took 45 -> 32 ms of wall time and 45 -> 58 ms of CPU.
-# Rows over fewer pole indices than this, about 30 ms of derivation, derive
-# in one process: N = 64 and the m0 = 64 start (2,145 each) stay there, and
+# Deriving and rounding the rows costs 1.8-3.1 us per pole index p in
+# [m, m0], summed over the rows, rising with N from 64 to 256, and a fork
+# and reap 2 ms of CPU at 34 MiB resident (2-core Xeon; sets of 12 runs
+# alternating one and two processes).  The pickled share and the pages
+# copied on write after the fork add several times that: split two ways,
+# N = 128 took 19-20 -> 15-27 ms of wall time and 19-20 -> 26-31 ms of
+# CPU, N = 256 97-104 -> 59-116 ms and 96-104 -> 114-125 ms.  Rows over
+# fewer pole indices than this, about 10-15 ms of derivation, derive in
+# one process: N = 64 and the m0 = 64 start (2,145 each) stay there, and
 # N = 128 (8,385) splits.
 FORK_MIN_TERMS = 5_000
 
@@ -553,8 +580,9 @@ def evaluate_distribution(ladder: DickeLadder, initial_m0: int,
     """Full (N+1) x |grid| population table from start state m0.
 
     Rows above m0 are exactly zero (decay only lowers the excitation
-    number).  Each row is derived, resolved and rounded before the next, and
-    only its `RoundedRow` is kept.  Per-row metadata is that of `rows_meta`.
+    number).  Each row is derived, resolved and rounded (`rounded_row`)
+    before the next, and only its `RoundedRow` is kept.  Per-row metadata
+    is that of `rows_meta`.
 
     Rows are independent, so they split over the usable cores
     (`workers.split`, worker w deriving the rows m = w (mod W) in ascending
@@ -577,7 +605,7 @@ def evaluate_distribution(ladder: DickeLadder, initial_m0: int,
         derived = []
         for m in range(w, shares, workers):
             try:
-                derived.append(RoundedRow(exact_terms(ladder, m, initial_m0), policy))
+                derived.append(rounded_row(exact_terms(ladder, m, initial_m0), policy))
             except PrecisionError as exc:
                 return derived, exc
         return derived, None

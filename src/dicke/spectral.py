@@ -51,7 +51,7 @@ import numpy as np
 
 from .ladder import DickeLadder
 from .precision import DOUBLE_BITS, PrecisionPolicy, fraction_to_float, reduced
-from .residues import ResidueTerm, RoundedRow, evaluate_rows
+from .residues import ResidueTerm, RoundedRow, evaluate_rows, rounded_row
 from .states import DiagonalState, check_times
 
 Pair = tuple[int, int]   # reduced (numerator, denominator), denominator > 0
@@ -396,7 +396,7 @@ def jordan_rows(decomp: JordanDecomposition, populations) -> list[RoundedRow | N
     key = (x.shape, x.tobytes())
     if decomp._last_rows is not None and decomp._last_rows[0] == key:
         return decomp._last_rows[1]
-    rows = [RoundedRow(terms, decomp.policy) if terms else None
+    rows = [rounded_row(terms, decomp.policy) if terms else None
             for terms in jordan_terms(decomp, x)]
     decomp._last_rows = (key, rows)
     return rows

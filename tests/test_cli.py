@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dicke
-from dicke import cli, spectral, trajectories
+from dicke import cli, residues, spectral, trajectories
 from dicke.cli import build_parser, main
 from dicke.io import read_json, write_json
 from dicke.ladder import build_ladder
@@ -627,15 +627,32 @@ EXACT_COMPARE = ["compare", "--n", "40", "--points", "20",
                  "--methods", "residue,laplace,jordan", "--tol", "0"]
 
 
-def test_compare_evaluates_equal_expansions_once(fixed_point_passes, capsys):
+@pytest.fixture
+def row_roundings(monkeypatch) -> list:
+    """The terms of every row `residues.resolve_bits` resolved, which is
+    every `RoundedRow` built, during a test."""
+    calls = []
+    resolve = residues.resolve_bits
+
+    def counted(terms, policy):
+        calls.append(terms)
+        return resolve(terms, policy)
+
+    monkeypatch.setattr(residues, "resolve_bits", counted)
+    return calls
+
+
+def test_compare_evaluates_equal_expansions_once(fixed_point_passes, row_roundings, capsys):
     assert run(EXACT_COMPARE) == 0
     assert len(fixed_point_passes) == 1
+    # the 41 rows are rounded once, for the three derivations together
+    assert len(row_roundings) == 41
     report = strict_json(capsys.readouterr().out)
     assert [p["max_abs_diff"] for p in report["pairs"]] == [0.0, 0.0, 0.0]
 
 
 def test_compare_evaluates_a_disagreeing_expansion_on_its_own(monkeypatch, fixed_point_passes,
-                                                              capsys):
+                                                              row_roundings, capsys):
     # the memo must never hide a difference: one laplace coefficient off by 2^-30
     invert = spectral.invert_laplace
 
@@ -652,6 +669,8 @@ def test_compare_evaluates_a_disagreeing_expansion_on_its_own(monkeypatch, fixed
     monkeypatch.setattr(spectral, "invert_laplace", perturbed)
     assert run(EXACT_COMPARE) == 4
     assert len(fixed_point_passes) == 2
+    # the nudged Laplace row is rounded on its own; Jordan's row 0 is residue's
+    assert len(row_roundings) == 42
     captured = capsys.readouterr()
     pairs = {(p["a"], p["b"]): p["max_abs_diff"] for p in strict_json(captured.out)["pairs"]}
     assert pairs[("residue", "jordan")] == 0.0

@@ -621,14 +621,39 @@ def test_evaluator_equals_reference_where_most_exponentials_are_zero():
 
 
 def test_evaluator_takes_terms_in_any_order():
-    # every row is evaluated sorted by pole (the zero-prefix cut needs that
-    # order, and the float64 sum follows it); a caller's list need not be
+    # every row is evaluated sorted by pole (each run of the pass's values
+    # needs that order, and the float64 sum follows it); a caller's list
+    # need not be
     ladder, policy = build_ladder(40, 1.0), PrecisionPolicy()
     grid = np.geomspace(1e-3, 1e4, 12)
     shuffled = [residue_terms(ladder, m, 40)[::-1] for m in range(41)]
     rows = [RoundedRow(terms, policy) for terms in shuffled]
     assert min(row.bits for row in rows) == 53 < max(row.bits for row in rows)
     by_pole = [sorted(terms, key=lambda t: t.pole) for terms in shuffled]
+    assert np.array_equal(evaluate_rows(rows, 1.0, grid),
+                          reference_rows(by_pole, policy, 1.0, grid))
+
+    # rows that are not one contiguous run of the pass's values, in one
+    # 120-bit pass: poles 4 and 6 are a hole in the first row that the
+    # others fill; the second has a zero constant inside its run, the
+    # third a hole in its run of linear terms, the first none; the last
+    # row's first operand lies past the zero cut from t = 0.2 on, and the
+    # cut falls inside the runs over poles 2..6 at t = 50
+    zero, policy = (0, 1), PrecisionPolicy.bits(120)
+    by_pole = [[ResidueTerm(0, 1, (1, 3), zero), ResidueTerm(2, 1, (-2, 5), zero),
+                ResidueTerm(12, 1, (7, 9), zero)],
+               [ResidueTerm(2, 2, (3, 7), (1, 3)), ResidueTerm(4, 2, zero, (-5, 11)),
+                ResidueTerm(6, 1, (2, 3), zero)],
+               [ResidueTerm(2, 2, (1, 5), (2, 7)), ResidueTerm(4, 1, (-1, 9), zero),
+                ResidueTerm(6, 2, (4, 9), (-3, 5))],
+               [ResidueTerm(1000, 1, (5, 3), zero), ResidueTerm(1200, 2, (-1, 7), (9, 4))]]
+    grid = np.array([0.0, 0.01, 0.05, 0.2, 0.5, 3.0, 50.0, 1e4])
+    poles = [0, 2, 4, 6, 12, 1000, 1200]
+    for t, first_zero in ((0.2, 5), (50.0, 2)):
+        values = _ladder_exponentials(poles, [], mpmath.mpf(t), 120 + 64)
+        assert values[first_zero - 1] > 0 == values[first_zero], t
+    rows = [RoundedRow(terms[::-1], policy) for terms in by_pole]
+    assert {row.bits for row in rows} == {120}
     assert np.array_equal(evaluate_rows(rows, 1.0, grid),
                           reference_rows(by_pole, policy, 1.0, grid))
 

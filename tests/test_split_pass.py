@@ -104,6 +104,23 @@ def test_laplace_and_jordan_rows_split_inside_shared_evaluation(cores, forks):
     assert no_child_left()
 
 
+def test_compare_with_a_forked_derivation_writes_the_same_report(cores, forks,
+                                                                fixed_point_passes, tmp_path):
+    # the residue rows a derivation worker rounds come back pickled, past
+    # this process's rounding memo; their content key still shares the pass
+    argv = ["compare", "--n", "40", "--points", "20", "--methods", "residue,laplace,jordan",
+            "--tol", "0", "--out"]
+    cores(1)
+    assert main([*argv, str(tmp_path / "alone.json")]) == 0
+    assert forks == []
+    cores(2, derive=True)
+    assert main([*argv, str(tmp_path / "split.json")]) == 0
+    assert len(forks) == 2   # one derivation worker, then one pass worker
+    assert len(fixed_point_passes) == 2   # one per request
+    assert (tmp_path / "split.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
+    assert no_child_left()
+
+
 def test_failed_fork_leaves_the_share_to_this_process(cores, monkeypatch):
     grid = GRIDS[9]
     cores(1)
