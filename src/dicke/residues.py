@@ -29,20 +29,17 @@ size of the reduced coefficient.  Indexing each pole by the lowest p in
 
 Exact terms carry no width.  `RoundedRow(terms, policy)` resolves a row's
 width b and bound under its `PrecisionPolicy` and rounds each coefficient
-once, keeping no exact pair: every row, whatever b, holds its
-coefficients in one form, (mantissa, exponent) pairs.  A 53-bit row
-(`round_to_bits`) is evaluated in float64, its pairs converted (exactly)
-when it is; a wider row, each coefficient rounded to the row's one unit
-2**-F' (`round_to_scale`), is summed exactly in integer fixed point,
-against exponentials built per time from two `mpmath.exp` calls and a
-product recurrence along the ladder.  Two passes split over the usable cores
-(`workers.split`): `evaluate_distribution` derives and rounds the rows of
-target states m = w (mod W) in worker w, and the fixed-point pass
-evaluates the grid times j = w (mod W) there.  Each worker rounds each row
-before it derives the next, so only one row's exact pairs are alive per
-process at a time, except inside `shared_evaluation`: there each distinct
-exact row is rounded once for all the derivations of a `compare`, and its
-exact terms are kept, as the memo's key, until the scope closes.
+once to a (mantissa, exponent) pair.  A 53-bit row is evaluated in
+float64; a wider row, at the row's one unit 2**-F', is summed exactly in
+integer fixed point against exponentials built per time from one integer
+exp(-g*t) and a product recurrence along the ladder, in plain ints.  Two
+passes split over the usable cores (`workers.split`): row derivation
+(`evaluate_distribution`) and the fixed-point pass by grid time.  Each
+worker rounds each row before it derives the next, so only one row's
+exact pairs are alive per process at a time, except inside
+`shared_evaluation`: there each distinct exact row is rounded once for
+all the derivations of a `compare`, and its exact terms are kept, as the
+memo's key, until the scope closes.
 """
 
 from __future__ import annotations
@@ -253,26 +250,15 @@ def above_equator_closed_form(ladder: DickeLadder, target_m: int) -> list[Residu
     """All-simple-pole expansion for a fully inverted start, valid only in
     the upper half of the ladder where the consumed h values are distinct."""
     n = ladder.n_emitters
-    if n % 2 == 0:
-        valid = target_m >= n // 2 + 1
-    else:
-        valid = target_m >= (n + 1) // 2
-    if not (0 <= target_m <= n) or not valid:
+    if not n // 2 < target_m <= n:
         raise ValueError(
             f"closed form only holds above the equator; m={target_m} is outside "
             f"its domain for N={n}")
     h = ladder.h
-    sign = -1 if (n - target_m) % 2 else 1
-    numerator = 1
-    for k in range(target_m + 1, n + 1):
-        numerator *= h[k]
-    signed_num = sign * numerator
+    signed_num = (-1) ** (n - target_m) * math.prod(h[target_m + 1:])
     out = []
     for j in range(target_m, n + 1):
-        den = 1
-        for jp in range(target_m, n + 1):
-            if jp != j:
-                den *= h[j] - h[jp]
+        den = math.prod(h[j] - h[k] for k in range(target_m, n + 1) if k != j)
         out.append(ResidueTerm(h[j], 1, reduced(signed_num, den), _ZERO))
     out.sort(key=lambda t: t.pole)
     return out
@@ -304,53 +290,71 @@ def _row_eval_double(row: RoundedRow, gamma: float, grid: np.ndarray) -> np.ndar
         return np.add.accumulate(terms, axis=0, out=terms)[-1] + 0.0
 
 
-def _to_fixed(mant: int, exp: int, frac_bits: int) -> int:
-    """mant * 2**exp as an int scaled by 2**frac_bits, rounded to nearest."""
-    shift = exp + frac_bits
-    if shift >= 0:
-        return mant << shift
-    if mant.bit_length() < -shift:
-        # below half a unit; also keeps exp(-h*g*t) at huge g*t from
-        # building a rounding constant of -shift bits
+def _gt_pairs(gamma: float, grid: np.ndarray) -> list[tuple[int, int]]:
+    """Each g*t exactly, as (man, exp <= 0) with g*t = man * 2**exp."""
+    g_man, g_den = float(gamma).as_integer_ratio()
+    return [(g_man * t_man, 1 - (g_den * t_den).bit_length())
+            for t_man, t_den in map(float.as_integer_ratio, grid.tolist())]
+
+
+def _exp_fixed(man: int, exp: int, width: int) -> int:
+    """exp(-x), x = man * 2**exp >= 0 (exp <= 0), scaled by 2**W (W =
+    `width` > 53), within 1/2 + 2**-13 units of 2**-W.
+
+    For x < 2**k, k = bit_length(man) + exp: at k > bit_length(W), x > W
+    and exp(-x) < 2**-(W+1), so 0.  Else y = x / 2**r < 2**-d, r = max(0,
+    k + isqrt(W)) and d = r - k >= isqrt(W), and the Taylor series of
+    exp(-y) to the power P // d, P = W + r + 16, is summed by Horner's rule
+    in units of 2**-P: s = 1 - y*s/n for n down to 1, each product with
+    the exact y truncated.  A step is within e/n + 1 units if s was
+    within e, so the sum is within 3, and the terms left out are below
+    one.  A truncated square of a value <= 1 within E < 2**(P-W) units is
+    within (2 + 2**-W) E + 1, so r squarings give exp(-x) within 2**(r+3)
+    units of 2**-P, 2**-13 units of 2**-W.
+    """
+    k = man.bit_length() + exp
+    if k > width.bit_length():
         return 0
-    return (mant + (1 << (-shift - 1))) >> -shift
+    r = max(0, k + math.isqrt(width))
+    prec = width + r + 16
+    total = one = 1 << prec
+    for n in range(prec // (r - k), 0, -1):
+        total = one - (total * man >> (r - exp)) // n
+    for _ in range(r):
+        total = total * total >> prec
+    return (total + (1 << (r + 15))) >> (r + 16)
 
 
-def _ladder_exponentials(poles: list[int], doubled: list[int], gt: mpmath.mpf,
+def _ladder_exponentials(poles: list[int], doubled: list[int], gt: tuple[int, int],
                          frac_bits: int) -> list[int]:
     """exp(-v*g*t) for ascending integer poles v, then g*t*exp(-v*g*t) for
     the poles at the indices `doubled`, as ints scaled by 2**F (F =
-    `frac_bits`), each within 1/2 + 2**-64 units of 2**-F; `gt` is exact.
+    `frac_bits`), each within 1/2 + 2**-64 units of 2**-F; `gt` is one of
+    `_gt_pairs`.
 
-    Two `mpmath.exp` calls give q = exp(-g*t) and the first pole's value,
-    each within a unit of 2**-W for a width W > F; every other value is a
-    product of two values <= 1 truncated to 2**-W, whose error is below the
-    sum of its factors' errors plus a unit.  The ratio exp(-d*g*t) of each
-    distinct gap d between neighbouring poles is the next smaller gap's
-    ratio times a power of q (on the Dicke ladder the gaps are N - 2p, so
-    that power is q**2), and each pole's value is its lower neighbour's
-    times its gap's ratio.  So every factor is at most 1, the value for v
-    is a product of v - poles[0] copies of q and the first value, and its
-    error is below 2*(v - poles[0]) + 1 units; W adds the bit length of
-    that and of g*t (the second list multiplies the error by g*t) to
-    F + GUARD_BITS, and each value is rounded to 2**-F.  Truncated
-    products of factors <= 1 and monotone rounding leave each of the two
-    lists non-increasing, which `_fixed_point_rows` relies on.
+    All come at a width W > F from q = exp(-g*t) (`_exp_fixed`), within a
+    unit of 2**-W, by products of two values <= 1 truncated to 2**-W, each
+    within the sum of its factors' errors plus a unit: q**s by squaring
+    (q**0 = 2**W), the ratio exp(-d*g*t) of each distinct gap d between
+    neighbouring poles as the next smaller gap's ratio times a power of q
+    (q**2 on the Dicke ladder, whose gaps are N - 2p), and each pole's
+    value as its lower neighbour's (the first is q**poles[0]) times its
+    gap's ratio.  So the value for v is a product of v copies of q, within
+    2*v + 1 units; W adds the bit length of that and of g*t (the second
+    list multiplies the error by g*t) to F + GUARD_BITS, and each value is
+    rounded to 2**-F.  Truncated products of factors <= 1 and monotone
+    rounding leave each list non-increasing, which `_fixed_point_rows`
+    relies on.
     """
-    import mpmath
-
     # g*t = man * 2**exp < 2**(bit_length(man) + exp)
-    man, exp = gt.man_exp
+    man, exp = gt
     width = (frac_bits + GUARD_BITS + (2 * poles[-1] + 1).bit_length()
              + max(0, man.bit_length() + exp))
-    one = 1 << width
 
     def times(a: int, b: int) -> int:
         return a * b >> width
 
-    with mpmath.workprec(width + 10):
-        powers = {1: _to_fixed(*mpmath.exp(-gt).man_exp, width)}
-        first = _to_fixed(*mpmath.exp(-poles[0] * gt).man_exp, width)
+    powers = {0: 1 << width, 1: _exp_fixed(man, exp, width)}
 
     def power(s: int) -> int:   # q**s by squaring
         if s not in powers:
@@ -358,11 +362,11 @@ def _ladder_exponentials(poles: list[int], doubled: list[int], gt: mpmath.mpf,
             powers[s] = times(times(half, half), powers[1]) if s % 2 else times(half, half)
         return powers[s]
 
-    ratios, ratio, below = {}, one, 0
+    ratios, ratio, below = {}, powers[0], 0
     for gap in sorted({b - a for a, b in zip(poles, poles[1:])}):
         ratio = ratios[gap] = times(ratio, power(gap - below))
         below = gap
-    wide = [first]
+    wide = [power(poles[0])]
     for a, b in zip(poles, poles[1:]):
         wide.append(times(wide[-1], ratios[b - a]))
 
@@ -422,8 +426,6 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
     operands x times; each entry is the same integer sum, whatever the
     core count.
     """
-    import mpmath
-
     frac_bits = max(row.bits for row in rows) + GUARD_BITS
     poles = sorted({v for row in rows for v in row.poles})
     index = {v: i for i, v in enumerate(poles)}
@@ -439,10 +441,7 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
         fixed.append((*_run(map(index.__getitem__, row.poles), row.consts[0]),
                       *_run(map(g_index.get, row.poles), row.linears[0]),
                       max(0, -scale), 1 << max(0, scale)))
-    # g*t is exact at 106 bits (a product of two doubles)
-    with mpmath.workprec(2 * DOUBLE_BITS):
-        gamma_mp = mpmath.mpf(gamma)
-        gts = [gamma_mp * mpmath.mpf(float(t)) for t in grid]
+    gts = _gt_pairs(gamma, grid)
 
     work = grid.size * sum(sum(map(bool, mants)) for row in rows
                            for mants in (row.consts[0], row.linears[0]))

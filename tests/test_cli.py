@@ -377,9 +377,10 @@ def test_ode_failure_exit_code(capsys):
 
 
 def test_requests_load_only_what_they_use(tmp_path):
-    # a fresh interpreter: float64 residue and Monte Carlo requests need
-    # neither scipy nor mpmath; the ODE oracle loads scipy
-    table = tmp_path / "residue.json"
+    # a fresh interpreter: residue and Monte Carlo requests, and a compare
+    # of the exact methods, need neither scipy nor mpmath, in float64 or
+    # wider; the ODE oracle loads scipy
+    table, wide = tmp_path / "residue.json", tmp_path / "wide.json"
     code = f"""
 import sys
 import dicke.cli
@@ -391,6 +392,12 @@ assert dicke.cli.main(["solve", "--n", "4", "--method", "residue", "--points", "
 assert dicke.cli.main(["trajectories", "--n", "4", "--ntraj", "200", "--points", "5",
                        "--format", "json", "--out", {str(tmp_path / "mc.json")!r}]) == 0
 print(loaded())
+assert dicke.cli.main(["solve", "--n", "64", "--method", "residue", "--points", "5",
+                       "--format", "json", "--out", {str(wide)!r}]) == 0
+assert dicke.cli.main(["compare", "--n", "64", "--points", "5", "--tol", "0",
+                       "--methods", "residue,laplace,jordan",
+                       "--out", {str(tmp_path / "compare.json")!r}]) == 0
+print(loaded())
 assert dicke.cli.main(["solve", "--n", "4", "--method", "ode", "--points", "5",
                        "--format", "json", "--out", {str(tmp_path / "ode.json")!r}]) == 0
 print(loaded())
@@ -399,8 +406,9 @@ print(loaded())
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["[]", "[]", "['scipy']"]
+    assert proc.stdout.split("\n")[:4] == ["[]", "[]", "[]", "['scipy']"]
     assert max(read_json(table)[0].meta["bits"]) == 53
+    assert max(read_json(wide)[0].meta["bits"]) > 53
 
 
 def test_log_grid_solve(tmp_path):

@@ -16,7 +16,7 @@ from dicke.methods import solve_populations
 from dicke.oracles import integrate_rate_equations
 from dicke.precision import (PrecisionError, PrecisionPolicy, fraction_to_float, resolve_bits,
                              round_to_bits, round_to_scale)
-from dicke.residues import (ResidueTerm, RoundedRow, _ladder_exponentials,
+from dicke.residues import (ResidueTerm, RoundedRow, _exp_fixed, _gt_pairs, _ladder_exponentials,
                             above_equator_closed_form, assemble_table, evaluate_distribution,
                             evaluate_population, evaluate_rows, exact_terms, residue_terms,
                             rows_meta)
@@ -560,6 +560,39 @@ def mp_fixed(x, frac_bits):
     return int(mpmath.nint(x * mpmath.mpf(2) ** frac_bits))
 
 
+def gt_pair(gt):
+    """The exact (man, exp) pair of g*t at g = 1."""
+    return _gt_pairs(1.0, np.array([gt]))[0]
+
+
+@pytest.mark.parametrize("width", [181, 320, 470, 760, 1500, 3000])
+def test_exp_fixed_within_a_unit_of_mpmath(width):
+    # exp(-x) falls under 2**-W at x = W ln 2; from 2**bit_length(W) on,
+    # 0 is returned without a series
+    edge, cutoff = width * math.log(2), float(1 << width.bit_length())
+    xs = [0.0, 5e-324 * 0.7, 1e-3, 0.37, 1.0, 5.0, 1e4, 1e9,
+          math.nextafter(edge, 0.0), math.nextafter(edge, math.inf),
+          edge * (1 - 1e-9), edge * (1 + 1e-9), math.nextafter(cutoff, 0.0), cutoff]
+    for x in xs:
+        man, exp = gt_pair(x)
+        assert mpmath.ldexp(man, exp) == mpmath.mpf(x)
+        with mpmath.workprec(width + 128):
+            expected = mpmath.ldexp(mpmath.exp(-mpmath.ldexp(man, exp)), width)
+            assert abs(_exp_fixed(man, exp, width) - expected) <= 1, (width, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, allow_infinity=False, allow_nan=False),
+       st.lists(st.floats(min_value=0.0, allow_infinity=False, allow_nan=False),
+                min_size=1, max_size=4))
+@example(5e-324, [5e-324, 0.0, 1.7976931348623157e308])
+@example(1.7976931348623157e308, [1.7976931348623157e308, 2.2250738585072014e-308])
+@example(0.7, [0.1, 0.3, 1e300, 1e-300])
+def test_gt_pairs_are_exact(gamma, times):
+    for (man, exp), t in zip(_gt_pairs(gamma, np.array(times)), times, strict=True):
+        assert Fraction(man) * Fraction(2) ** exp == Fraction(gamma) * Fraction(t)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 129, 256])
 @pytest.mark.parametrize("frac_bits", [117, 700])
 def test_ladder_exponentials_within_a_unit(n, frac_bits):
@@ -570,14 +603,14 @@ def test_ladder_exponentials_within_a_unit(n, frac_bits):
                    for v in {poles[-1], poles[len(poles) // 2]} if v]
     for gt in [0.0, 1e-3, 0.37, 1.0, 5.0, 1e4, 1e9, *(gt for _, gt in floor_cases)]:
         gt_mp = mpmath.mpf(gt)
-        values = _ladder_exponentials(poles, list(range(len(poles))), gt_mp, frac_bits)
+        values = _ladder_exponentials(poles, list(range(len(poles))), gt_pair(gt), frac_bits)
         with mpmath.workprec(frac_bits + 64 + 64):
             expected = [mp_fixed(mpmath.exp(-v * gt_mp), frac_bits) for v in poles]
             expected += [mp_fixed(gt_mp * mpmath.exp(-v * gt_mp), frac_bits) for v in poles]
         assert len(values) == len(expected)
         assert all(abs(a - b) <= 1 for a, b in zip(values, expected)), (n, gt)
     for v, gt in floor_cases:
-        values = _ladder_exponentials(poles, [], mpmath.mpf(gt), frac_bits)
+        values = _ladder_exponentials(poles, [], gt_pair(gt), frac_bits)
         assert values[poles.index(v)] >= 255, (n, v)
 
 
@@ -590,7 +623,7 @@ def test_ladder_exponentials_non_increasing_per_group(n, frac_bits):
     gts = [0.0, 1e-3, 0.37, 1.0, 5.0, 1e4, 1e9]
     gts += [(frac_bits - 8) * math.log(2) / v for v in {poles[-1], poles[len(poles) // 2]} if v]
     for gt in gts:
-        values = _ladder_exponentials(poles, doubled, mpmath.mpf(gt), frac_bits)
+        values = _ladder_exponentials(poles, doubled, gt_pair(gt), frac_bits)
         for group in (values[:len(poles)], values[len(poles):]):
             assert all(a >= b for a, b in zip(group, group[1:])), (n, gt)
 
@@ -611,7 +644,7 @@ def test_evaluator_equals_reference_where_most_exponentials_are_zero():
         frac_bits = max(resolve_bits(row, policy)[0] for row in rows["residue"] if row) + 64
         assert frac_bits > 53 + 64
         # on most of the grid, most exponentials round to zero
-        nonzero = [sum(map(bool, _ladder_exponentials(poles, [], mpmath.mpf(t), frac_bits)))
+        nonzero = [sum(map(bool, _ladder_exponentials(poles, [], gt_pair(t), frac_bits)))
                    for t in grid]
         assert sum(k < len(poles) // 4 for k in nonzero) > len(grid) // 2, nonzero
         for method, method_rows in rows.items():
@@ -650,7 +683,7 @@ def test_evaluator_takes_terms_in_any_order():
     grid = np.array([0.0, 0.01, 0.05, 0.2, 0.5, 3.0, 50.0, 1e4])
     poles = [0, 2, 4, 6, 12, 1000, 1200]
     for t, first_zero in ((0.2, 5), (50.0, 2)):
-        values = _ladder_exponentials(poles, [], mpmath.mpf(t), 120 + 64)
+        values = _ladder_exponentials(poles, [], gt_pair(t), 120 + 64)
         assert values[first_zero - 1] > 0 == values[first_zero], t
     rows = [RoundedRow(terms[::-1], policy) for terms in by_pole]
     assert {row.bits for row in rows} == {120}
@@ -712,7 +745,7 @@ def test_integer_harmonic_sums_equal_fraction_formula():
 
 
 def test_each_coefficient_rounded_and_bounded_once(monkeypatch):
-    calls = {"exp": 0, "resolve": 0, "round": 0}
+    calls = {"exp": 0, "mpmath_exp": 0, "resolve": 0, "round": 0}
 
     def counting(key, func):
         def wrapper(*args, **kwargs):
@@ -720,7 +753,8 @@ def test_each_coefficient_rounded_and_bounded_once(monkeypatch):
             return func(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(mpmath, "exp", counting("exp", mpmath.exp))
+    monkeypatch.setattr(residues, "_exp_fixed", counting("exp", residues._exp_fixed))
+    monkeypatch.setattr(mpmath, "exp", counting("mpmath_exp", mpmath.exp))
     for module in (residues, precision):
         monkeypatch.setattr(module, "resolve_bits", counting("resolve", module.resolve_bits))
         monkeypatch.setattr(module, "round_to_bits", counting("round", module.round_to_bits))
@@ -731,14 +765,14 @@ def test_each_coefficient_rounded_and_bounded_once(monkeypatch):
     grid = np.linspace(0.0, 3.0, 7)
     for method in ("residue", "laplace", "jordan"):
         for m0 in (48, 30):
-            calls.update(exp=0, resolve=0, round=0)
+            calls.update(exp=0, mpmath_exp=0, resolve=0, round=0)
             table = solve_populations(ladder, m0, grid, method)
             rows = [residue_terms(ladder, m, m0) if m <= m0 else [] for m in range(49)]
             wide = [row for row, bits in zip(rows, table.meta["bits"]) if bits > 53]
             where = (method, m0)
             assert wide, where
-            # q = exp(-g*t) and the lowest pole's value, per time
-            assert calls["exp"] == 2 * grid.size, where
+            # one integer exponential q = exp(-g*t) per time, and no mpmath
+            assert calls["exp"] == grid.size and calls["mpmath_exp"] == 0, where
             # one width decision per nonempty row
             assert calls["resolve"] == sum(map(bool, rows)) == m0 + 1, where
             # each nonzero const and linear coefficient of every row, float64
