@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .io import emit_json, write_csv, write_json
 from .ladder import build_ladder
-from .methods import EXACT_METHODS, METHODS, solve_populations
+from .methods import CLOSED_FORM_METHODS, EXACT_METHODS, METHODS, solve_populations
 from .observables import scaling_scan
 from .oracles import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, StiffnessError, TruncationError
 from .precision import PrecisionError, PrecisionPolicy
@@ -142,9 +142,15 @@ def cmd_compare(args) -> int:
     if not args.tol >= 0:
         raise UsageError(f"--tol must be a nonnegative number, got {args.tol}")
 
-    # residue, laplace and jordan rows that are `==` share one evaluation
-    with shared_evaluation():
-        tables = {m: _solve(args, m)[1] for m in methods}
+    # residue, laplace and jordan rows that are `==` share one evaluation;
+    # their exact terms are let go once the last of them is rounded
+    last_closed_form = next((m for m in reversed(methods) if m in CLOSED_FORM_METHODS), None)
+    tables = {}
+    with shared_evaluation() as release_rows:
+        for m in methods:
+            tables[m] = _solve(args, m)[1]
+            if m == last_closed_form:
+                release_rows()
     report = {"schema": 1, "config": _describe(args, methods[0]),
               "methods": methods, "pairs": [], "mc": None, "tolerance": args.tol}
 

@@ -14,6 +14,8 @@ from .trajectories import estimate
 
 METHODS = ("residue", "jordan", "laplace", "series", "ode", "discrete", "mc")
 EXACT_METHODS = ("residue", "jordan", "laplace", "series", "ode")
+# the methods that derive exact rows and round them (`residues.rounded_row`)
+CLOSED_FORM_METHODS = ("residue", "jordan", "laplace")
 
 
 def solve_populations(ladder: DickeLadder, initial_m0: int | None = None,

@@ -32,14 +32,20 @@ width b and bound under its `PrecisionPolicy` and rounds each coefficient
 once to a (mantissa, exponent) pair.  A 53-bit row is evaluated in
 float64; a wider row, at the row's one unit 2**-F', is summed exactly in
 integer fixed point against exponentials built per time from one integer
-exp(-g*t) and a product recurrence along the ladder, in plain ints.  Two
-passes split over the usable cores (`workers.split`): row derivation
-(`evaluate_distribution`) and the fixed-point pass by grid time.  Each
-worker rounds each row before it derives the next, so only one row's
-exact pairs are alive per process at a time, except inside
-`shared_evaluation`: there each distinct exact row is rounded once for
-all the derivations of a `compare`, and its exact terms are kept, as the
-memo's key, until the scope closes.
+exp(-g*t) and a product recurrence along the ladder, in plain ints.
+
+A residue table splits over the usable cores by rows
+(`evaluate_distribution`, `workers.split`): each worker derives, rounds
+and evaluates its own rows, and only a summary of them, the pass's common
+scale and the finished values cross between processes, so no process
+holds another's rows.  A table it does not split, and the rows of
+Laplace's and Jordan's derivations, are evaluated in one fixed-point
+pass that splits by grid time instead.  Each row is rounded before the
+next is derived, so only one row's exact pairs are alive per process at
+a time, except inside `shared_evaluation`: there each distinct exact row
+is rounded once for all the derivations of a `compare`, and its exact
+terms are kept, as the memo's key, until the last derivation has rounded
+its rows.
 """
 
 from __future__ import annotations
@@ -401,15 +407,73 @@ def _run(indices, mants: list[int]) -> tuple[int, int, list[int]]:
 FORK_MIN_WORK = 250_000
 
 
+def _pass_summary(rows: list[RoundedRow]) -> tuple[int, set[int], set[int]]:
+    """What a fixed-point pass over rows wider than float64 takes from
+    them: the widest width, the poles, and the poles with a nonzero linear
+    coefficient.  Rows split into sets give the summary of all of them as
+    the max and unions of their sets' summaries (`_pass_inputs`)."""
+    return (max((row.bits for row in rows), default=0),
+            {v for row in rows for v in row.poles},
+            {v for row in rows for v, mant in zip(row.poles, row.linears[0]) if mant})
+
+
+def _pass_inputs(summaries) -> tuple[int, list[int], list[int]]:
+    """The inputs every entry of a fixed-point pass shares, from the
+    `_pass_summary` of each set of its rows: the scale F = widest width +
+    GUARD_BITS, the ascending poles and the indices of the poles with a
+    linear term.  They depend on the union of the sets alone, so each set
+    can be evaluated on its own to the same bits."""
+    widest, poles, doubled = zip(*summaries)
+    poles, doubled = sorted(set().union(*poles)), set().union(*doubled)
+    return max(widest) + GUARD_BITS, poles, [i for i, v in enumerate(poles) if v in doubled]
+
+
+def _operand_runs(rows: list[RoundedRow], inputs) -> list[tuple]:
+    """Each row's operands as `_fixed_point_columns` reads them: its
+    constants' and linear coefficients' runs over the pass's value list,
+    and the (left shift, divisor) that takes its sum from 2**-(F+F') to 1,
+    F' = -exponent."""
+    frac_bits, poles, doubled = inputs
+    index = {v: i for i, v in enumerate(poles)}
+    # the g*t*exp(-h*g*t) values follow the exp(-h*g*t) values in one list;
+    # a pole with no linear term in a row has a zero mantissa there
+    g_index = {poles[i]: len(poles) + k for k, i in enumerate(doubled)}
+    runs = []
+    for row in rows:
+        scale = frac_bits - row.consts[1][0]
+        runs.append((*_run(map(index.__getitem__, row.poles), row.consts[0]),
+                     *_run(map(g_index.get, row.poles), row.linears[0]),
+                     max(0, -scale), 1 << max(0, scale)))
+    return runs
+
+
+def _fixed_point_columns(runs: list[tuple], inputs, gts) -> array:
+    """The entries of rows wider than float64 (`_operand_runs`) at the
+    times `gts` (`_gt_pairs`), time by time, in this process and in Python
+    int and float arithmetic only: no fork, no numpy, no BLAS."""
+    frac_bits, poles, doubled = inputs
+    data = array("d")
+    for gt in gts:
+        values = _ladder_exponentials(poles, doubled, gt, frac_bits)
+        # first zero of each group: key=neg makes the values ascending
+        cut = bisect_left(values, 0, 0, len(poles), key=neg)
+        g_cut = bisect_left(values, 0, len(poles), len(values), key=neg)
+        for lo, hi, mults, g_lo, g_hi, g_mults, up, den in runs:
+            acc = (sum(map(mul, mults, values[lo:min(hi, cut)]))
+                   + sum(map(mul, g_mults, values[g_lo:min(g_hi, g_cut)])))
+            data.append(fraction_to_float(acc << up, den))
+    return data
+
+
 def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) -> np.ndarray:
     """Evaluate rows wider than float64 in integer fixed point.
 
     Each row's coefficients are integers at its own unit 2**-F' (see
     `RoundedRow`), and exp(-h*g*t) and g*t*exp(-h*g*t) ints at the scale
     2**F, F = widest width + GUARD_BITS, computed once per distinct pole
-    and time by `_ladder_exponentials`.  Every entry is one exact integer
-    dot product of the two, divided by 2**(F+F') (where F + F' < 0,
-    shifted up) and rounded to float64 once.
+    and time by `_ladder_exponentials` (`_pass_inputs`).  Every entry is
+    one exact integer dot product of the two, divided by 2**(F+F') (where
+    F + F' < 0, shifted up) and rounded to float64 once.
 
     A row's constants, sorted by pole and so by value index, are one
     contiguous run over the exp(-h*g*t) values, and its linear
@@ -426,44 +490,16 @@ def _fixed_point_rows(rows: list[RoundedRow], gamma: float, grid: np.ndarray) ->
     operands x times; each entry is the same integer sum, whatever the
     core count.
     """
-    frac_bits = max(row.bits for row in rows) + GUARD_BITS
-    poles = sorted({v for row in rows for v in row.poles})
-    index = {v: i for i, v in enumerate(poles)}
-    doubled = sorted({index[v] for row in rows
-                      for v, mant in zip(row.poles, row.linears[0]) if mant})
-    # the g*t*exp(-h*g*t) values follow the exp(-h*g*t) values in one list;
-    # a pole with no linear term in a row has a zero mantissa there
-    g_index = {poles[i]: len(poles) + k for k, i in enumerate(doubled)}
-    fixed = []
-    for row in rows:
-        # the row's sum is at 2**-(F+F'), F' = -exponent: (left shift, divisor)
-        scale = frac_bits - row.consts[1][0]
-        fixed.append((*_run(map(index.__getitem__, row.poles), row.consts[0]),
-                      *_run(map(g_index.get, row.poles), row.linears[0]),
-                      max(0, -scale), 1 << max(0, scale)))
+    inputs = _pass_inputs([_pass_summary(rows)])
+    runs = _operand_runs(rows, inputs)
     gts = _gt_pairs(gamma, grid)
-
     work = grid.size * sum(sum(map(bool, mants)) for row in rows
                            for mants in (row.consts[0], row.linears[0]))
     workers = worker_count(grid.size, work, FORK_MIN_WORK)
-
-    def share(w: int) -> array:
-        # the columns of times j = w (mod W), in Python int and float
-        # arithmetic only: no numpy, no BLAS
-        data = array("d")
-        for gt in gts[w::workers]:
-            values = _ladder_exponentials(poles, doubled, gt, frac_bits)
-            # first zero of each group: key=neg makes the values ascending
-            cut = bisect_left(values, 0, 0, len(poles), key=neg)
-            g_cut = bisect_left(values, 0, len(poles), len(values), key=neg)
-            for lo, hi, mults, g_lo, g_hi, g_mults, up, den in fixed:
-                acc = (sum(map(mul, mults, values[lo:min(hi, cut)]))
-                       + sum(map(mul, g_mults, values[g_lo:min(g_hi, g_cut)])))
-                data.append(fraction_to_float(acc << up, den))
-        return data
-
+    shares = split(lambda w: _fixed_point_columns(runs, inputs, gts[w::workers]),
+                   workers, "fixed-point pass")
     out = np.empty((grid.size, len(rows)))
-    for w, data in enumerate(split(share, workers, "fixed-point pass")):
+    for w, data in enumerate(shares):
         out[w::workers] = np.frombuffer(data).reshape(-1, len(rows))
     return out.T
 
@@ -480,13 +516,17 @@ def shared_evaluation():
     grid and gamma, returning a copy of the earlier values.  Derivations
     that agree exactly (residue, Laplace and Jordan) then round and
     evaluate once, and any difference in a coefficient or a width is
-    rounded and evaluated on its own.  Rows a forked derivation worker
-    rounds never reach this process's row memo; the content key still
-    shares their pass.  Nothing is kept after the scope closes."""
+    rounded and evaluated on its own.  Rows a forked residue worker rounds
+    and evaluates never reach this process's memos.
+
+    The scope gives a callable that empties the row memo, for the caller
+    to call once its last derivation has rounded its rows: the memo's keys
+    hold every distinct row's exact terms, which nothing reads after that.
+    Nothing is kept after the scope closes."""
     global _shared
     outer, _shared = _shared, ({}, {})
     try:
-        yield
+        yield _shared[0].clear
     finally:
         _shared = outer
 
@@ -517,7 +557,18 @@ def evaluate_rows(rows: list[RoundedRow | None], gamma: float,
         if seen is not None:
             return seen.copy()
     out = np.zeros((len(rows), grid.size))
-    wide, wide_rows = [], []
+    wide = _double_rows(out, rows, gamma, grid)
+    if wide:
+        out[wide] = _fixed_point_rows([rows[r] for r in wide], gamma, grid)
+    if memo is not None:
+        memo[key] = out.copy()   # each caller owns its array
+    return out
+
+
+def _double_rows(out: np.ndarray, rows: list[RoundedRow | None], gamma: float,
+                 grid: np.ndarray) -> list[int]:
+    """out[r] for each row r at float64 width; the indices of the wider rows."""
+    wide = []
     for r, row in enumerate(rows):
         if row is None:
             continue
@@ -525,12 +576,21 @@ def evaluate_rows(rows: list[RoundedRow | None], gamma: float,
             out[r] = _row_eval_double(row, gamma, grid)
         else:
             wide.append(r)
-            wide_rows.append(row)
-    if wide:
-        out[wide] = _fixed_point_rows(wide_rows, gamma, grid)
-    if memo is not None:
-        memo[key] = out.copy()   # each caller owns its array
-    return out
+    return wide
+
+
+def _provenance(row: RoundedRow | None, start: bool) -> tuple[int, float, float]:
+    """A row's width, a-priori error bound and t=0 reconstruction defect of
+    its coefficients as evaluated; `start` for the row of the start state."""
+    if not row:
+        return DOUBLE_BITS, 0.0, 0.0
+    return row.bits, row.bound, rounding_defect(*row.consts, int(start), row.bits)
+
+
+def _meta(method: str, policy: PrecisionPolicy, provenance) -> dict:
+    bits, bounds, defects = map(list, zip(*provenance))
+    return {"method": method, "precision_mode": policy.mode,
+            "bits": bits, "error_bound": bounds, "t0_defect": defects}
 
 
 def rows_meta(rows: list[RoundedRow | None], initial_m0: int, method: str,
@@ -538,14 +598,8 @@ def rows_meta(rows: list[RoundedRow | None], initial_m0: int, method: str,
     """Provenance of a table evaluated from rounded rows: the width of every
     row, its a-priori error bound at that width and the t=0 reconstruction
     defect of its coefficients as evaluated."""
-    return {
-        "method": method,
-        "precision_mode": policy.mode,
-        "bits": [row.bits if row else DOUBLE_BITS for row in rows],
-        "error_bound": [row.bound if row else 0.0 for row in rows],
-        "t0_defect": [rounding_defect(*row.consts, int(m == initial_m0), row.bits)
-                      if row else 0.0 for m, row in enumerate(rows)],
-    }
+    return _meta(method, policy,
+                 [_provenance(row, m == initial_m0) for m, row in enumerate(rows)])
 
 
 def assemble_table(ladder: DickeLadder, initial_m0: int, grid: np.ndarray,
@@ -584,11 +638,18 @@ def evaluate_distribution(ladder: DickeLadder, initial_m0: int,
     is that of `rows_meta`.
 
     Rows are independent, so they split over the usable cores
-    (`workers.split`, worker w deriving the rows m = w (mod W) in ascending
+    (`workers.split`, worker w taking the rows m = w (mod W) in ascending
     m) once the rows run over `FORK_MIN_TERMS` pole indices p in [m, m0],
-    a bound on their terms; a child sends its rows pickled.  A worker stops
-    at its first row whose width fails, and the `PrecisionError` of the
-    lowest such m is raised, the one a single process meets first.
+    a bound on their terms.  Each worker then evaluates the rows it
+    derived, so no row leaves the process that rounds it, in one exchange:
+    a worker derives its rows up to the first whose width fails and sends
+    home that `PrecisionError` and the `_pass_summary` of its rows wider
+    than float64; this process raises the error of the lowest failing m,
+    the one a single process meets first, or replies with the pass's
+    common inputs (`_pass_inputs`); and each worker evaluates its rows at
+    every grid time with them, with no further fork, and sends home its
+    values and provenance.  Each entry is the integer sum that one process
+    makes, so the table is the same for any W.
     """
     policy = policy or PrecisionPolicy()
     grid = check_time_grid(time_grid)
@@ -609,12 +670,39 @@ def evaluate_distribution(ladder: DickeLadder, initial_m0: int,
                 return derived, exc
         return derived, None
 
-    rows: list[RoundedRow | None] = [None] * (n + 1)
-    failures = {}
-    for w, (derived, failure) in enumerate(split(derive, workers, "row derivation")):
-        rows[w:w + workers * len(derived):workers] = derived
+    if workers == 1:
+        rows, failure = derive(0)
         if failure is not None:
-            failures[w + workers * len(derived)] = failure
-    if failures:
-        raise failures[min(failures)]
-    return assemble_table(ladder, initial_m0, grid, rows, "residue", policy)
+            raise failure
+        return assemble_table(ladder, initial_m0, grid, rows + [None] * (n - initial_m0),
+                              "residue", policy)
+
+    def share(w: int):
+        rows, failure = derive(w)
+        values = np.empty((len(rows), grid.size))
+        wide = _double_rows(values, rows, ladder.gamma, grid)
+        wide_rows = [rows[r] for r in wide]
+        inputs = yield ((w + workers * len(rows), failure) if failure else None,
+                        _pass_summary(wide_rows))
+        if wide_rows:
+            runs = _operand_runs(wide_rows, inputs)
+            columns = _fixed_point_columns(runs, inputs, _gt_pairs(ladder.gamma, grid))
+            values[wide] = np.frombuffer(columns).reshape(grid.size, len(wide)).T
+        return values, [_provenance(row, m == initial_m0)
+                        for m, row in zip(range(w, shares, workers), rows)]
+
+    def reply(firsts) -> tuple:
+        failures = [failure for failure, _ in firsts if failure]
+        if failures:
+            raise min(failures, key=itemgetter(0))[1]
+        return _pass_inputs([summary for _, summary in firsts])
+
+    populations = np.zeros((n + 1, grid.size))
+    provenance = [_provenance(None, False)] * (n + 1)
+    for w, (values, rows_provenance) in enumerate(
+            split(share, workers, "residue rows", reply)):
+        populations[w:shares:workers] = values
+        provenance[w:shares:workers] = rows_provenance
+    return EvolutionTable(n_emitters=n, gamma=ladder.gamma, initial_m0=initial_m0,
+                          times=grid, populations=populations, method="residue",
+                          meta=_meta("residue", policy, provenance))

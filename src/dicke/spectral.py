@@ -358,6 +358,12 @@ def jordan_terms(decomp: JordanDecomposition, populations) -> list[list[ResidueT
     by the physical state m; all-zero terms are dropped, poles are
     ascending, and a row the start does not reach is empty.
     """
+    return list(_descending_rows(decomp, populations))[::-1]
+
+
+def _descending_rows(decomp: JordanDecomposition, populations):
+    """The rows of `jordan_terms` one at a time, m = N down to 0, so that a
+    caller can round each before the next is made."""
     dim = decomp.n_emitters + 1
     x_td = np.asarray(populations, dtype=float)[::-1]
     if x_td.shape != (dim,):
@@ -367,10 +373,8 @@ def jordan_terms(decomp: JordanDecomposition, populations) -> list[list[ResidueT
     blocks = sorted([(-lam, kv, kw) for kv, kw, lam in decomp.pair_positions
                      if coeff[kv][0] or coeff[kw][0]]
                     + [(-lam, k, None) for k, lam in decomp.single_positions if coeff[k][0]])
-    rows: list[list[ResidueTerm]] = [[] for _ in range(dim)]
-    for i in range(dim):
-        row = decomp.tilde[i]
-        terms = rows[decomp.n_emitters - i]
+    for row in decomp.tilde:   # top-down: row i holds m = N - i
+        terms = []
         for pole, kv, kw in blocks:
             t_v = row[kv]
             if kw is None:
@@ -384,12 +388,13 @@ def jordan_terms(decomp: JordanDecomposition, populations) -> list[list[ResidueT
             linear = _mul(t_v, coeff[kw])
             if const[0] or linear[0]:
                 terms.append(ResidueTerm(pole, 2 if linear[0] else 1, const, linear))
-    return rows
+        yield terms
 
 
 def jordan_rows(decomp: JordanDecomposition, populations) -> list[RoundedRow | None]:
     """`jordan_terms` as evaluation reads them: each nonempty row a
-    `RoundedRow` under `decomp.policy`, each empty one None.  The last
+    `RoundedRow` under `decomp.policy`, each empty one None, rounded as it
+    is made, so one row's exact terms are alive at a time.  The last
     start's rows are kept on the decomposition, so later propagations of
     that start and its `rows_meta` reuse them; they must not be mutated."""
     x = np.asarray(populations, dtype=float)
@@ -397,7 +402,7 @@ def jordan_rows(decomp: JordanDecomposition, populations) -> list[RoundedRow | N
     if decomp._last_rows is not None and decomp._last_rows[0] == key:
         return decomp._last_rows[1]
     rows = [rounded_row(terms, decomp.policy) if terms else None
-            for terms in jordan_terms(decomp, x)]
+            for terms in _descending_rows(decomp, x)][::-1]
     decomp._last_rows = (key, rows)
     return rows
 

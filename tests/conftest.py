@@ -46,7 +46,7 @@ def cores(monkeypatch):
     """Force the worker count of the split passes: `cores(w)` reports w
     usable cores and drops the thresholds of the fixed-point pass and the
     Monte Carlo chunks to 0, so each of those passes of more than one share
-    forks; `derive=True` drops the row derivation's threshold too.
+    forks; `derive=True` drops the residue rows' threshold too.
     `cores(w, at_threshold=True)` keeps every real threshold."""
     work, draws, terms = residues.FORK_MIN_WORK, trajectories.FORK_MIN_DRAWS, residues.FORK_MIN_TERMS
 

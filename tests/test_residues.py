@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_rational
 
 from dicke import ladder as ladder_module
-from dicke import precision, residues, spectral
+from dicke import methods, precision, residues, spectral
+from dicke.cli import main
 from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
 from dicke.oracles import integrate_rate_equations
@@ -846,6 +848,31 @@ def test_nested_shared_evaluation_restores_the_outer_memo(fixed_point_passes):
         assert residues._shared is outer
         evaluate_distribution(ladder, 30, policy, grid)       # the outer one's entry
     assert len(fixed_point_passes) == 2
+    assert residues._shared is None
+
+
+def test_compare_lets_the_exact_rows_go_after_the_last_closed_form_method(monkeypatch,
+                                                                         tmp_path):
+    # jordan, the last closed-form method here, still finds the rows
+    # residue and laplace rounded; ode, after it, runs with the row memo
+    # empty, and the report is the one the request always wrote
+    memo_sizes = {}
+
+    def probe(module, name):
+        run = getattr(module, name)
+
+        def probed(*args, **kwargs):
+            memo_sizes[name] = len(residues._shared[0])
+            return run(*args, **kwargs)
+        monkeypatch.setattr(module, name, probed)
+
+    probe(spectral, "jordan_decompose")
+    probe(methods, "integrate_rate_equations")
+    out = tmp_path / "report.json"
+    assert main(["compare", "--n", "20", "--points", "9", "--methods",
+                 "residue,laplace,jordan,ode", "--tol", "1e-8", "--out", str(out)]) == 0
+    assert memo_sizes == {"jordan_decompose": 21, "integrate_rate_equations": 0}
+    assert json.loads(out.read_text())["pairs"][0]["max_abs_diff"] == 0.0
     assert residues._shared is None
 
 

@@ -1,10 +1,12 @@
-"""The residue row derivation, the fixed-point pass and the Monte Carlo
-chunks split over forked workers: the same bits and errors for any worker
-count, and no process left behind."""
+"""The residue rows (derived and evaluated in one worker each), the
+fixed-point pass by grid time and the Monte Carlo chunks split over forked
+workers: the same bits and errors for any worker count, one fork per
+worker, and no process left behind."""
 
 import json
 import os
 import pickle
+import signal
 import time
 
 import numpy as np
@@ -51,14 +53,18 @@ def test_forked_pass_equals_one_process_pass(cores, forks, count, points):
     assert no_child_left()
 
 
-def test_benchmark_n128_request_forks_with_a_spare_core(cores, forks):
+def test_benchmark_n128_request_forks_with_a_spare_core(cores, forks, fixed_point_passes):
     # auto precision on the CLI's grid, at the real work threshold
     ladder, grid = build_ladder(128, 1.0), _time_grid(128, 5.0, 50)
     cores(1, at_threshold=True)
     alone = solve_populations(ladder, times=grid, method="residue")
+    assert len(fixed_point_passes) == 1 and forks == []
     cores(2, at_threshold=True)
     split = solve_populations(ladder, times=grid, method="residue")
-    assert len(forks) == 2   # one derivation worker, then one pass worker
+    # one worker, which derives and evaluates its own rows: no second fork,
+    # and no pass over rows gathered in this process
+    assert len(forks) == 1
+    assert len(fixed_point_passes) == 1
     assert np.array_equal(split.populations, alone.populations)
     assert split.meta == alone.meta
 
@@ -106,8 +112,8 @@ def test_laplace_and_jordan_rows_split_inside_shared_evaluation(cores, forks):
 
 def test_compare_with_a_forked_derivation_writes_the_same_report(cores, forks,
                                                                 fixed_point_passes, tmp_path):
-    # the residue rows a derivation worker rounds come back pickled, past
-    # this process's rounding memo; their content key still shares the pass
+    # the residue rows a worker rounds are evaluated there, past this
+    # process's memos; laplace makes the pass and jordan shares it
     argv = ["compare", "--n", "40", "--points", "20", "--methods", "residue,laplace,jordan",
             "--tol", "0", "--out"]
     cores(1)
@@ -115,7 +121,7 @@ def test_compare_with_a_forked_derivation_writes_the_same_report(cores, forks,
     assert forks == []
     cores(2, derive=True)
     assert main([*argv, str(tmp_path / "split.json")]) == 0
-    assert len(forks) == 2   # one derivation worker, then one pass worker
+    assert len(forks) == 2   # one residue worker, then laplace's pass worker
     assert len(fixed_point_passes) == 2   # one per request
     assert (tmp_path / "split.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
     assert no_child_left()
@@ -209,39 +215,87 @@ def test_dead_worker_makes_solve_exit_3_without_output(cores, forks, monkeypatch
     assert no_child_left()
 
 
-# --- row derivation ---------------------------------------------------------
-
-def residue_solve(monkeypatch, ladder, grid, **kwargs):
-    """A residue table and the rounded rows it was evaluated from."""
-    captured = []
-    assemble = residues.assemble_table
-
-    def capture(ladder, m0, grid, rows, method, policy):
-        captured.append(rows)
-        return assemble(ladder, m0, grid, rows, method, policy)
-
-    monkeypatch.setattr(residues, "assemble_table", capture)
-    table = solve_populations(ladder, times=grid, method="residue", **kwargs)
-    return table, captured.pop()
-
+# --- residue rows -----------------------------------------------------------
 
 @pytest.mark.parametrize("count", [1, 2, 3, 12])
-def test_split_derivation_equals_one_process_rows(cores, forks, monkeypatch, count):
-    # widths 53 to 109 bits, rows above m0 = 24 zero, and one grid time, so
-    # that only the derivation forks
+def test_split_derivation_equals_one_process_rows(cores, forks, count):
+    # widths 53 to 109 bits, rows above m0 = 24 zero, and one grid time
     ladder, grid = build_ladder(30, 1.0), np.array([0.3])
     cores(1, derive=True)
-    alone, alone_rows = residue_solve(monkeypatch, ladder, grid, initial_m0=24)
+    alone = solve_populations(ladder, initial_m0=24, times=grid)
     assert forks == []
     cores(count, derive=True)
-    split, split_rows = residue_solve(monkeypatch, ladder, grid, initial_m0=24)
-    assert len(forks) == count - 1
-    assert len({row.bits for row in alone_rows if row}) > 10
-    assert [row is None for row in split_rows] == [row is None for row in alone_rows]
-    for a, b in zip(alone_rows[:25], split_rows[:25]):
-        assert (a.key(), a.bits, a.bound) == (b.key(), b.bits, b.bound)
-    assert np.array_equal(split.populations, alone.populations)
+    split = solve_populations(ladder, initial_m0=24, times=grid)
+    assert len(forks) == count - 1   # no worker forks again
+    assert len(set(alone.meta["bits"])) > 10
+    assert alone.meta["bits"][25:] == [53] * 6
+    assert split.populations.tobytes() == alone.populations.tobytes()
     assert split.meta == alone.meta
+    assert no_child_left()
+
+
+# the residue_ladder requests at real sizes, and N = 128 at 60 bits, where
+# rows' units are above 1 (F + F' < 0) and each sum is shifted up
+SPLIT_REQUESTS = {"N=100": (100, None, None), "N=128": (128, None, None),
+                  "m0=64 at 212 bits": (128, 64, 212), "N=128 at 60 bits": (128, None, 60)}
+
+
+@pytest.mark.parametrize("request_name", sorted(SPLIT_REQUESTS))
+@pytest.mark.parametrize("count", [2, 3])
+def test_split_residue_table_is_byte_equal_to_one_process(cores, forks, fixed_point_passes,
+                                                          count, request_name):
+    n, m0, bits = SPLIT_REQUESTS[request_name]
+    ladder, grid = build_ladder(n, 1.0), _time_grid(n, 5.0, 50)
+    policy = PrecisionPolicy.bits(bits) if bits else PrecisionPolicy()
+    cores(1, derive=True)
+    alone = solve_populations(ladder, initial_m0=m0, times=grid, policy=policy)
+    assert forks == [] and len(fixed_point_passes) == 1
+    cores(count, derive=True)
+    split = solve_populations(ladder, initial_m0=m0, times=grid, policy=policy)
+    assert len(forks) == count - 1
+    assert len(fixed_point_passes) == 1   # the workers evaluate without one
+    assert split.populations.tobytes() == alone.populations.tobytes()
+    assert split.meta == alone.meta
+    assert no_child_left()
+
+
+def test_rows_at_60_bits_have_units_above_one():
+    # the case the 60-bit request above covers: some row's sum at
+    # 2**-(F+F') has F + F' < 0, so the pass shifts it up
+    ladder, policy = build_ladder(128, 1.0), PrecisionPolicy.bits(60)
+    rows = [RoundedRow(exact_terms(ladder, m, 128), policy) for m in range(129)]
+    wide = [row for row in rows if row.bits > 53]
+    frac_bits, _, _ = residues._pass_inputs([residues._pass_summary(wide)])
+    # F' = -exponent
+    assert any(frac_bits - row.consts[1][0] < 0 for row in wide)
+
+
+def test_a_share_never_forks_again(cores, forks):
+    cores(4)
+    assert workers.worker_count(10, 10, 0) == 4
+
+    def share(w):
+        return workers.worker_count(10, 10, 0)
+
+    def two_messages(w):
+        yield workers.worker_count(10, 10, 0)
+        return workers.worker_count(10, 10, 0)
+
+    assert workers.split(share, 3, "test") == [1, 1, 1]
+    assert workers.split(two_messages, 3, "test", lambda firsts: firsts) == [1, 1, 1]
+    assert len(forks) == 4
+    assert workers.worker_count(10, 10, 0) == 4   # this process again, outside the shares
+    assert no_child_left()
+
+
+def test_reply_gets_every_first_message_and_every_share_gets_the_reply(cores):
+    cores(3)
+
+    def share(w):
+        reply = yield w * w
+        return w, reply
+
+    assert workers.split(share, 3, "test", sum) == [(0, 5), (1, 5), (2, 5)]
     assert no_child_left()
 
 
@@ -284,8 +338,54 @@ def test_precision_cap_error_is_the_same_for_any_core_count(cores, forks, monkey
     assert error == {"kind": "PrecisionError", "message": str(row_1.value),
                      "defect": row_1.value.defect, "bits": 297}
     assert not out.exists()
-    assert len(forks) == 1 + 2   # derivation workers only: no pass starts
+    assert len(forks) == 1 + 2   # one per worker; the error goes home first
     assert no_child_left()
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_lowest_failing_row_is_raised_wherever_it_fails(cores, forks, monkeypatch, count):
+    # rows 2 and up fail: row 2 fails in this process at W = 2 and in
+    # worker 2 at W = 3, and its error is raised either way, before any
+    # worker evaluates a row
+    derive = residues.exact_terms
+    evaluated = []
+
+    def failing(ladder, m, m0):
+        if m >= 2:
+            raise PrecisionError(f"row {m} fails", defect=1.0, bits=m)
+        return derive(ladder, m, m0)
+
+    monkeypatch.setattr(residues, "exact_terms", failing)
+    monkeypatch.setattr(residues, "_operand_runs", lambda *args: evaluated.append(args))
+    cores(count, derive=True)
+    with pytest.raises(PrecisionError, match="row 2 fails") as raised:
+        solve_populations(build_ladder(30, 1.0), times=np.array([0.3]),
+                          policy=PrecisionPolicy.bits(120))
+    assert raised.value.bits == 2
+    assert evaluated == []
+    assert len(forks) == count - 1
+    assert no_child_left()
+
+
+def test_worker_killed_between_its_messages_fails_the_request(cores, forks, monkeypatch):
+    # the parent has every first message when it makes the reply; kill
+    # worker 1 there and wait until it is dead, so the reply finds no reader
+    pass_inputs = residues._pass_inputs
+
+    def kill_first(summaries):
+        os.kill(forks[0], signal.SIGKILL)
+        os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)   # dead, not reaped
+        return pass_inputs(summaries)
+
+    monkeypatch.setattr(residues, "_pass_inputs", kill_first)
+    cores(2, derive=True)
+    with pytest.raises(WorkerError, match="residue rows worker 1 took no reply"):
+        solve_populations(build_ladder(30, 1.0), times=np.array([0.3]),
+                          policy=PrecisionPolicy.bits(120))
+    assert len(forks) == 1
+    assert no_child_left()
+    with pytest.raises(ProcessLookupError):
+        os.kill(forks[0], 0)
 
 
 def dying_derivation(monkeypatch):
@@ -310,7 +410,7 @@ def test_dead_derivation_worker_makes_solve_exit_3_without_output(cores, forks, 
     assert code == 3
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["kind"] == "WorkerError"
-    assert "row derivation worker 1 sent a broken share" in error["message"]
+    assert "residue rows worker 1 sent a broken share" in error["message"]
     assert not out.exists()
     assert len(forks) == 1   # no pass starts
     assert no_child_left()
@@ -324,7 +424,7 @@ def test_truncated_share_fails_the_derivation(cores, monkeypatch):
 
     monkeypatch.setattr(workers, "_worker", truncated)
     cores(2, derive=True)
-    with pytest.raises(WorkerError, match="row derivation worker 1 sent a broken share"):
+    with pytest.raises(WorkerError, match="residue rows worker 1 sent a broken share"):
         solve_populations(build_ladder(30, 1.0), times=np.array([0.3]))
     assert no_child_left()
 
