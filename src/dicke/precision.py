@@ -4,11 +4,11 @@ A row sum_p (A_p + B_p*g*t) * exp(-h_p*g*t) has exact rational
 coefficients far larger than the row.  Each is rounded once, to a width
 chosen per row from an a-priori bound on the resulting error (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 4) that needs
-no grid and no trial evaluation.  Coefficients arrive as reduced
-(numerator, denominator) pairs of ints: the bound reads their bit lengths
-and the rounding is one integer division.  As the bound charges a row an
-absolute 2**-b * S, a wider row rounds to one unit 2**-F' for the row
-(Brent & Zimmermann, *Modern Computer Arithmetic*, 2010, ch. 1).
+no grid and no trial evaluation.  Coefficients arrive as (numerator,
+positive denominator) int pairs, reduced or not: the bound reads each
+value's `exponent` and the rounding is one integer division.  As the bound
+charges a row an absolute 2**-b * S, a wider row rounds to one unit 2**-F'
+for the row (Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 1).
 """
 
 from __future__ import annotations
@@ -108,18 +108,24 @@ def round_to_scale(num: int, den: int, scale: int) -> int:
     return quo
 
 
+def exponent(num: int, den: int) -> int:
+    """The e with 2**(e-1) <= |num|/den < 2**e (num != 0, den > 0), the
+    same for every pair that writes one value: the bit-length difference d,
+    plus one unless one shift and one compare find |num|/den < 2**d."""
+    mag = abs(num)
+    lead = mag.bit_length() - den.bit_length()
+    return lead + 1 - ((mag >> lead if lead >= 0 else mag << -lead) < den)
+
+
 def round_to_bits(num: int, den: int, bits: int) -> tuple[int, int]:
     """(mantissa, exponent) with mantissa * 2**exponent equal to num/den
     (den > 0) rounded to `bits` significant bits, round-half-even; (0, 0)
-    for zero.  With 2**lead <= |num|/den < 2**(lead+1) that is
-    `round_to_scale` at 2**(bits-1-lead), a mantissa that may round up to
-    2**bits."""
+    for zero.  With e = `exponent(num, den)` that is `round_to_scale` at
+    2**(bits-e), a mantissa that may round up to 2**bits."""
     if not num:
         return 0, 0
-    mag = abs(num)
-    lead = mag.bit_length() - den.bit_length()   # floor(log2 |num|/den), or one above
-    lead -= (mag >> lead if lead >= 0 else mag << -lead) < den
-    return round_to_scale(num, den, bits - 1 - lead), lead + 1 - bits
+    e = exponent(num, den)
+    return round_to_scale(num, den, bits - e), e - bits
 
 
 def rounding_defect(mants: list[int], exps, delta: int, bits: int) -> float:
@@ -157,14 +163,14 @@ def _log2_gains(terms) -> tuple[float, float, float, int]:
     the count of nonzero coefficients."""
     s_exp, t_exp = [], []
     for pole, _, (c_num, c_den), (l_num, l_den) in terms:
-        # |A| < 2**e from the bit lengths of its reduced pair; A multiplies
+        # |A| < 2**e, e from the value whatever pair writes it; A multiplies
         # exp(-h*g*t) <= 1, B multiplies g*t*exp(-h*g*t) <= 1/(e*h)
         if c_num:
-            e = c_num.bit_length() - c_den.bit_length() + 1
+            e = exponent(c_num, c_den)
             t_exp.append(e)
             s_exp.append(e)
         if l_num:
-            e = l_num.bit_length() - l_den.bit_length() + 1
+            e = exponent(l_num, l_den)
             t_exp.append(e)
             s_exp.append(e - math.log2(math.e * max(pole, 1)))
     log2_s, k = _log2_sum(s_exp), len(terms)
@@ -185,10 +191,11 @@ def _bound(gains: tuple[float, float, float, int], bits: int) -> float:
 
 def resolve_bits(terms, policy: PrecisionPolicy) -> tuple[int, float, int]:
     """(bits, the `_bound` there, scale) for a row's nonempty (pole,
-    multiplicity, const, linear) terms, coefficients as reduced (numerator,
-    denominator) pairs; a fixed width below 53 is reported as 53.  Auto
-    keeps float64 if its bound meets the target, else takes the narrowest
-    wider width that does, and raises `PrecisionError` above the cap.
+    multiplicity, const, linear) terms, coefficients as (numerator,
+    positive denominator) pairs, reduced or not; a fixed width below 53 is
+    reported as 53.  Auto keeps float64 if its bound meets the target, else
+    takes the narrowest wider width that does, and raises `PrecisionError`
+    above the cap.
     A wider row's unit is 2**-scale, scale = bits - floor(log2 S) +
     ceil(log2 k) + UNIT_GUARD_BITS for S and the k nonzero coefficients of
     `_log2_gains`, so its roundings add at most 2**-(bits+9) * S; the float

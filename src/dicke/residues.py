@@ -8,14 +8,15 @@ residues of
 over the distinct ladder values h_p with p in [m, m0].  A value occurring
 twice in the range is a double pole and contributes the non-exponential
 g*t * exp(-h*g*t) piece.  Coefficients are exact rationals in closed form,
-each carried as a reduced (numerator, denominator) pair of plain ints: one
-gcd when it is derived, then its bound reads the pair's bit lengths and its
-rounding is one integer division, so no `Fraction` is built on the way
-(`ResidueTerm.const` and `.linear` build one on access, for inspection).
-With q = N+1-p every pole gap factors as h_p - h_k = (p-k)(q-k), and the
-factorial quotients this gives collapse into binomials C(a,b) of about the
-size of the reduced coefficient.  Indexing each pole by the lowest p in
-[m, m0] with h_p = p*q, and writing B = C(m0,p) C(p,m):
+each carried as the (numerator, positive denominator) pair of plain ints
+its recurrence builds, with no gcd: its bound reads the value's exponent
+(`precision.exponent`) and its rounding is one integer division, so no
+`Fraction` is built on the way (`ResidueTerm.const` and `.linear` build
+one on access, for inspection).  With q = N+1-p every pole gap factors as
+h_p - h_k = (p-k)(q-k), and the factorial quotients this gives collapse
+into binomials C(a,b) of about the size of the reduced coefficient.
+Indexing each pole by the lowest p in [m, m0] with h_p = p*q, and writing
+B = C(m0,p) C(p,m):
 
     double pole, p < q <= m0   linear -c, c = (-1)^(m0-m+N) (q-p)^2 B
                                C(N-m,p-1) C(p-1,m0-q) (an integer);
@@ -43,9 +44,9 @@ Laplace's and Jordan's derivations, are evaluated in one fixed-point
 pass that splits by grid time instead.  Each row is rounded before the
 next is derived, so only one row's exact pairs are alive per process at
 a time, except inside `shared_evaluation`: there each distinct exact row
-is rounded once for all the derivations of a `compare`, and its exact
-terms are kept, as the memo's key, until the last derivation has rounded
-its rows.
+is rounded once for all the derivations of a `compare`, its pairs reduced
+so that equal rows compare `==`, and its exact terms are kept, as the
+memo's key, until the last derivation has rounded its rows.
 """
 
 from __future__ import annotations
@@ -68,17 +69,18 @@ from .precision import (DOUBLE_BITS, GUARD_BITS, PrecisionError, PrecisionPolicy
 from .states import EvolutionTable, check_time_grid, check_times
 from .workers import split, worker_count
 
-_ZERO = (0, 1)   # reduced (numerator, denominator) pairs
+_ZERO = (0, 1)   # (numerator, denominator) pairs, reduced as every derivation writes them
 _ONE = (1, 1)
 
 
 class ResidueTerm(NamedTuple):
     """One pole's contribution (const + linear*g*t) * exp(-pole*g*t).
 
-    The coefficients are held as reduced (numerator, denominator) pairs,
-    `const_pair` and `linear_pair`; `const`/`linear` give them as exact
-    `Fraction`s.  A term is exact and carries no width: it equals the plain
-    tuple `exact_terms` makes for it, and `RoundedRow` rounds it.
+    The coefficients are (numerator, positive denominator) pairs,
+    `const_pair` and `linear_pair`, not always reduced, so values compare
+    as `const`/`linear`, exact `Fraction`s.  A term is exact and carries no
+    width: it equals the plain tuple `exact_terms` makes for it, and
+    `RoundedRow` rounds it, alike however its pairs are written.
     """
 
     pole: int
@@ -169,7 +171,7 @@ def _prefix_tables(n_emitters: int) -> tuple[tuple[int, ...], int]:
 def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
                 ) -> list[tuple[int, int, tuple[int, int], tuple[int, int]]]:
     """Exact (pole, multiplicity, const, linear) tuples, poles ascending,
-    each coefficient a reduced (numerator, denominator) pair.
+    each coefficient a (numerator, positive denominator) pair.
 
     Each pole takes one of the four binomial forms of the module
     docstring.  h_p = p*q grows with min(p, q), so the poles whose partner
@@ -177,7 +179,9 @@ def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
     descending p, then p = m, m+1, ... up to the middle of the ladder.
     Along each run a form's numerator and denominator are running exact
     integers, each updated by one multiplication and one exact division
-    per pole, and each coefficient is reduced by one gcd.
+    per pole.  A coefficient is the pair these give, with no gcd; inside
+    `shared_evaluation` it is reduced, so that `rounded_row` finds a row
+    `==` to Laplace's and Jordan's.
     """
     n = ladder.n_emitters
     m, m0 = target_m, initial_m0
@@ -185,6 +189,7 @@ def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
         raise ValueError(
             f"need 0 <= target_m <= initial_m0 <= N, got m={m}, m0={m0}, N={n}")
     h = ladder.h   # pole values shared with the ladder, not one int per term
+    pair = reduced if _shared is not None else lambda num, den: (num, den)
     harm, lcm = _prefix_tables(n)
     half = (n + 1) // 2
     out = []
@@ -197,7 +202,7 @@ def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
         den = math.comb(m0 - 1, m - q)
         sign = 1
         for p in range(m0, low - 1, -1):
-            out.append((h[p], 1, reduced(sign * (p - q) * num, (m - q) * den), _ZERO))
+            out.append((h[p], 1, pair(sign * (p - q) * num, (m - q) * den), _ZERO))
             num = num * (p - m) * (m0 - q) // ((m0 - p + 1) * (p - 1))
             den = den * (m - q) // (p - 1)
             q += 1
@@ -215,7 +220,7 @@ def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
         den = first * math.comb(n - m0, first)
         sign = -1 if (first - m) % 2 else 1
         for p in range(first, last + 1):
-            out.append((h[p], 1, reduced(sign * (q - p) * num, den), _ZERO))
+            out.append((h[p], 1, pair(sign * (q - p) * num, den), _ZERO))
             num = num * (m0 - p) * (n - m - p + 1) // ((p + 1 - m) * p)
             den = den * (n - m0 - p) // p
             q -= 1
@@ -236,12 +241,12 @@ def exact_terms(ladder: DickeLadder, target_m: int, initial_m0: int
             # numerator over the non-degenerate factors of the denominator;
             # c'(v) = -c(v) * s with s = sum_k 1/((p-k)(q-k)) = (S_p - S_q)/(q-p)
             # by partial fractions, S_x = sum_k 1/(x-k), and the harmonic
-            # numbers are integers over L, so -c*s is one reduced pair
+            # numbers are integers over L, so -c*s is one pair
             gap = q - p
             c = sign * gap * gap * num
             s_num = (harm[p - m] - harm[m0 - p] - harm[q - m] + harm[m0 - q]
                      + 2 * (lcm // gap))
-            out.append((h[p], 2, reduced(-c * s_num, lcm * gap), (-c, 1)))
+            out.append((h[p], 2, pair(-c * s_num, lcm * gap), (-c, 1)))
             num = num * (m0 - p) * (n - m - p + 1) // ((p + 1 - m) * (m0 - q + 1))
             q -= 1
     return out
@@ -511,13 +516,14 @@ _shared = None   # the innermost open `shared_evaluation`'s (row, pass) memos, e
 def shared_evaluation():
     """Within this scope each distinct exact row is rounded once and each
     distinct row list evaluated once.  `rounded_row` keys a row on its
-    policy and exact term tuple, compared with `==`, and `evaluate_rows`
-    a call on its rows' `RoundedRow.key` (widths and rounded operands),
-    grid and gamma, returning a copy of the earlier values.  Derivations
-    that agree exactly (residue, Laplace and Jordan) then round and
-    evaluate once, and any difference in a coefficient or a width is
-    rounded and evaluated on its own.  Rows a forked residue worker rounds
-    and evaluates never reach this process's memos.
+    policy and exact term tuple, compared with `==` (`exact_terms` reduces
+    its pairs here), and `evaluate_rows` a call on its rows'
+    `RoundedRow.key` (widths and rounded operands), grid and gamma,
+    returning a copy of the earlier values.  Derivations that agree
+    exactly (residue, Laplace and Jordan) then round and evaluate once,
+    and any difference in a coefficient or a width is rounded and
+    evaluated on its own.  Rows a forked residue worker rounds and
+    evaluates never reach this process's memos.
 
     The scope gives a callable that empties the row memo, for the caller
     to call once its last derivation has rounded its rows: the memo's keys

@@ -1,14 +1,19 @@
 """The coefficient pipeline on `Fraction`s, as the package ran it before it
-carried coefficients as reduced integer pairs: a test reference only.
+carried coefficients as integer pairs: a test reference only.
 
-`dicke.precision` reads the bound's bit lengths and rounds each
-coefficient from reduced (numerator, denominator) pairs.  These are the
-same computations written against `Fraction`, which reduces on
+`dicke.precision` reads the bound's exponents and rounds each coefficient
+from (numerator, positive denominator) pairs, reduced or not.  These are
+the same computations written against `Fraction`, which reduces on
 construction, so on equal values the two must give equal gains, widths,
 bounds and mantissas.  A row wider than float64 rounds every coefficient
 to its one unit 2**-scale (`fraction_round_to_scale`), a 53-bit row to 53
 significant bits (`fraction_round_to_bits`); `fraction_round_row` is
 `RoundedRow`'s choice between the two.
+
+Nothing here is imported from the package: the constants, the log-sum and
+each coefficient's exponent are stated again, so that a change to the
+package's shows as a difference, and a test in `test_precision.py` checks
+that the constants still agree.
 """
 
 from __future__ import annotations
@@ -16,12 +21,33 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from dicke.precision import DOUBLE_BITS, FLOAT_EVAL_UNITS, GUARD_BITS, _log2_sum
+DOUBLE_BITS = 53        # float64 significand
+GUARD_BITS = 64         # fixed-point fraction bits beyond the widest row width
+FLOAT_EVAL_UNITS = 20   # float64 error per term beyond the sum's, in 2**-53 * S
+
+
+def _log2_sum(exponents: list[float]) -> float:
+    """log2 of the sum of 2**e over a nonempty list."""
+    top = max(exponents)
+    return top + math.log2(math.fsum(2.0 ** (e - top) for e in exponents))
+
+
+def fraction_exponent(value: Fraction) -> int:
+    """The e with 2**(e-1) <= |value| < 2**e, for a nonzero `Fraction`:
+    the bit-length difference of its reduced numerator and denominator plus
+    one, lowered by one where 2**(e-1) is still above |value|."""
+    mag = abs(value)
+    e = mag.numerator.bit_length() - mag.denominator.bit_length() + 1
+    if Fraction(2) ** (e - 1) > mag:
+        e -= 1
+    return e
 
 
 def fraction_terms(terms):
-    """(pole, multiplicity, const, linear) tuples with each reduced pair
-    as a `Fraction`."""
+    """(pole, multiplicity, const, linear) tuples with each pair as a
+    `Fraction`, so that two lists compare equal with `==` exactly when they
+    hold the same poles and the same rational values, however each pair is
+    written."""
     return [(pole, mult, Fraction(*const), Fraction(*linear))
             for pole, mult, const, linear in terms]
 
@@ -46,8 +72,8 @@ def fraction_log2_gains(terms) -> tuple[float, float, float, int]:
     for pole, _, const, linear in terms:
         # A multiplies exp(-h*g*t) <= 1, B multiplies g*t*exp(-h*g*t) <= 1/(e*h)
         for value, log2_sup in ((const, 0.0), (linear, -math.log2(math.e * max(pole, 1)))):
-            if value:   # |value| < 2**e from bit lengths alone
-                t_exp.append(value.numerator.bit_length() - value.denominator.bit_length() + 1)
+            if value:   # |value| < 2**e
+                t_exp.append(fraction_exponent(value))
                 s_exp.append(t_exp[-1] + log2_sup)
     log2_s, k = _log2_sum(s_exp), len(terms)
     return (log2_s + math.log2(k + FLOAT_EVAL_UNITS),

@@ -4,18 +4,20 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dicke import precision
 from dicke.ladder import build_ladder
 from dicke.methods import solve_populations
-from dicke.precision import (DOUBLE_BITS, PrecisionError, PrecisionPolicy, default_max_bits,
-                             fraction_to_float, resolve_bits, rounding_defect)
+from dicke.precision import (DOUBLE_BITS, OUTPUT_ROUNDING, PrecisionError, PrecisionPolicy,
+                             default_max_bits, exponent, fraction_to_float, resolve_bits,
+                             rounding_defect)
 from dicke.residues import RoundedRow, exact_terms, residue_terms
 from dicke.states import DiagonalState
-from fraction_reference import (fraction_log2_gains, fraction_round_row, fraction_terms,
-                                pair_terms)
+import fraction_reference
+from fraction_reference import (fraction_exponent, fraction_log2_gains, fraction_round_row,
+                                fraction_terms, pair, pair_terms)
 
 
 def test_policy_validation():
@@ -188,6 +190,24 @@ def test_closed_forms_share_widths_bounds_and_tables(policy):
             assert max(residue.meta["error_bound"]) <= policy.target_defect
 
 
+@pytest.mark.parametrize("m0", [64, 128])
+def test_unreduced_residue_rows_round_as_reduced_laplace_and_jordan_rows(m0):
+    # outside `compare` residue rows keep the pairs their recurrences build
+    # (at m0 = 128 split over the usable cores), and Laplace and Jordan
+    # reduce theirs: every row takes its width from its values, so the
+    # tables and their provenance are equal at auto precision
+    ladder = build_ladder(128, 1.0)
+    assert any(math.gcd(*pair) > 1 for term in exact_terms(ladder, 0, m0) for pair in term[2:])
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 5.0, 49)])
+    residue, laplace, jordan = (solve_populations(ladder, m0, grid, method)
+                                for method in CLOSED_FORMS)
+    assert max(residue.meta["bits"]) > DOUBLE_BITS
+    for table in (laplace, jordan):
+        assert np.array_equal(table.populations, residue.populations), table.method
+        for key in ("bits", "error_bound", "t0_defect"):
+            assert table.meta[key] == residue.meta[key], (table.method, key)
+
+
 POLICIES = st.one_of(st.just(PrecisionPolicy.double()),
                      st.builds(PrecisionPolicy.bits, st.integers(53, 300)),
                      st.just(PrecisionPolicy.auto()))
@@ -269,12 +289,95 @@ def test_integer_pipeline_matches_fraction_reference_benchmark_rows(n, m0, polic
     assert_rows_match_fraction_reference(build_ladder(n, 1.0), m0, policy, monkeypatch)
 
 
+def test_fraction_reference_constants_are_the_package_constants():
+    # the reference states its own constants and log-sum, so that a change
+    # to the package's bound shows against it; here they must still agree
+    for name in ("DOUBLE_BITS", "GUARD_BITS", "FLOAT_EVAL_UNITS"):
+        assert getattr(fraction_reference, name) == getattr(precision, name), name
+    for exponents in ([0.0], [-3.5, 2.0, 2.0], [1000.0, -1000.0, 999.25]):
+        assert fraction_reference._log2_sum(exponents) == precision._log2_sum(exponents)
+
+
+# nonzero rationals, exact powers of two among them, and scales k >= 1 that
+# write each as a pair with a common factor
+_powers_of_two = st.builds(lambda sign, p: sign * Fraction(2) ** p,
+                           st.sampled_from([1, -1]), st.integers(-400, 400))
+_values = st.one_of(st.fractions().filter(bool), _powers_of_two,
+                    st.builds(Fraction, st.integers(-2 ** 300, 2 ** 300).filter(bool),
+                              st.integers(1, 2 ** 300)))
+_scales = st.one_of(st.integers(1, 12), st.integers(1, 2 ** 200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values, _scales)
+@example(Fraction(1), 1)
+@example(Fraction(-1, 2 ** 70), 3)
+@example(Fraction(2 ** 90), 2 ** 90 - 1)
+@example(Fraction(3, 4), 7)
+def test_exponent_depends_on_the_value_not_the_pair(value, k):
+    n, d = value.numerator, value.denominator
+    e = exponent(n, d)
+    assert Fraction(2) ** (e - 1) <= abs(value) < Fraction(2) ** e
+    assert exponent(k * n, k * d) == e == fraction_exponent(value)
+
+
+def _resolved(terms, policy):
+    """`resolve_bits` and the `RoundedRow` key, or the `PrecisionError`'s
+    fields where the width is above the cap."""
+    try:
+        return resolve_bits(terms, policy), RoundedRow(terms, policy).key()
+    except PrecisionError as exc:
+        return str(exc), exc.defect, exc.bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.one_of(st.just(Fraction(0)), _values),
+                          st.one_of(st.just(Fraction(0)), _values), _scales, _scales),
+                min_size=1, max_size=8),
+       st.sampled_from([PrecisionPolicy(), PrecisionPolicy.double(), PrecisionPolicy.bits(60),
+                        PrecisionPolicy.bits(200), PrecisionPolicy.auto(1e-15)]))
+def test_rows_round_the_same_however_their_pairs_are_written(drawn, policy):
+    # the width, bound, unit and mantissas depend on the values alone, so a
+    # residue row of unreduced pairs and an equal Laplace or Jordan row of
+    # reduced ones round alike: what keeps `compare --tol 0` equal
+    reduced_terms = [(pole, 2 if linear else 1, pair(const), pair(linear))
+                     for pole, const, linear, _, _ in drawn]
+    scaled_terms = [(pole, mult, (k * c_num, k * c_den), (j * l_num, j * l_den))
+                    for (pole, mult, (c_num, c_den), (l_num, l_den)), (*_, k, j)
+                    in zip(reduced_terms, drawn)]
+    assume(any(const[0] or linear[0] for _, _, const, linear in reduced_terms))
+    assert _resolved(scaled_terms, policy) == _resolved(reduced_terms, policy)
+
+
+def test_auto_takes_the_narrowest_width_that_meets_the_target():
+    # at a target equal to the bound at b, auto takes b; one float below it,
+    # b + 1.  There the float64 ceiling of gains - log2(budget) still lands
+    # on b, whose bound misses the target by an ulp, and `resolve_bits`
+    # must add the bit
+    ladder, short = build_ladder(64, 1.0), 0
+    for m in range(0, 65, 4):
+        terms = exact_terms(ladder, m, 64)
+        gains = precision._log2_gains(terms)
+        for b in range(DOUBLE_BITS + 1, 400, 3):
+            at = precision._bound(gains, b)
+            if at < 1e-15 or precision._bound(gains, DOUBLE_BITS) <= at:
+                continue
+            assert resolve_bits(terms, PrecisionPolicy.auto(at))[:2] == (b, at), (m, b)
+            below = math.nextafter(at, 0.0)
+            bits, bound, _ = resolve_bits(terms, PrecisionPolicy.auto(below))
+            assert bits == b + 1 and bound <= below, (m, b)
+            budget = (below - OUTPUT_ROUNDING) / (1.0 + OUTPUT_ROUNDING)
+            short += math.ceil(gains[1] - math.log2(budget)) == b
+    assert short > 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_wide_row_roundings_within_the_unit_budget(data):
     # each wide row's k roundings to 2**-F' move it by at most
     # 2**-(b+9) * S at every t >= 0, for S = sum 2**e of `_log2_gains`
-    # (|A| < 2**e, and B weighted by the 1/(e*h) bound on g*t*exp(-h*g*t)),
+    # (2**(e-1) <= |A| < 2**e, and B weighted by the 1/(e*h) bound on
+    # g*t*exp(-h*g*t)),
     # checked in `Fraction`s.  So does the worst case, k half units, which
     # a floor of log2 S one too high (F' one too low) breaks wherever k is
     # a power of two
@@ -297,7 +400,7 @@ def test_wide_row_roundings_within_the_unit_budget(data):
             for value, (mant, exp), w in ((const, c, 1), (linear, d, weight)):
                 assert exp == row.consts[1][0]   # one unit per row
                 if value:
-                    size = value.numerator.bit_length() - value.denominator.bit_length() + 1
+                    size = fraction_exponent(value)
                     error = abs(mant * Fraction(2) ** exp - value)
                     assert error <= half_unit
                     total += Fraction(2) ** size * w
